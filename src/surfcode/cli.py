@@ -97,10 +97,11 @@ def cmd_spectrum(args) -> None:
         if len(spec.eigenvalues) > 2 ** n:
             payload["splittings"] = spectra.ground_splitting(spec, n)
         logicals = {}
+        size = min(2 ** n, 4, len(spec.eigenvalues))
         for l in range(n):
             pair = pauli.logical_pair(lat, l)
-            mz = spectra.logical_expectation(spec, pair.tau_z, min(2 ** n, 4))
-            mx = spectra.logical_expectation(spec, pair.tau_x, min(2 ** n, 4))
+            mz = spectra.logical_expectation(spec, pair.tau_z, size)
+            mx = spectra.logical_expectation(spec, pair.tau_x, size)
             logicals[f"hole{l}"] = {
                 "tau_z": [[float(x.real) for x in row] for row in mz],
                 "tau_x_abs": [[float(abs(x)) for x in row] for row in mx],

@@ -17,13 +17,31 @@ plaquettes with an even Y count, leaving all matrix elements real.
 Spectra are unchanged; eigenvectors live in the chosen frame and
 operators evaluated on them are conjugated consistently.
 
-Eigenpairs come from a blocked, seeded LOBPCG iteration.  A block of
-random vectors resolves exact ground-state degeneracy, which a
-single-vector Lanczos cannot.
+Eigenpairs come from exact symmetry sectors (qubit tapering, Bravyi,
+Gambetta, Mezzacapo and Temme, arXiv:1701.08213).  GF(2) elimination on
+the anticommutation pattern of the stabilizer terms with all terms
+gives independent generators of the products of stabilizer terms that
+commute with every term; H is block diagonal in their common
+eigenspaces.  Each sector gets a symmetry-adapted basis (orbit
+representatives under the generators' X parts, with the pure-Z
+generators' parities imposed), every term maps a representative to a
+(representative, phase) pair, and the sector matrix, of dimension
+2^(n - r) for r generators, is diagonalized densely.  Sectors are
+visited best first by branch-and-bound: the bare energy of the terms
+that lie in the group, minus the summed |c| of all other terms, bounds
+a sector's lowest level from below, and the search stops once that
+bound reaches the k-th lowest level found, so the lowest k levels are
+exact across sectors.
+
+When no generator is conserved (a field on every site) or a sector
+exceeds ``SECTOR_DENSE_CAP``, a blocked, seeded LOBPCG iteration on the
+full space takes over.  A block of random vectors resolves exact
+ground-state degeneracy, which a single-vector Lanczos cannot.
 """
 
 from __future__ import annotations
 
+import heapq
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -32,9 +50,10 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .lattice import FieldMask, HoledLattice
-from .pauli import PauliString
+from .pauli import PauliString, commutes, in_span_gf2, multiply
 
 DIMENSION_CAP = 24
+SECTOR_DENSE_CAP = 1 << 10    # largest sector diagonalized by dense eigh
 
 
 class SpectraError(RuntimeError):
@@ -163,16 +182,218 @@ class Spectrum:
     eigenvectors: np.ndarray       # columns, in the Hamiltonian's frame
     residual_norms: np.ndarray
     hamiltonian: SpinHamiltonian
+    method: str = "lobpcg"         # 'sector' or 'lobpcg'
+    sector_dims: tuple[int, ...] = ()   # dimension of every space solved
 
 
-def lowest_eigs(H: SpinHamiltonian, k_count: int, tol: float = 1e-10,
-                seed: int = 2024, maxiter: int = 2000) -> Spectrum:
-    """Lowest ``k_count`` eigenpairs by blocked LOBPCG with a seeded
-    random start block; deterministic for fixed seed."""
+# ---------------------------------------------------------------------------
+# exact symmetry sectors
+# ---------------------------------------------------------------------------
+
+_PHASES = np.array([1, 1j, -1, -1j])
+
+
+def _parity(v: int) -> int:
+    return bin(v).count("1") & 1
+
+
+def _count(a: np.ndarray, mask: int) -> np.ndarray:
+    """popcount(a & mask) per entry, as int64."""
+    return np.bitwise_count(a & np.uint64(mask)).astype(np.int64)
+
+
+def _eliminate(rows: list[list], nbits: int):
+    """Gauss-Jordan elimination over GF(2) of rows [mask, ...], highest
+    bit first; later entries are XORed along, or multiplied if Pauli
+    strings.  Returns the (pivot bit, row) pairs in reduced row echelon
+    form and the rows eliminated to a zero mask."""
+    rows = list(rows)
+    done: list[tuple[int, list]] = []
+    for bit in reversed(range(nbits)):
+        hit = next((r for r in rows if r[0] >> bit & 1), None)
+        if hit is None:
+            continue
+        rows.remove(hit)
+        for r in rows + [r for _, r in done]:
+            if r[0] >> bit & 1:
+                r[:] = [multiply(a, b) if isinstance(a, PauliString) else a ^ b
+                        for a, b in zip(r, hit)]
+        done.append((bit, hit))
+    return done, rows
+
+
+def _conserved_generators(H: SpinHamiltonian) -> list[PauliString]:
+    """Independent products of stabilizer terms commuting with every term:
+    the stabilizer terms' anticommutation patterns with all terms,
+    eliminated to zero, with independent (x|z) masks."""
+    paulis = [p for _, p in H.terms]
+    _, kernel = _eliminate(
+        [[sum(1 << t for t, q in enumerate(paulis) if not commutes(s, q)), s]
+         for s in paulis[:H.n_stabilizer_terms]], len(paulis))
+    gens: list[PauliString] = []
+    for _, s in kernel:
+        if not in_span_gf2(gens, s):
+            gens.append(s)
+    return gens
+
+
+class _Sectors:
+    """Symmetry-adapted bases of the common eigenspaces of generators
+    ``gens`` (h_j), all commuting with every term of ``H``.
+
+    Sector t (bit j of t set iff h_j = -1) has dimension 2^(n - r).  The
+    generators are brought to reduced row echelon form on (x|z): rows g
+    with an x pivot q generate the orbits, and the representative of
+    an orbit has every pivot bit zero; rows with x = 0 fix parities of
+    the representatives.  The basis state of representative b is
+    2^(-a/2) prod_g (1 + chi_t(g) g) |b> over the a rows with x pivots.
+    """
+
+    def __init__(self, H: SpinHamiltonian, gens: list[PauliString]):
+        n = H.n
+        self.H = H
+        self.r = len(gens)
+        self.rows, _ = _eliminate(
+            [[(p.x << n) | p.z, p, 1 << j] for j, p in enumerate(gens)],
+            2 * n)
+        # (x pivot site, row operator g, its generator combination)
+        self.orbit = [(bit - n, p, c) for bit, (_, p, c) in self.rows
+                      if bit >= n]
+        free = ((1 << n) - 1) & ~sum(1 << q for q, _, _ in self.orbit)
+        # z.b = comb.t + k/2 (mod 2) for the pure-Z rows i^k Z^z
+        self.parities = [
+            (bit, m, c, k) for bit, (m, c, k) in _eliminate(
+                [[p.z & free, c, p.k >> 1 & 1] for bit, (_, p, c) in self.rows
+                 if bit < n], n)[0]]
+        fixed = sum(1 << q for q, *_ in self.parities)
+        self.sites = [j for j in range(n) if (free & ~fixed) >> j & 1]
+        self.dim = 1 << len(self.sites)
+
+    def value(self, p: PauliString) -> Optional[tuple[int, int]]:
+        """(sign, comb) with p = sign * prod_{j in comb} h_j, or None if
+        p lies outside the group."""
+        v = (p.x << self.H.n) | p.z
+        q, comb = PauliString.identity(self.H.n), 0
+        for bit, (m, g, c) in self.rows:
+            if v >> bit & 1:
+                v ^= m
+                q = multiply(q, g)
+                comb ^= c
+        if v:
+            return None
+        return 1 - ((p.k - q.k) & 2), comb
+
+    def representatives(self, t: int) -> np.ndarray:
+        w = np.arange(self.dim, dtype=np.uint64)
+        b = np.zeros_like(w)
+        for i, site in enumerate(self.sites):
+            b |= (w >> np.uint64(i) & np.uint64(1)) << np.uint64(site)
+        for q, m, c, k in self.parities:
+            par = (_count(b, m) + (_parity(c & t) ^ k)) & 1
+            b |= par.astype(np.uint64) << np.uint64(q)
+        return b
+
+    def index(self, b: np.ndarray) -> np.ndarray:
+        w = np.zeros_like(b)
+        for i, site in enumerate(self.sites):
+            w |= (b >> np.uint64(site) & np.uint64(1)) << np.uint64(i)
+        return w.astype(np.intp)
+
+    def matrix(self, t: int) -> np.ndarray:
+        """H on sector t.  For a term P, let g be the product of the orbit
+        rows whose pivots P.x flips: g P keeps representatives
+        representatives, and P|psi_b> = chi_t(g) g P |psi_b>."""
+        b = self.representatives(t)
+        cols = np.arange(self.dim)
+        flat, vals = [], []
+        for coeff, p in self.H.terms:
+            chi = 0
+            for q, g, comb in self.orbit:
+                if p.x >> q & 1:
+                    p = multiply(g, p)
+                    chi ^= _parity(comb & t)
+            power = p.k + 2 * (_count(b, p.z) + chi)
+            flat.append(self.index(b ^ np.uint64(p.x)) * self.dim + cols)
+            vals.append(coeff * _PHASES[power & 3])
+        flat, vals = np.concatenate(flat), np.concatenate(vals)
+        size = self.dim * self.dim
+        M = np.bincount(flat, vals.real, minlength=size)
+        if self.H.dtype == np.complex128:
+            M = M + 1j * np.bincount(flat, vals.imag, minlength=size)
+        return M.reshape(self.dim, self.dim)
+
+    def embed(self, t: int, coeffs: np.ndarray) -> np.ndarray:
+        """Full-space columns of the sector-t coefficient columns."""
+        idx = self.representatives(t)
+        amp = coeffs / np.sqrt(2.0 ** len(self.orbit))
+        for _, g, comb in self.orbit:
+            ph = _PHASES[(g.k + 2 * _count(idx, g.z) + 2 * _parity(comb & t))
+                         & 3]
+            if self.H.dtype == np.float64:
+                ph = ph.real
+            idx = np.concatenate([idx, idx ^ np.uint64(g.x)])
+            amp = np.concatenate([amp, ph[:, None] * amp])
+        out = np.zeros((self.H.dimension, coeffs.shape[1]), dtype=amp.dtype)
+        out[idx.astype(np.intp)] = amp
+        return out
+
+
+def _sector_eigs(H: SpinHamiltonian, sec: _Sectors, k: int):
+    """Lowest k levels over all sectors by best-first branch-and-bound
+    on the syndrome bits; returns (vals, vecs, res, sector dims)."""
+    const, rest = 0.0, 0.0
+    by_bit: list[list[tuple[float, int]]] = [[] for _ in range(sec.r)]
+    for coeff, p in H.terms:
+        hit = sec.value(p)
+        if hit is None:
+            rest += abs(coeff)
+        elif hit[1] == 0:
+            const += coeff * hit[0]
+        else:
+            by_bit[hit[1].bit_length() - 1].append((coeff * hit[0], hit[1]))
+    # pool[d]: summed |c| of the group terms not yet fixed at depth d
+    pool = np.cumsum([0.0] + [sum(abs(c) for c, _ in terms)
+                              for terms in reversed(by_bit)])[::-1]
+    slack = 64 * np.finfo(float).eps * H.norm_bound
+    heap = [(const - pool[0] - rest, 0, 0, const)]   # bound, -depth, t, bare
+    levels: list[tuple[float, int, int]] = []        # value, sector, column
+    solved = []
+    kth = np.inf
+    while heap and heap[0][0] < kth - slack:
+        _, depth, t, bare = heapq.heappop(heap)
+        depth = -depth
+        if depth < sec.r:
+            for bit in (0, 1):
+                tt = t | bit << depth
+                e = bare + sum(c * (1 - 2 * _parity(comb & tt))
+                               for c, comb in by_bit[depth])
+                heapq.heappush(
+                    heap, (e - pool[depth + 1] - rest, -depth - 1, tt, e))
+            continue
+        M = sec.matrix(t)
+        w, U = np.linalg.eigh(M)
+        m = min(k, sec.dim)
+        w, U = w[:m], U[:, :m]
+        res = np.linalg.norm(M @ U - U * w, axis=0)
+        levels.extend((w[i], len(solved), i) for i in range(m))
+        solved.append((t, U, res))
+        levels.sort(key=lambda lv: lv[0])
+        if len(levels) >= k:
+            kth = levels[k - 1][0]
+    chosen = levels[:k]
+    vecs = np.empty((H.dimension, k), dtype=H.dtype)
+    for s, (t, U, _) in enumerate(solved):
+        at = [j for j, lv in enumerate(chosen) if lv[1] == s]
+        if at:
+            vecs[:, at] = sec.embed(t, U[:, [chosen[j][2] for j in at]])
+    vals = np.array([lv[0] for lv in chosen])
+    res = np.array([solved[s][2][i] for _, s, i in chosen])
+    return vals, vecs, res, (sec.dim,) * len(solved)
+
+
+def _lobpcg(H: SpinHamiltonian, k: int, tol: float, seed: int,
+            maxiter: int):
     dim = H.dimension
-    k = int(k_count)
-    if k < 1 or k >= dim:
-        raise SpectraError(f"k_count {k} out of range for dimension {dim}")
     apply_h = _Apply(H)
     block = min(dim - 1, k + 2)
     rng = np.random.default_rng(seed)
@@ -191,13 +412,39 @@ def lowest_eigs(H: SpinHamiltonian, k_count: int, tol: float = 1e-10,
     for i in range(k):
         r = apply_h(vecs[:, i]) - vals[i] * vecs[:, i]
         res[i] = np.linalg.norm(r)
+    return vals, vecs, res
+
+
+def lowest_eigs(H: SpinHamiltonian, k_count: int, tol: float = 1e-10,
+                seed: int = 2024, maxiter: int = 2000) -> Spectrum:
+    """Lowest ``k_count`` eigenpairs, exact across symmetry sectors.
+
+    With a conserved generator and sectors of at most
+    ``SECTOR_DENSE_CAP`` states, each sector visited is diagonalized
+    densely (``seed`` and ``maxiter`` are unused).  Otherwise blocked
+    LOBPCG with a seeded random start block runs on the full space;
+    deterministic for fixed seed.  Residuals are those of the full
+    space on both paths, gated at 50 * tol * norm_bound.
+    """
+    dim = H.dimension
+    k = int(k_count)
+    if k < 1 or k >= dim:
+        raise SpectraError(f"k_count {k} out of range for dimension {dim}")
+    gens = _conserved_generators(H)
+    sec = _Sectors(H, gens) if gens else None
+    if sec is not None and sec.dim <= SECTOR_DENSE_CAP:
+        vals, vecs, res, dims = _sector_eigs(H, sec, k)
+        method = "sector"
+    else:
+        vals, vecs, res = _lobpcg(H, k, tol, seed, maxiter)
+        method, dims = "lobpcg", (dim,)
     bound = max(tol * H.norm_bound, 1e-30)
     if np.any(res > 50 * bound):
         raise SpectraError(
             f"eigensolver did not converge: residuals {res}", residuals=res)
     for arr in (vals, vecs, res):
         arr.flags.writeable = False
-    return Spectrum(vals, vecs, res, H)
+    return Spectrum(vals, vecs, res, H, method, dims)
 
 
 def ground_splitting(spectrum: Spectrum, n_holes: int) -> dict:

@@ -125,6 +125,16 @@ def one_hole_config(tmp_path):
     return str(path)
 
 
+def test_spectrum_single_level(one_hole_config, tmp_path):
+    """--k-count 1 returns one level; the logical matrices shrink to it."""
+    text = run(["spectrum", "--config", one_hole_config, "--k-count", "1"],
+               tmp_path / "s1.json")
+    rep = json.loads(text)
+    assert len(rep["eigenvalues"]) == 1
+    assert "splittings" not in rep
+    assert len(rep["logical_expectations"]["hole0"]["tau_z"]) == 1
+
+
 def test_compare_splitting_cli(one_hole_config, tmp_path):
     text = run(["compare-splitting", "--config", one_hole_config,
                 "--axis", "y", "--h-values", "0.1", "--tol", "1e-9"],

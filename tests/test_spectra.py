@@ -1,14 +1,24 @@
 """Exact-diagonalization layer: hermiticity, ground structure, logical
-labelling, dispersions, and convergence of the splitting ratio."""
+labelling, dispersions, convergence of the splitting ratio, and the
+symmetry-sector solver against dense eigh and LOBPCG."""
+
+import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import surfcode as sc
 from surfcode import effective as eff
+from surfcode.lattice import HoledLattice, Plaquette, cell_parity
 from surfcode.pauli import PauliString
-from surfcode.spectra import (DispersionParams, SpectraError, SpinHamiltonian,
-                              _Apply, apply_pauli, assemble, dispersion_grid,
+from surfcode.spectra import (SECTOR_DENSE_CAP, DispersionParams, SpectraError,
+                              SpinHamiltonian, _Apply, _conserved_generators,
+                              apply_pauli, assemble, dispersion_grid,
                               fermion_dispersion, fermion_gap, flux_basis,
                               ground_splitting, logical_expectation,
                               lowest_eigs, vortex_dispersion, vortex_gap)
@@ -201,3 +211,170 @@ def test_splitting_ratio_converges_to_constant(one_hole_lattice):
     devs = [abs(r - 1) * abs(eff.fermion_splitting(1.0, h, 2))
             for r, h in zip(ratios, (0.1, 0.05, 0.02))]
     assert devs[0] > devs[1] > devs[2]
+
+
+# -- symmetry-sector solver ------------------------------------------------
+
+_X = sp.csr_matrix(np.array([[0, 1], [1, 0]], dtype=complex))
+_Z = sp.csr_matrix(np.diag([1, -1]).astype(complex))
+
+
+def _kron_matrix(H):
+    """Dense H from Kronecker products of 2x2 factors (site j = bit j)."""
+    M = sp.csr_matrix((H.dimension, H.dimension), dtype=complex)
+    for c, p in H.terms:
+        op = sp.identity(1, dtype=complex, format="csr")
+        for j in range(p.n):
+            f = sp.identity(2, dtype=complex, format="csr")
+            if p.x >> j & 1:
+                f = f @ _X
+            if p.z >> j & 1:
+                f = f @ _Z
+            op = sp.kron(f, op, format="csr")
+        M = M + c * 1j ** p.k * op
+    M = M.toarray()
+    return M.real if H.dtype == np.float64 else M
+
+
+def _small_open(width, height, puncture):
+    """Open lattice below build_lattice's 4x4 minimum, built by the same
+    rule: interior cells but the punctured X cell, plus the even cells of
+    the surrounding ring reduced to the grid."""
+    lat0 = HoledLattice(width, height, "open", (), (), (), None)
+    plaqs = []
+    for b in range(-1, height):
+        for a in range(-1, width):
+            inner = 0 <= a < width - 1 and 0 <= b < height - 1
+            if (a, b) == puncture or (not inner and cell_parity(a, b)):
+                continue
+            sites = lat0.cell_sites(a, b)
+            if sites:
+                plaqs.append(Plaquette((a + 0.5, b + 0.5), (a, b),
+                                       cell_parity(a, b), sites, not inner))
+    return HoledLattice(width, height, "open", (), tuple(plaqs), (), None)
+
+
+_SMALL = {
+    "torus 3x3": lambda: sc.build_lattice(3, 3, "torus"),
+    "torus 4x3": lambda: sc.build_lattice(4, 3, "torus"),
+    "open 3x3 puncture": lambda: _small_open(3, 3, (1, 0)),
+    "open 4x3 puncture": lambda: _small_open(4, 3, (1, 0)),
+}
+
+
+@st.composite
+def _small_problems(draw):
+    # the open 4x3 lattice only as an explicit example: a dense eigh at
+    # 2^12 takes seconds
+    name = draw(st.sampled_from(
+        ["torus 3x3", "torus 4x3", "open 3x3 puncture"]))
+    lat = _SMALL[name]()
+    n = lat.n_sites
+    # complex x+y fields only at n=9: a complex dense eigh at 2^12 is slow
+    axes = draw(st.sampled_from(
+        ["x", "y", "z", "xz", "yz"] + (["xy", "xyz"] if n <= 9 else [])))
+    vals = np.zeros((n, 3))
+    sites = draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
+    for site in sites:
+        for axis in axes:
+            vals[site, "xyz".index(axis)] = draw(
+                st.floats(0.01, 0.3).map(lambda h: round(h, 3)))
+    k = draw(st.integers(1, 5))
+    return name, lat, sc.FieldMask(vals), k
+
+
+def _example(name, fields, k):
+    lat = _SMALL[name]()
+    vals = np.zeros((lat.n_sites, 3))
+    for site, h in fields.items():
+        vals[site] = h
+    return name, lat, sc.FieldMask(vals), k
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(_small_problems())
+@example(_example("torus 3x3", {0: (0.1, 0.2, 0), 4: (0, 0.05, 0.1)}, 4))
+@example(_example("open 3x3 puncture", {1: (0, 0.1, 0), 4: (0, 0.2, 0)}, 3))
+@example(_example("open 4x3 puncture", {2: (0.1, 0, 0), 6: (0, 0, 0.2)}, 3))
+def test_sector_solver_matches_dense_eigh(problem):
+    """Lowest levels, eigenvectors and reported residuals against dense
+    eigh of the full Kronecker-built matrix, for n <= 12: corner-form
+    tori (Y factors and phases), punctured open lattices and sparse
+    fields, y-only ones included (S-gate frame)."""
+    name, lat, mask, k = problem
+    H = assemble(lat, 1.0, mask)
+    M = _kron_matrix(H)
+    want = np.linalg.eigvalsh(M)[:k]
+    spec = lowest_eigs(H, k, tol=1e-10)
+    assert np.max(np.abs(spec.eigenvalues - want)) <= 1e-10 * H.norm_bound
+    V = spec.eigenvectors
+    assert V.shape == (H.dimension, k)
+    assert np.allclose(V.conj().T @ V, np.eye(k), atol=1e-12)
+    full = np.linalg.norm(M @ V - V * spec.eigenvalues, axis=0)
+    assert np.all(full <= 1e-12 * H.norm_bound)
+    assert np.allclose(spec.residual_norms, full, rtol=0,
+                       atol=1e-12 * H.norm_bound)
+    assert len(spec.sector_dims) >= 1
+
+
+def test_sector_matches_lobpcg_on_corridor():
+    """The 16-spin edge corridor: sector levels against scipy's lobpcg
+    run directly on the full-space application, and the splitting
+    against its exact value 2 hy."""
+    hy = 0.1
+    lat = sc.build_lattice(4, 4, "open", [sc.HoleSpec(0, 1, 0, 2)])
+    H = assemble(lat, 1.0, sc.field_mask(lat, {"type": "corridor",
+                                               "hole": 0}, (0, hy, 0)))
+    spec = lowest_eigs(H, 3, tol=1e-10)
+    assert spec.method == "sector"
+    assert abs(spec.eigenvalues[1] - spec.eigenvalues[0] - 2 * hy) <= 1e-12
+    A = spla.LinearOperator((H.dimension,) * 2, matvec=_Apply(H),
+                            dtype=H.dtype)
+    X = np.random.default_rng(7).standard_normal((H.dimension, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        vals, _ = spla.lobpcg(A, X, largest=False, maxiter=2000,
+                              tol=1e-9 * H.norm_bound)
+    assert np.max(np.abs(np.sort(vals)[:3] - spec.eigenvalues)) <= 1e-8
+
+
+def test_solver_path_by_geometry():
+    """Corridor, annulus and the zero-field acceptance geometries solve
+    in sectors; a field on every site leaves nothing conserved."""
+    one = sc.build_lattice(4, 4, "open", [sc.HoleSpec(1, 1, 1, 2)])
+    edge = sc.build_lattice(4, 4, "open", [sc.HoleSpec(0, 1, 0, 2)])
+    cases = [
+        (edge, {"type": "corridor", "hole": 0}, (0, 0.1, 0), 3),
+        (one, {"type": "corridor", "hole": 0}, (0, 0.02, 0), 3),
+        (one, {"type": "annulus", "hole": 0}, (0.05, 0, 0), 3),
+        (sc.build_lattice(4, 4, "open"), None, None, 2),
+        (one, None, None, 3),
+        (sc.build_lattice(4, 5, "open", [sc.HoleSpec(1, 1, 2, 1),
+                                         sc.HoleSpec(1, 3, 2, 3)]),
+         None, None, 5),
+        (sc.build_lattice(4, 4, "torus"), None, None, 5),
+        (sc.build_lattice(4, 3, "torus"), None, None, 3),
+    ]
+    for lat, region, h, k in cases:
+        mask = sc.field_mask(lat, region, h) if region else None
+        H = assemble(lat, 1.0, mask)
+        spec = lowest_eigs(H, k, tol=1e-10)
+        assert spec.method == "sector"
+        assert max(spec.sector_dims) <= SECTOR_DENSE_CAP
+        assert np.all(spec.residual_norms <= 1e-12 * H.norm_bound)
+    glob = assemble(edge, 1.0, sc.field_mask(edge, {"type": "all"},
+                                             (0.15, 0, 0.15)))
+    assert _conserved_generators(glob) == []
+    small = sc.build_lattice(3, 3, "torus")
+    spec = lowest_eigs(assemble(small, 1.0, sc.field_mask(
+        small, {"type": "all"}, (0.15, 0, 0.15))), 3, tol=1e-10)
+    assert spec.method == "lobpcg"
+    assert spec.sector_dims == (2 ** 9,)
+    assert np.all(spec.residual_norms > 0)
+
+
+def test_spectrum_replace_keeps_solve_record(ground_spectrum_one_hole):
+    spec = ground_spectrum_one_hole
+    bumped = dataclasses.replace(spec, eigenvalues=spec.eigenvalues + 1.0)
+    assert bumped.method == spec.method == "sector"
+    assert bumped.sector_dims == spec.sector_dims
