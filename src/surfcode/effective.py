@@ -13,6 +13,12 @@ with hole fields hx_tilde = delta_E/2, hz_tilde = eps/2.  These are the
 printed perturbative results; exact diagonalization is the oracle that
 measures how far their constants sit from the microscopic model (see
 the splitting comparison pipeline, which reports the ratio).
+
+The chain is a sum of ``PauliString`` terms on n pseudo-spins.  Qubit l
+is ``PauliString`` site n-1-l, so qubit 0 is the most significant bit of
+a basis index; ``qubit_mask`` is that mapping, shared with the readouts.
+Evolution applies exp(-iHt) to the state with ``expm_multiply`` on the
+sparse chain matrix (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011).
 """
 
 from __future__ import annotations
@@ -21,11 +27,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from .lattice import FieldMask, HoledLattice, PathMetrics, path_metrics
+from .pauli import PauliString
+from .spectra import pauli_sum_matrix
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
@@ -76,15 +84,9 @@ def pair_couplings(g: float, hx: float, hy: float,
     """(Jxx, Jzz) between holes l and l+1 from the closed forms."""
     if g <= 0:
         raise EffectiveError("g must be positive")
-    key = (l, l + 1)
-    lff = metrics.fermion_pair[key]
-    lvv = metrics.vortex_pair[key]
-    jxx = 0.0
-    if hy != 0.0 and lff is not None:
-        jxx = hy ** lff / (-8.0 * g) ** (lff - 1)
-    jzz = 0.0
-    if hx != 0.0:
-        jzz = hx ** lvv / (-4.0 * g) ** (lvv - 1)
+    lff = metrics.fermion_pair[(l, l + 1)]
+    jxx = 0.0 if lff is None else fermion_splitting(g, hy, lff) / 2.0
+    jzz = vortex_splitting(g, hx, metrics.vortex_pair[(l, l + 1)]) / 2.0
     return jxx, jzz
 
 
@@ -116,32 +118,32 @@ class EffectiveChain:
             if not np.isfinite(v):
                 raise EffectiveError("chain coefficients must be finite")
 
+    def terms(self) -> list[tuple[float, PauliString]]:
+        """Nonzero (coefficient, PauliString) terms of H."""
+        n = self.n
+        out = []
+        for l in range(n - 1):
+            m = qubit_mask(n, (l, l + 1))
+            out += [(self.jxx[l], PauliString(n, m, 0)),
+                    (self.jzz[l], PauliString(n, 0, m))]
+        for l in range(n):
+            m = qubit_mask(n, (l,))
+            out += [(self.hx[l], PauliString(n, m, 0)),
+                    (self.hz[l], PauliString(n, 0, m))]
+        return [(c, p) for c, p in out if c]
+
     def matrix(self) -> np.ndarray:
-        dim = 2 ** self.n
-        H = np.zeros((dim, dim), dtype=complex)
-
-        def kron_at(op, l):
-            mats = [ID2] * self.n
-            mats[l] = op
-            out = mats[0]
-            for m in mats[1:]:
-                out = np.kron(out, m)
-            return out
-
-        for l in range(self.n - 1):
-            if self.jxx[l]:
-                H += self.jxx[l] * (kron_at(SX, l) @ kron_at(SX, l + 1))
-            if self.jzz[l]:
-                H += self.jzz[l] * (kron_at(SZ, l) @ kron_at(SZ, l + 1))
-        for l in range(self.n):
-            if self.hx[l]:
-                H += self.hx[l] * kron_at(SX, l)
-            if self.hz[l]:
-                H += self.hz[l] * kron_at(SZ, l)
-        return H
+        """Dense H, the sparse Pauli-sum matrix filled in."""
+        return pauli_sum_matrix(self.terms(), self.n).toarray()
 
     def spectrum(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix())
+
+
+def qubit_mask(n: int, qubits: Sequence[int]) -> int:
+    """Basis-index bit mask of ``qubits``: qubit l is ``PauliString`` site
+    n-1-l, so qubit 0 is the most significant bit."""
+    return sum(1 << (n - 1 - l) for l in set(qubits))
 
 
 def _uniform_component(mask: FieldMask, sites: Sequence[int],
@@ -243,17 +245,14 @@ class PseudoSpinState:
 
 def evolve(chain: EffectiveChain, state: PseudoSpinState,
            duration: float) -> PseudoSpinState:
-    """exp(-i H t)|state> by exact eigendecomposition of the chain."""
+    """exp(-i H t)|state> by expm_multiply on the sparse chain matrix."""
     if chain.n > CHAIN_CAP:
         raise EffectiveError(f"chain size exceeds cap {CHAIN_CAP}")
     if chain.n != state.n:
         raise EffectiveError("state size does not match chain")
-    H = chain.matrix()
-    w, V = np.linalg.eigh(H)
-    phases = np.exp(-1j * w * duration)
-    amps = V @ (phases * (V.conj().T @ state.amplitudes))
-    amps = amps / np.linalg.norm(amps)
-    return PseudoSpinState(amps)
+    A = pauli_sum_matrix(chain.terms(), chain.n)
+    amps = spla.expm_multiply(-1j * duration * A, state.amplitudes)
+    return PseudoSpinState(amps / np.linalg.norm(amps))
 
 
 # ---------------------------------------------------------------------------
@@ -361,19 +360,12 @@ class ChainTemplate:
     vortex_pair: tuple[int, ...]
 
     def at_field(self, g: float, hx: float) -> EffectiveChain:
-        hz = []
-        for l in range(self.base.n):
-            hz.append(self.base.hz[l]
-                      + vortex_splitting(g, hx, self.vortex_loop[l]) / 2.0)
-        jzz = []
-        for l in range(self.base.n - 1):
-            extra = 0.0
-            if hx != 0.0:
-                L = self.vortex_pair[l]
-                extra = hx ** L / (-4.0 * g) ** (L - 1)
-            jzz.append(self.base.jzz[l] + extra)
-        return EffectiveChain(self.base.n, self.base.jxx, tuple(jzz),
-                              self.base.hx, tuple(hz))
+        b = self.base
+        hz = tuple(h + vortex_splitting(g, hx, L) / 2.0
+                   for h, L in zip(b.hz, self.vortex_loop))
+        jzz = tuple(j + vortex_splitting(g, hx, L) / 2.0
+                    for j, L in zip(b.jzz, self.vortex_pair))
+        return EffectiveChain(b.n, b.jxx, jzz, b.hx, hz)
 
 
 def adiabatic_init(template: ChainTemplate, schedule: AdiabaticSchedule,
@@ -395,7 +387,7 @@ def adiabatic_init(template: ChainTemplate, schedule: AdiabaticSchedule,
     times = [-T + (i + 0.5) * dt for i in range(steps)]
     if start_state is None:
         H0 = template.at_field(g, schedule.h(-T)).matrix()
-        w, V = np.linalg.eigh(H0)
+        w, V = np.linalg.eigh(H0.real)   # X and Z terms: H is real
         start_state = PseudoSpinState(V[:, 0])
     if start_state.n != n:
         raise EffectiveError("start state size does not match template")

@@ -456,33 +456,35 @@ def _hop_crosses_ray(c1: Cell, c2: Cell, origin: Cell) -> bool:
 
 def _shortest_enclosing_loop(lat: HoledLattice, origins: Sequence[Cell]) -> int:
     """Shortest closed walk on the vortex graph with odd winding around
-    every cell in ``origins`` (breadth-first search on sheeted copies)."""
+    every cell in ``origins`` (breadth-first search on sheeted copies,
+    where a hop across an origin's ray flips that origin's sheet bit).
+
+    Such a walk crosses the first origin's ray, so it passes through an
+    endpoint of a hop that does, and the searches start only there."""
     from collections import deque
 
     nodes, adj = _vortex_graph(lat)
-    nflags = len(origins)
-    full = (1 << nflags) - 1
+    hops = {v: [(w, sum(1 << i for i, o in enumerate(origins)
+                        if _hop_crosses_ray(v, w, o))) for w in adj[v]]
+            for v in nodes}
+    full = (1 << len(origins)) - 1
     best = None
-    for start in nodes:
+    for start in [v for v in nodes if any(f & 1 for _, f in hops[v])]:
         dist = {(start, 0): 0}
         q = deque([(start, 0)])
-        while q:
+        while q and (start, full) not in dist:
             v, sheet = q.popleft()
-            d = dist[(v, sheet)]
+            d = dist[(v, sheet)] + 1
             if best is not None and d >= best:
-                continue
-            for w in adj[v]:
-                ns = sheet
-                for i, o in enumerate(origins):
-                    if _hop_crosses_ray(v, w, o):
-                        ns ^= 1 << i
-                key = (w, ns)
+                break
+            for w, f in hops[v]:
+                key = (w, sheet ^ f)
                 if key not in dist:
-                    dist[key] = d + 1
+                    dist[key] = d
                     q.append(key)
-        key = (start, full)
-        if key in dist and (best is None or dist[key] < best):
-            best = dist[key]
+        d = dist.get((start, full))
+        if d is not None and (best is None or d < best):
+            best = d
     if best is None:
         raise LatticeError("no enclosing vortex loop exists")
     return best

@@ -9,7 +9,10 @@ repeats after a fixed quarter turn about z that expose the phase
 quadrature (a product of cosines alone leaves sin-signs ambiguous).
 
 Readouts are exact expectation values; ``sample_readouts`` adds seeded
-shot noise for realism but plays no role in acceptance.
+shot noise for realism but plays no role in acceptance.  Products are
+evaluated with parity arrays over the basis indices, in the chain's bit
+order: qubit l is ``PauliString`` site n-1-l (``effective.qubit_mask``),
+so qubit 0 is the most significant bit of a basis index.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from .effective import PseudoSpinState
+from .effective import PseudoSpinState, qubit_mask
 
 
 class MeasureError(ValueError):
@@ -71,39 +74,22 @@ def _check_subset(state: PseudoSpinState, subset: Sequence[int]) -> tuple:
     return qs
 
 
-def _bit(i: int, l: int, n: int) -> int:
-    # qubit 0 is the most significant bit of the basis index
-    return (i >> (n - 1 - l)) & 1
-
-
-def _parity_signs(n: int, subset: Sequence[int], which: str) -> np.ndarray:
-    dim = 1 << n
-    if which == "z":
-        sgn = np.ones(dim)
-        for i in range(dim):
-            par = sum(_bit(i, l, n) for l in subset) & 1
-            if par:
-                sgn[i] = -1.0
-        return sgn
-    raise MeasureError(which)
+def _signs(n: int, mask: int) -> np.ndarray:
+    """(-1)^popcount(i & mask) for every basis index i: the diagonal of
+    prod tau^z over the qubits in ``mask``."""
+    return 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << n) & mask) & 1)
 
 
 def expectation_tau_z(state: PseudoSpinState, subset: Sequence[int]) -> float:
-    qs = _check_subset(state, subset)
-    sgn = _parity_signs(state.n, qs, "z")
-    return float(np.real(np.sum(sgn * np.abs(state.amplitudes) ** 2)))
+    n = state.n
+    m = qubit_mask(n, _check_subset(state, subset))
+    return float(_signs(n, m) @ np.abs(state.amplitudes) ** 2)
 
 
 def expectation_tau_x(state: PseudoSpinState, subset: Sequence[int]) -> float:
-    qs = _check_subset(state, subset)
-    n = state.n
-    flip = 0
-    for l in qs:
-        flip |= 1 << (n - 1 - l)
-    amps = state.amplitudes
-    idx = np.arange(1 << n)
-    val = np.vdot(amps, amps[idx ^ flip])
-    return float(np.real(val))
+    m = qubit_mask(state.n, _check_subset(state, subset))
+    v = state.amplitudes
+    return float(np.real(np.vdot(v, v[np.arange(v.size) ^ m])))
 
 
 def vortex_readout(state: PseudoSpinState, subset: Sequence[int]) -> float:
@@ -120,11 +106,8 @@ def quarter_turn(state: PseudoSpinState, l: int) -> PseudoSpinState:
     """exp(-i pi/4 tau^z_l): advances the relative phase of qubit l by
     pi/2; the fixed rotation used for quadrature readouts."""
     n = state.n
-    amps = state.amplitudes.copy()
-    for i in range(1 << n):
-        amps[i] *= np.exp(-1j * np.pi / 4) if _bit(i, l, n) == 0 \
-            else np.exp(1j * np.pi / 4)
-    return PseudoSpinState(amps)
+    phase = np.exp(-0.25j * np.pi * _signs(n, qubit_mask(n, (l,))))
+    return PseudoSpinState(phase * state.amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +229,12 @@ class EntangledState:
 def _z_probabilities(readouts: dict, n: int) -> np.ndarray:
     """Joint z-basis distribution from the z-subset expectations."""
     dim = 1 << n
-    probs = np.zeros(dim)
-    for i in range(dim):
-        total = 1.0
-        for r in range(1, n + 1):
-            for s in itertools.combinations(range(n), r):
-                key = Observable("z", s).key()
-                e = 2.0 * readouts[key] - 1.0
-                sign = (-1) ** (sum(_bit(i, l, n) for l in s) & 1)
-                total += sign * e
-        probs[i] = total / dim
-    return np.clip(probs, 0.0, None)
+    total = np.ones(dim)
+    for r in range(1, n + 1):
+        for s in itertools.combinations(range(n), r):
+            e = 2.0 * readouts[Observable("z", s).key()] - 1.0
+            total += e * _signs(n, qubit_mask(n, s))
+    return np.clip(total / dim, 0.0, None)
 
 
 def reconstruct(readouts: dict, n: int, tol: float = 1e-8) -> EntangledState:

@@ -48,6 +48,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.sparse import csr_array
 
 from .lattice import FieldMask, HoledLattice
 from .pauli import PauliString, commutes, in_span_gf2, multiply
@@ -174,6 +175,24 @@ def apply_pauli(p: PauliString, v: np.ndarray) -> np.ndarray:
     pref = p.phase * ((-1) ** (bin(p.z & p.x).count("1") & 1))
     out = (pref * sgn) * v[(idx ^ np.uint64(p.x)).astype(np.int64)]
     return out
+
+
+def pauli_sum_matrix(terms, n: int) -> csr_array:
+    """Sparse matrix of sum_j c_j P_j over n sites, in O(terms * 2^n).
+
+    Column s of P holds i^k (-1)^{popcount(z & s)} in row s XOR x; the
+    CSR conversion sums duplicate entries, which fuses the diagonal terms
+    and merges terms that share an x mask."""
+    dim = 1 << n
+    s = np.arange(dim)
+    rows = np.empty((len(terms), dim), dtype=np.int64)
+    vals = np.empty((len(terms), dim), dtype=complex)
+    for j, (c, p) in enumerate(terms):
+        rows[j] = s ^ p.x
+        vals[j] = (c * p.phase) * (1.0 - 2.0 * (np.bitwise_count(s & p.z) & 1))
+    cols = np.broadcast_to(s, rows.shape)
+    return csr_array((vals.ravel(), (rows.ravel(), cols.ravel())),
+                     shape=(dim, dim))
 
 
 @dataclass(frozen=True)

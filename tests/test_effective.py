@@ -3,6 +3,7 @@ synthesis and adiabatic initialization."""
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import surfcode as sc
 from surfcode.effective import (AdiabaticSchedule, ChainTemplate,
@@ -96,6 +97,108 @@ def test_chain_three_holes_shape():
                            (0.01, 0.02, 0.03), (0.0, 0.0, 0.0))
     assert len(chain.jxx) == 2 and len(chain.hx) == 3
     assert chain.matrix().shape == (8, 8)
+
+
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SZ = np.diag([1.0, -1.0]).astype(complex)
+
+
+def kron_chain_matrix(ch):
+    """Dense chain Hamiltonian from Kronecker products, qubit 0 leftmost
+    (the most significant bit)."""
+    def kron_at(op, l):
+        mats = [np.eye(2, dtype=complex)] * ch.n
+        mats[l] = op
+        out = mats[0]
+        for m in mats[1:]:
+            out = np.kron(out, m)
+        return out
+
+    H = np.zeros((2 ** ch.n, 2 ** ch.n), dtype=complex)
+    for l in range(ch.n - 1):
+        H += ch.jxx[l] * (kron_at(SX, l) @ kron_at(SX, l + 1))
+        H += ch.jzz[l] * (kron_at(SZ, l) @ kron_at(SZ, l + 1))
+    for l in range(ch.n):
+        H += ch.hx[l] * kron_at(SX, l) + ch.hz[l] * kron_at(SZ, l)
+    return H
+
+
+def random_chain(rng, n, scale=1.0):
+    """Random coefficients, a third of them zero."""
+    def coeffs(k):
+        v = rng.uniform(-scale, scale, k) * (rng.random(k) > 1 / 3)
+        return tuple(float(x) for x in v)
+    return EffectiveChain(n, coeffs(n - 1), coeffs(n - 1), coeffs(n),
+                          coeffs(n))
+
+
+def random_state(rng, n):
+    a = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+    return PseudoSpinState(a / np.linalg.norm(a))
+
+
+def test_matrix_matches_kronecker_build():
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(4):
+            ch = random_chain(rng, n)
+            assert np.max(np.abs(ch.matrix() - kron_chain_matrix(ch))) < 1e-15
+
+
+def test_evolve_matches_expm_at_large_norm_times_duration():
+    # |H| t ~ 100: expm_multiply takes many substeps
+    rng = np.random.default_rng(22)
+    for n in (2, 4, 5):
+        ch = random_chain(rng, n, scale=0.5)
+        st = random_state(rng, n)
+        want = expm(-50j * kron_chain_matrix(ch)) @ st.amplitudes
+        assert np.max(np.abs(evolve(ch, st, 50.0).amplitudes - want)) < 1e-10
+
+
+def _eigh_per_step_ramp(template, schedule, start, g=1.0):
+    """The ramp with a Kronecker matrix and a full eigh on every step."""
+    T, steps = schedule.T_total, schedule.steps
+    dt = T / steps
+    amps, fids = start, []
+    for i in range(steps):
+        H = kron_chain_matrix(
+            template.at_field(g, schedule.h(-T + (i + 0.5) * dt)))
+        w, V = np.linalg.eigh(H)
+        amps = V @ (np.exp(-1j * w * dt) * (V.conj().T @ amps))
+        fids.append(abs(amps[0]) ** 2)
+    return amps, fids
+
+
+def test_adiabatic_init_matches_eigh_per_step_reference():
+    n = 3
+    base = EffectiveChain(n, (0.02, -0.01), (0.005, 0.0), (0.03, 0.0, -0.02),
+                          (0.01, 0.0, 0.0))
+    tmpl = ChainTemplate(base, (4, 4, 6), (8, 10))
+    sched = AdiabaticSchedule(0.8, 20.0, 300.0, 60)
+    start = random_state(np.random.default_rng(23), n)
+    trace = []
+    st, fid = adiabatic_init(tmpl, sched, start_state=start, trace=trace)
+    want, fids = _eigh_per_step_ramp(tmpl, sched, start.amplitudes)
+    assert np.max(np.abs(st.amplitudes - want)) < 1e-10
+    assert np.max(np.abs(np.array([f for _, _, f in trace]) - fids)) < 1e-10
+    # default start: the ground state of the first chain, up to a phase
+    st, fid = adiabatic_init(tmpl, sched)
+    H0 = kron_chain_matrix(tmpl.at_field(1.0, sched.h(-300.0)))
+    want, _ = _eigh_per_step_ramp(tmpl, sched, np.linalg.eigh(H0)[1][:, 0])
+    assert abs(abs(np.vdot(want, st.amplitudes)) - 1.0) < 1e-10
+    assert fid == pytest.approx(abs(want[0]) ** 2, abs=1e-10)
+
+
+def test_ramp_n10_100_steps_keeps_norm():
+    n = 10
+    tmpl = _template(n, jxx=1e-3, hx=2e-3)
+    trace = []
+    st, fid = adiabatic_init(tmpl, AdiabaticSchedule(0.5, 50.0, 600.0, 100),
+                             trace=trace)
+    assert len(trace) == 100
+    assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-10
+    assert fid == pytest.approx(abs(st.amplitudes[0]) ** 2, abs=1e-12)
+    assert trace[-1][2] == fid and 0.0 <= fid <= 1.0
 
 
 def test_evolve_identity_at_zero_duration():

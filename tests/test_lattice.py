@@ -1,14 +1,18 @@
 """Lattice construction, validation, path metrics (with an independent
 cycle-enumeration oracle) and field masks."""
 
+import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
 import surfcode as sc
-from surfcode.lattice import (LatticeError, build_lattice, cell_parity,
-                              field_mask, path_metrics, region_sites)
+from surfcode.lattice import (LatticeError, _hop_crosses_ray,
+                              _shortest_enclosing_loop, _vortex_graph,
+                              build_lattice, cell_parity, field_mask,
+                              path_metrics, region_sites)
 
 
 def test_torus_4x4_counts():
@@ -158,6 +162,83 @@ def test_pair_loop_matches_oracle(two_hole_lattice):
     oracle = _oracle_min_enclosing(lat, [o1, o2], max_len=9)
     assert m.vortex_pair[(0, 1)] == oracle == 8
     assert m.vortex_pair[(0, 1)] >= max(m.vortex_loop)
+
+
+def _exhaustive_enclosing_loop(lat, origins):
+    """The sheeted breadth-first search started from every node, with the
+    ray crossings tested on every hop."""
+    nodes, adj = _vortex_graph(lat)
+    full = (1 << len(origins)) - 1
+    best = None
+    for start in nodes:
+        dist = {(start, 0): 0}
+        q = deque([(start, 0)])
+        while q:
+            v, sheet = q.popleft()
+            d = dist[(v, sheet)]
+            if best is not None and d >= best:
+                continue
+            for w in adj[v]:
+                ns = sheet
+                for i, o in enumerate(origins):
+                    if _hop_crosses_ray(v, w, o):
+                        ns ^= 1 << i
+                key = (w, ns)
+                if key not in dist:
+                    dist[key] = d + 1
+                    q.append(key)
+        key = (start, full)
+        if key in dist and (best is None or dist[key] < best):
+            best = dist[key]
+    return best
+
+
+def _random_holed_lattices(seed, count):
+    """Valid open lattices with one to three random holes."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        w, h = (int(v) for v in rng.integers(4, 9, size=2))
+        nh = int(rng.integers(1, 4))
+        if nh == 1:
+            dx, dy = ((0, 0), (1, 0), (0, 1))[rng.integers(3)]
+            ys = [int(rng.integers(0, h - 1 - dy))]
+            xs = [int(rng.integers(0, w - 1 - dx))]
+        else:
+            dx, dy = ((1, 0), (0, 1))[rng.integers(2)]
+            if dx:   # horizontal dominoes stacked south to north
+                xs = [int(rng.integers(0, w - 2))] * nh
+                ys = sorted(rng.choice(h - 1, nh, replace=False).tolist())
+            else:    # vertical dominoes listed west to east
+                ys = [int(rng.integers(0, h - 2))] * nh
+                xs = sorted(rng.choice(w - 1, nh, replace=False).tolist())
+        holes = [sc.HoleSpec(x, y, x + dx, y + dy) for x, y in zip(xs, ys)]
+        try:
+            out.append(build_lattice(w, h, "open", holes))
+        except LatticeError:
+            continue
+    return out
+
+
+def test_enclosing_loop_search_matches_exhaustive_search(
+        one_hole_lattice, two_hole_lattice, puncture_lattice):
+    n = 8
+    register = build_lattice(4, 2 * n + 1, "open",
+                             [sc.HoleSpec(1, y, 2, y)
+                              for y in range(1, 2 * n, 2)])
+    lattices = [one_hole_lattice, two_hole_lattice, puncture_lattice,
+                register] + _random_holed_lattices(5, 12)
+    for lat in lattices:
+        odd = [lat.hole_even_odd(l)[1] for l in range(len(lat.holes))]
+        subsets = [s for r in (1, 2, 3)
+                   for s in itertools.combinations(odd, r)]
+        if lat is register:     # the singles and pairs path_metrics asks
+            subsets = [s for s in subsets if len(s) == 1] + \
+                [(a, b) for a, b in zip(odd, odd[1:])]
+        for origins in subsets:
+            want = _exhaustive_enclosing_loop(lat, list(origins))
+            assert want is not None
+            assert _shortest_enclosing_loop(lat, list(origins)) == want
 
 
 def test_fermion_metrics(one_hole_lattice, two_hole_lattice):

@@ -1,6 +1,8 @@
 """Interference amplitudes, register readouts, tomography planning and
 round-trip reconstruction."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,41 @@ def test_quarter_turn_advances_phase():
     rot = quarter_turn(st_, 0)
     rel = rot.amplitudes[1] / rot.amplitudes[0]
     assert abs(rel - 1j) < 1e-12
+
+
+def kron_on(n, ops):
+    """ops[q] on qubit q, identity elsewhere; qubit 0 is leftmost."""
+    return reduce(np.kron, [ops.get(q, np.eye(2)) for q in range(n)])
+
+
+QUARTER = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
+PAULI = {"x": np.array([[0.0, 1.0], [1.0, 0.0]]), "z": np.diag([1.0, -1.0])}
+
+
+def test_readouts_match_kronecker_parities():
+    rng = np.random.default_rng(31)
+    n = 3
+    plan = tomography_plan(n)
+    for _ in range(5):
+        s = rand_state(rng, n)
+        got = forward_readouts(s, plan)
+        assert len(got) == plan.size()
+        for ob in plan.observables:
+            v = s.amplitudes
+            for q in ob.rotations:
+                v = kron_on(n, {q: QUARTER}) @ v
+            P = kron_on(n, {q: PAULI[ob.basis] for q in ob.subset})
+            want = 0.5 * (1.0 + np.vdot(v, P @ v).real)
+            assert abs(got[ob.key()] - want) < 1e-12, ob.key()
+
+
+def test_quarter_turn_matches_kronecker_on_each_qubit():
+    rng = np.random.default_rng(32)
+    n = 3
+    s = rand_state(rng, n)
+    for q in range(n):
+        want = kron_on(n, {q: QUARTER}) @ s.amplitudes
+        assert np.max(np.abs(quarter_turn(s, q).amplitudes - want)) < 1e-12
 
 
 # -- plan ------------------------------------------------------------------
