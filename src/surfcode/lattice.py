@@ -411,9 +411,6 @@ class PathMetrics:
     vortex_pair: dict
     fermion_pair: dict
 
-    def pair_key(self, l: int) -> tuple[int, int]:
-        return (l, l + 1)
-
 
 def _vortex_graph(lat: HoledLattice):
     """Even-cell diagonal hopping graph, including the virtual ring.

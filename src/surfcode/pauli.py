@@ -63,10 +63,6 @@ class PauliString:
         return PauliString(n, 1 << site, 1 << site, 1)
 
     @staticmethod
-    def from_masks(n: int, x: int = 0, z: int = 0, phase_power: int = 0) -> "PauliString":
-        return PauliString(n, x, z, phase_power)
-
-    @staticmethod
     def x_on(n: int, sites: Iterable[int]) -> "PauliString":
         m = 0
         for s in sites:
@@ -107,10 +103,6 @@ class PauliString:
         # P+ = i^{-k} (-1)^{x.z} X^x Z^z ; hermitian iff k + popcount(x&z) even
         return (self.k + _popcount(self.x & self.z)) % 2 == 0
 
-    def support(self) -> list[int]:
-        m = self.x | self.z
-        return [j for j in range(self.n) if (m >> j) & 1]
-
     def site_label(self, j: int) -> str:
         xb = (self.x >> j) & 1
         zb = (self.z >> j) & 1
@@ -120,12 +112,6 @@ class PauliString:
         pre = {0: "+", 1: "+i", 2: "-", 3: "-i"}[self.k]
         body = "".join(self.site_label(j) for j in range(self.n))
         return pre + body
-
-    # -- algebra ------------------------------------------------------
-
-    def dagger(self) -> "PauliString":
-        return PauliString(self.n, self.x, self.z,
-                           (-self.k + 2 * _popcount(self.x & self.z)) % 4)
 
 
 def multiply(p: PauliString, q: PauliString) -> PauliString:
@@ -198,12 +184,6 @@ class StabilizerGroup:
     @property
     def n(self) -> int:
         return self.generators[0].n if self.generators else 0
-
-    def commutes_with_all(self, p: PauliString) -> bool:
-        return all(commutes(g, p) for g in self.generators)
-
-    def contains_masks(self, p: PauliString) -> bool:
-        return in_span_gf2(self.generators, p)
 
 
 def ground_degeneracy(lat) -> int:

@@ -5,9 +5,11 @@ The Hamiltonian is a list of weighted Pauli strings,
 
     H = -g * sum(stabilizers) + sum_i sum_c h_c(i) sigma^c_i,
 
-applied to state vectors without forming a matrix: each term permutes
-basis indices by XOR with its x mask and multiplies by a z-dependent
-sign, so one application is a handful of vectorized gathers.
+applied to state vectors without forming a matrix.  A term i^k X^x Z^z
+sends |t> to i^k (-1)^{z.t} |t XOR x>, and on the state viewed as a
+(2,)*n tensor XOR with x is a flip of x's axes, a view.  The x = 0 terms
+fold into one diagonal; the rest, summed per x mask, cost one strided
+pass each with a coefficient over only their z bits.
 
 Because sigma^y carries imaginary entries, a term list containing only
 {stabilizers, sigma^x} or only {stabilizers, sigma^y} fields is mapped
@@ -91,10 +93,6 @@ class SpinHamiltonian:
         return _conjugate_by_s(p) if self.frame == "sgate" else p
 
 
-def _term_scalar(coeff: float, p: PauliString) -> complex:
-    return coeff * p.phase
-
-
 def assemble(lat: HoledLattice, g: float, mask: Optional[FieldMask] = None,
              dimension_cap: int = DIMENSION_CAP) -> SpinHamiltonian:
     """Hamiltonian term list: -g per stabilizer plus per-site field terms."""
@@ -127,54 +125,74 @@ def assemble(lat: HoledLattice, g: float, mask: Optional[FieldMask] = None,
         raw = [(c, _conjugate_by_s(p)) for c, p in raw]
     dtype = np.float64
     for c, p in raw:
-        if abs(_term_scalar(c, p).imag) > 0:
+        if abs((c * p.phase).imag) > 0:
             dtype = np.complex128
             break
     return SpinHamiltonian(n, float(g), tuple(raw), frame, dtype, n_stab)
 
 
+def _axes(n: int, mask: int) -> tuple[int, ...]:
+    """Axes of the (2,)*n state tensor that hold the bits of ``mask``:
+    site j is axis n - 1 - j, so the tensor is the C-order reshape."""
+    return tuple(n - 1 - j for j in range(n) if mask >> j & 1)
+
+
+def _z_sum(n: int, terms, x: int, dtype) -> np.ndarray:
+    """sum_j c_j i^k_j (-1)^{z_j.x} (-1)^{z_j.t} over basis states t, the
+    factor that multiplies v[t ^ x] in (sum_j c_j P_j v)[t], as a tensor
+    broadcastable over the (2,)*n state tensor.  Axes outside the union
+    of the z masks have length 1, so it holds 2^|union| entries."""
+    out = np.zeros([1 + any(p.z >> (n - 1 - a) & 1 for _, p in terms)
+                    for a in range(n)], dtype=dtype)
+    flip = np.array([1.0, -1.0])
+    for c, p in terms:
+        coeff = c * p.phase * (1 - 2 * _parity(p.z & p.x))
+        sign = np.ones((1,) * n)
+        for a in _axes(n, p.z):
+            sign = sign * flip.reshape((1,) * a + (2,) + (1,) * (n - 1 - a))
+        out += (coeff.real if out.dtype == np.float64 else coeff) * sign
+    return out
+
+
 class _Apply:
-    """Cached gather-based application of a term list."""
+    """Matrix-free application of a term list: the x = 0 terms folded
+    into one diagonal, and in ``prepped`` one (flip axes, ``_z_sum``)
+    entry per other x mask."""
 
     def __init__(self, H: SpinHamiltonian):
         self.H = H
         self.dim = H.dimension
-        self.idx = np.arange(self.dim, dtype=np.uint64)
-        self.prepped = []
+        self.shape = (2,) * H.n
+        diagonal, groups = [], {}
         for c, p in H.terms:
-            scal = _term_scalar(c, p)
-            # sign(t ^ x) = (-1)^{z.x} * sign(t)
-            scal = scal * ((-1) ** (bin(p.z & p.x).count("1") & 1))
-            if H.dtype == np.float64:
-                scal = scal.real if isinstance(scal, complex) else scal
-            sgn = (1 - 2 * (np.bitwise_count(self.idx & np.uint64(p.z))
-                            & np.uint64(1))).astype(np.int8)
-            self.prepped.append((scal, np.uint64(p.x), sgn))
+            if p.x:
+                groups.setdefault(p.x, []).append((c, p))
+            else:
+                diagonal.append((c, p))
+        real = all((c * p.phase).imag == 0 for c, p in diagonal)
+        self.diag = _z_sum(H.n, diagonal, 0,
+                           np.float64 if real else np.complex128)
+        self.prepped = [(_axes(H.n, x), _z_sum(H.n, terms, x, H.dtype))
+                        for x, terms in groups.items()]
 
     def __call__(self, v):
-        v = np.asarray(v).reshape(self.dim)
+        v = np.asarray(v).reshape(self.shape)
         dtype = np.result_type(v.dtype, self.H.dtype)
-        if v.dtype != dtype:
-            v = v.astype(dtype)
-        out = np.zeros(self.dim, dtype=dtype)
-        for scal, x, sgn in self.prepped:
-            if x:
-                out += (scal * sgn) * v[self.idx ^ x]
-            else:
-                out += (scal * sgn) * v
-        return out
+        out = np.multiply(self.diag, v, dtype=dtype)
+        tmp = np.empty(self.shape, dtype=dtype)
+        for axes, coeff in self.prepped:
+            np.multiply(coeff, np.flip(v, axes), out=tmp)
+            out += tmp
+        return out.reshape(self.dim)
 
 
 def apply_pauli(p: PauliString, v: np.ndarray) -> np.ndarray:
     """P|v> for a single Pauli string on a full state vector."""
-    dim = 1 << p.n
-    v = np.asarray(v).reshape(dim)
-    idx = np.arange(dim, dtype=np.uint64)
-    sgn = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(p.z))
-                       & np.uint64(1)).astype(np.float64)
-    pref = p.phase * ((-1) ** (bin(p.z & p.x).count("1") & 1))
-    out = (pref * sgn) * v[(idx ^ np.uint64(p.x)).astype(np.int64)]
-    return out
+    shape = (2,) * p.n
+    v = np.asarray(v).reshape(shape)
+    dtype = np.float64 if p.k % 2 == 0 else np.complex128
+    coeff = _z_sum(p.n, [(1.0, p)], p.x, dtype)
+    return (coeff * np.flip(v, _axes(p.n, p.x))).reshape(1 << p.n)
 
 
 def pauli_sum_matrix(terms, n: int) -> csr_array:
@@ -420,8 +438,8 @@ def _lobpcg(H: SpinHamiltonian, k: int, tol: float, seed: int,
     if H.dtype == np.complex128:
         X = X + 1j * rng.standard_normal((dim, block))
     A = spla.LinearOperator((dim, dim), matvec=apply_h, dtype=H.dtype)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         vals, vecs = spla.lobpcg(A, X, largest=False, tol=tol * H.norm_bound,
                                  maxiter=maxiter)
     order = np.argsort(vals)
@@ -431,7 +449,7 @@ def _lobpcg(H: SpinHamiltonian, k: int, tol: float, seed: int,
     for i in range(k):
         r = apply_h(vecs[:, i]) - vals[i] * vecs[:, i]
         res[i] = np.linalg.norm(r)
-    return vals, vecs, res
+    return vals, vecs, res, [str(w.message) for w in caught]
 
 
 def lowest_eigs(H: SpinHamiltonian, k_count: int, tol: float = 1e-10,
@@ -451,16 +469,18 @@ def lowest_eigs(H: SpinHamiltonian, k_count: int, tol: float = 1e-10,
         raise SpectraError(f"k_count {k} out of range for dimension {dim}")
     gens = _conserved_generators(H)
     sec = _Sectors(H, gens) if gens else None
+    notes = []
     if sec is not None and sec.dim <= SECTOR_DENSE_CAP:
         vals, vecs, res, dims = _sector_eigs(H, sec, k)
         method = "sector"
     else:
-        vals, vecs, res = _lobpcg(H, k, tol, seed, maxiter)
+        vals, vecs, res, notes = _lobpcg(H, k, tol, seed, maxiter)
         method, dims = "lobpcg", (dim,)
     bound = max(tol * H.norm_bound, 1e-30)
     if np.any(res > 50 * bound):
         raise SpectraError(
-            f"eigensolver did not converge: residuals {res}", residuals=res)
+            "; ".join([f"eigensolver did not converge: residuals {res}"]
+                      + notes), residuals=res)
     for arr in (vals, vecs, res):
         arr.flags.writeable = False
     return Spectrum(vals, vecs, res, H, method, dims)

@@ -3,6 +3,7 @@ labelling, dispersions, convergence of the splitting ratio, and the
 symmetry-sector solver against dense eigh and LOBPCG."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,7 +18,8 @@ from surfcode import effective as eff
 from surfcode.lattice import HoledLattice, Plaquette, cell_parity
 from surfcode.pauli import PauliString
 from surfcode.spectra import (SECTOR_DENSE_CAP, DispersionParams, SpectraError,
-                              SpinHamiltonian, _Apply, _conserved_generators,
+                              SpinHamiltonian, _Apply, _conjugate_by_s,
+                              _conserved_generators,
                               apply_pauli, assemble, dispersion_grid,
                               fermion_dispersion, fermion_gap, flux_basis,
                               ground_splitting, logical_expectation,
@@ -378,3 +380,101 @@ def test_spectrum_replace_keeps_solve_record(ground_spectrum_one_hole):
     bumped = dataclasses.replace(spec, eigenvalues=spec.eigenvalues + 1.0)
     assert bumped.method == spec.method == "sector"
     assert bumped.sector_dims == spec.sector_dims
+
+
+# -- full-space kernel ------------------------------------------------------
+
+
+def _ham(n, terms, frame="plain"):
+    """SpinHamiltonian of a raw term list, typed as ``assemble`` types it."""
+    if frame == "sgate":
+        terms = [(c, _conjugate_by_s(p)) for c, p in terms]
+    real = all(abs((c * p.phase).imag) == 0 for c, p in terms)
+    return SpinHamiltonian(n, 1.0, tuple(terms), frame,
+                           np.float64 if real else np.complex128, 0)
+
+
+def _random_terms(rng, n, count, real):
+    """Random Pauli strings, some diagonal, some sharing an x mask with
+    different z masks, one identity; real matrices when ``real``."""
+    xs = [0] + [int(m) for m in rng.integers(1, 1 << n, size=3)]
+    terms = [(float(rng.normal()), PauliString.identity(n))]
+    for _ in range(count):
+        k = 2 * int(rng.integers(2)) if real else int(rng.integers(4))
+        terms.append((float(rng.normal()),
+                      PauliString(n, xs[rng.integers(len(xs))],
+                                  int(rng.integers(1 << n)), k)))
+    return terms
+
+
+def _check_kernel(H, rng):
+    """_Apply and apply_pauli against the Kronecker-built matrix on real
+    and complex vectors and on the strided columns of a block."""
+    M = _kron_matrix(H)
+    apply_h = _Apply(H)
+    tol = 1e-12 * max(H.norm_bound, 1.0)
+    dim = H.dimension
+    X = rng.standard_normal((dim, 4)) + 1j * rng.standard_normal((dim, 4))
+    for v in (X[:, 0].real.copy(), X[:, 1], X[:, 2:3], X.real[:, 3]):
+        want = M @ v.reshape(dim)
+        assert np.allclose(apply_h(v), want, rtol=0, atol=tol)
+        got = sum(c * apply_pauli(p, v) for c, p in H.terms)
+        assert np.allclose(got, want, rtol=0, atol=tol)
+    A = spla.LinearOperator((dim, dim), matvec=apply_h,
+                            dtype=np.complex128)
+    assert np.allclose(A @ X, M @ X, rtol=0, atol=tol)
+    for c, p in H.terms:
+        P = _kron_matrix(_ham(H.n, [(1.0, p)]))
+        assert np.allclose(apply_pauli(p, X[:, 1]), P @ X[:, 1], rtol=0,
+                           atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 10])
+@pytest.mark.parametrize("frame", ["plain", "sgate"])
+@pytest.mark.parametrize("real", [True, False])
+def test_kernel_matches_kronecker_random_terms(n, frame, real):
+    rng = np.random.default_rng(100 * n + 10 * real + (frame == "sgate"))
+    H = _ham(n, _random_terms(rng, n, 12, real), frame)
+    _check_kernel(H, rng)
+
+
+@pytest.mark.parametrize("fields", [(0.1, 0.2, 0.05), (0, 0.2, 0.05),
+                                    (0.1, 0, 0.05)])
+def test_kernel_on_lattice_fields(fields):
+    """x and y fields on the same site share an x mask but differ in z;
+    y-only fields run in the S-gate frame; an identity term is added."""
+    lat = _SMALL["open 3x3 puncture"]()
+    H = assemble(lat, 1.0, sc.field_mask(lat, {"type": "all"}, fields))
+    assert H.frame == ("sgate" if fields[0] == 0 else "plain")
+    H = dataclasses.replace(
+        H, terms=H.terms + ((2.5, PauliString.identity(H.n)),))
+    _check_kernel(H, np.random.default_rng(5))
+
+
+def test_kernel_memory_on_all_site_field():
+    """Building the kernel for a field on every site of a 20-spin lattice
+    holds at most two state vectors, and no integer array."""
+    lat = sc.build_lattice(4, 5, "open")
+    H = assemble(lat, 1.0, sc.field_mask(lat, {"type": "all"},
+                                         (0.15, 0, 0.15)))
+    assert H.n == 20 and H.dtype == np.float64
+    tracemalloc.start()
+    try:
+        apply_h = _Apply(H)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    vector = 8 * H.dimension
+    assert current <= 2 * vector and peak <= 2 * vector
+    arrays = [apply_h.diag] + [c for _, c in apply_h.prepped]
+    assert all(a.dtype.kind == "f" for a in arrays)
+    assert len(apply_h.prepped) == len({p.x for _, p in H.terms if p.x})
+
+
+def test_lobpcg_warnings_reach_the_error():
+    lat = sc.build_lattice(3, 3, "torus")
+    H = assemble(lat, 1.0, sc.field_mask(lat, {"type": "all"},
+                                         (0.15, 0, 0.15)))
+    with pytest.raises(SpectraError,
+                       match="not reaching the requested tolerance"):
+        lowest_eigs(H, 3, tol=1e-10, maxiter=2)
