@@ -75,11 +75,11 @@ def _load(args) -> tuple[HoledLattice, object]:
 
 def cmd_degeneracy(args) -> None:
     lat, _ = _load(args)
-    group = pauli.StabilizerGroup.from_generators(lat.stabilizers())
+    q = pauli.ground_degeneracy(lat)
     _emit(args, {
-        "N_active": lat.n_active,
-        "rank": group.rank,
-        "Q": 2 ** (lat.n_active - group.rank),
+        "N_active": lat.n_sites,
+        "rank": lat.n_sites - (q.bit_length() - 1),
+        "Q": q,
         "n_holes": len(lat.holes),
     })
 
@@ -143,11 +143,15 @@ def cmd_compare_splitting(args) -> None:
             mask = field_mask(lat, {"type": "annulus", "hole": 0}, (h, 0, 0))
             closed = abs(eff.vortex_splitting(args.g, h,
                                               metrics.vortex_loop[0]))
+        if closed == 0.0:
+            raise ValueError(f"h value {h} gives a zero closed-form "
+                             f"splitting, so the ratio is undefined; "
+                             f"h values must be nonzero")
         H = spectra.assemble(lat, args.g, mask)
         spec = spectra.lowest_eigs(H, 3, tol=args.tol, seed=args.seed)
         split = float(spec.eigenvalues[1] - spec.eigenvalues[0])
         rows.append({"h": h, "ed_splitting": split, "closed_form": closed,
-                     "ratio": split / closed if closed else float("nan")})
+                     "ratio": split / closed})
     _emit(args, {
         "axis": args.axis,
         "path_length": (metrics.fermion_boundary[0] if args.axis == "y"
@@ -158,14 +162,12 @@ def cmd_compare_splitting(args) -> None:
 
 
 def cmd_gates(args) -> None:
-    if args.gate == "pi8":
-        angles = (0.0, np.pi / 8, np.pi / 8)
-    elif args.gate == "hadamard":
-        angles = (7 * np.pi / 4, np.pi / 4, np.pi / 4)
-    else:
+    if args.gate == "custom":
         angles = tuple(float(v) for v in args.angles.split(","))
         if len(angles) != 3:
             raise ValueError("custom gate needs --angles theta,phi,gamma")
+    else:
+        angles = eff.GATE_ANGLES[args.gate]
     sched, U = eff.rotation_gate(0, *angles, args.hx_tilde, args.hz_tilde)
     Usim = sched.unitary()
     _emit(args, {
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gates", help="pulse schedule for a rotation gate")
     common(sp, config=False)
-    sp.add_argument("--gate", choices=["pi8", "hadamard", "custom"],
+    sp.add_argument("--gate", choices=[*eff.GATE_ANGLES, "custom"],
                     default="pi8")
     sp.add_argument("--angles", default="0,0,0",
                     help="theta,phi,gamma for --gate custom")

@@ -29,7 +29,8 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .lattice import FieldMask, HoledLattice, PathMetrics, path_metrics
+from .lattice import (FieldMask, HoledLattice, PathMetrics, path_metrics,
+                      region_sites)
 from .pauli import PauliString
 from .spectra import pauli_sum_matrix
 
@@ -181,7 +182,7 @@ def build_chain(lat: HoledLattice, g: float, mask: FieldMask) -> EffectiveChain:
     for l in range(n):
         _, od = lat.hole_even_odd(l)
         loop_sites = lat.cell_sites(*od)
-        string_sites = lat._fermion_string_sites(l)
+        string_sites = region_sites(lat, {"type": "corridor", "hole": l})
         hx_loc = _uniform_component(mask, loop_sites, 0)
         hy_loc = _uniform_component(mask, string_sites, 1)
         a, b = single_qubit_fields(g, hx_loc, hy_loc, metrics, l)
@@ -191,12 +192,8 @@ def build_chain(lat: HoledLattice, g: float, mask: FieldMask) -> EffectiveChain:
         _, o1 = lat.hole_even_odd(l)
         _, o2 = lat.hole_even_odd(l + 1)
         pair_loop = sorted(set(lat.cell_sites(*o1)) | set(lat.cell_sites(*o2)))
-        axis, c = lat._string_line()
-        h1, h2 = lat.holes[l], lat.holes[l + 1]
-        if axis == "row":
-            corridor = [lat.site(x, c) for x in range(h1.x0 + 1, h2.x0 + 1)]
-        else:
-            corridor = [lat.site(c, y) for y in range(h1.y0 + 1, h2.y0 + 1)]
+        corridor = region_sites(lat, {"type": "corridor", "from": l,
+                                      "to": l + 1})
         hx_loc = _uniform_component(mask, pair_loop, 0)
         hy_loc = _uniform_component(mask, corridor, 1)
         a, b = pair_couplings(g, hx_loc, hy_loc, metrics, l)
@@ -316,13 +313,17 @@ def rotation_gate(l: int, theta: float, phi: float, gamma: float,
     return sched, rotation_unitary(theta, phi, gamma)
 
 
+# (theta, phi, gamma) of the named gates
+GATE_ANGLES = {"pi8": (0.0, np.pi / 8, np.pi / 8),
+               "hadamard": (7 * np.pi / 4, np.pi / 4, np.pi / 4)}
+
+
 def pi8_gate(hx_tilde: float, hz_tilde: float, l: int = 0):
-    return rotation_gate(l, 0.0, np.pi / 8, np.pi / 8, hx_tilde, hz_tilde)
+    return rotation_gate(l, *GATE_ANGLES["pi8"], hx_tilde, hz_tilde)
 
 
 def hadamard_gate(hx_tilde: float, hz_tilde: float, l: int = 0):
-    return rotation_gate(l, 7 * np.pi / 4, np.pi / 4, np.pi / 4,
-                         hx_tilde, hz_tilde)
+    return rotation_gate(l, *GATE_ANGLES["hadamard"], hx_tilde, hz_tilde)
 
 
 # ---------------------------------------------------------------------------

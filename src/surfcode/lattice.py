@@ -34,7 +34,7 @@ group while all spins stay.  Supported shapes (cell rectangles):
   boundary (no port needed).
 
 Rectangles of these sizes contain no strictly interior sites, so no
-spins are removed; ``active_sites`` is always the full site set.
+spins are removed: every one of the ``n_sites`` spins stays.
 Multi-hole chains require same-orientation dominoes on a common band
 (vertical dominoes along a row, listed west to east, or horizontal ones
 along a column, south to north); pair couplings run along the
@@ -102,7 +102,6 @@ class HoleSpec:
 
 @dataclass(frozen=True)
 class Plaquette:
-    center: tuple[float, float]
     cell: Cell
     parity: int                  # 0 = even (Z type), 1 = odd (X type)
     sites: tuple[int, ...]
@@ -126,22 +125,10 @@ class HoledLattice:
     def n_sites(self) -> int:
         return self.width * self.height
 
-    @property
-    def n_active(self) -> int:
-        # puncture holes drop stabilizers only; every spin stays
-        return self.n_sites
-
-    @property
-    def active_sites(self) -> frozenset[int]:
-        return frozenset(range(self.n_sites))
-
     def site(self, x: int, y: int) -> int:
         if not (0 <= x < self.width and 0 <= y < self.height):
             raise LatticeError(f"site ({x},{y}) outside lattice")
         return y * self.width + x
-
-    def site_xy(self, s: int) -> tuple[int, int]:
-        return s % self.width, s // self.width
 
     def cell_sites(self, a: int, b: int) -> tuple[int, ...]:
         out = []
@@ -171,9 +158,6 @@ class HoledLattice:
         out = [self._plaquette_string(p) for p in self.plaquettes]
         out.extend(self.composite_stabilizers)
         return out
-
-    def dropped_cells(self, l: int) -> tuple[Cell, ...]:
-        return self.holes[l].cells
 
     def hole_even_odd(self, l: int) -> tuple[Optional[Cell], Optional[Cell]]:
         """(even cell, odd cell) of hole l; a puncture has no even cell."""
@@ -336,8 +320,7 @@ def build_lattice(width: int, height: int, boundary: str,
         lat0 = HoledLattice(width, height, boundary, (), (), (), None, form)
         for b in range(height):
             for a in range(width):
-                plaqs.append(Plaquette((a + 0.5, b + 0.5), (a, b),
-                                       cell_parity(a, b),
+                plaqs.append(Plaquette((a, b), cell_parity(a, b),
                                        lat0.cell_sites(a, b)))
         return HoledLattice(width, height, boundary, (), tuple(plaqs), (),
                             None, form)
@@ -354,8 +337,7 @@ def build_lattice(width: int, height: int, boundary: str,
         for a in range(width - 1):
             if (a, b) in dropped:
                 continue
-            plaqs.append(Plaquette((a + 0.5, b + 0.5), (a, b),
-                                   cell_parity(a, b),
+            plaqs.append(Plaquette((a, b), cell_parity(a, b),
                                    lat0.cell_sites(a, b)))
     for b in range(-1, height):
         for a in range(-1, width):
@@ -370,8 +352,7 @@ def build_lattice(width: int, height: int, boundary: str,
             sites = lat0.cell_sites(a, b)
             if not sites:
                 continue
-            plaqs.append(Plaquette((a + 0.5, b + 0.5), (a, b), 0,
-                                   sites, boundary_reduced=True))
+            plaqs.append(Plaquette((a, b), 0, sites, boundary_reduced=True))
 
     composites = []
     n = width * height

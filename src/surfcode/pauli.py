@@ -187,10 +187,10 @@ class StabilizerGroup:
 
 
 def ground_degeneracy(lat) -> int:
-    """Ground-space dimension 2^(N_active - rank) of a built lattice."""
+    """Ground-space dimension 2^(n_sites - rank) of a built lattice."""
     group = StabilizerGroup.from_generators(lat.stabilizers(),
                                             check_commuting=True)
-    return 2 ** (lat.n_active - group.rank)
+    return 2 ** (lat.n_sites - group.rank)
 
 
 @dataclass(frozen=True)

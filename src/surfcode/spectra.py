@@ -26,14 +26,16 @@ gives independent generators of the products of stabilizer terms that
 commute with every term; H is block diagonal in their common
 eigenspaces.  Each sector gets a symmetry-adapted basis (orbit
 representatives under the generators' X parts, with the pure-Z
-generators' parities imposed), every term maps a representative to a
-(representative, phase) pair, and the sector matrix, of dimension
-2^(n - r) for r generators, is diagonalized densely.  Sectors are
+generators' parities imposed), labelled by the bits of its n - r free
+sites for r generators.  Every term is tapered once to a Pauli string
+on those sites times a character of the sector, so a sector's matrix
+is ``pauli_sum_matrix`` of the tapered terms, the builder the
+pseudo-spin chain uses, and is diagonalized densely.  Sectors are
 visited best first by branch-and-bound: the bare energy of the terms
-that lie in the group, minus the summed |c| of all other terms, bounds
-a sector's lowest level from below, and the search stops once that
-bound reaches the k-th lowest level found, so the lowest k levels are
-exact across sectors.
+that lie in the group (those tapered to the identity string), minus the
+summed |c| of all other terms, bounds a sector's lowest level from
+below, and the search stops once that bound reaches the k-th lowest
+level found, so the lowest k levels are exact across sectors.
 
 When no generator is conserved (a field on every site) or a sector
 exceeds ``SECTOR_DENSE_CAP``, a blocked, seeded LOBPCG iteration on the
@@ -96,7 +98,7 @@ class SpinHamiltonian:
 def assemble(lat: HoledLattice, g: float, mask: Optional[FieldMask] = None,
              dimension_cap: int = DIMENSION_CAP) -> SpinHamiltonian:
     """Hamiltonian term list: -g per stabilizer plus per-site field terms."""
-    n = lat.n_active
+    n = lat.n_sites
     if n > dimension_cap:
         raise SpectraError(
             f"{n} spins exceeds the dimension cap {dimension_cap}")
@@ -275,50 +277,60 @@ def _conserved_generators(H: SpinHamiltonian) -> list[PauliString]:
 
 
 class _Sectors:
-    """Symmetry-adapted bases of the common eigenspaces of generators
-    ``gens`` (h_j), all commuting with every term of ``H``.
+    """``H`` tapered to the common eigenspaces of generators ``gens``
+    (h_j), all commuting with every term of ``H``.
 
     Sector t (bit j of t set iff h_j = -1) has dimension 2^(n - r).  The
     generators are brought to reduced row echelon form on (x|z): rows g
     with an x pivot q generate the orbits, and the representative of
     an orbit has every pivot bit zero; rows with x = 0 fix parities of
-    the representatives.  The basis state of representative b is
-    2^(-a/2) prod_g (1 + chi_t(g) g) |b> over the a rows with x pivots.
+    the representatives, so its bits on ``sites`` label it.  The basis
+    state of representative b is 2^(-a/2) prod_g (1 + chi_t(g) g) |b>
+    over the a rows with x pivots.  Each term is tapered once, in
+    ``terms``, to a string on ``sites`` and a character of t.
     """
 
     def __init__(self, H: SpinHamiltonian, gens: list[PauliString]):
         n = H.n
         self.H = H
         self.r = len(gens)
-        self.rows, _ = _eliminate(
+        rows, _ = _eliminate(
             [[(p.x << n) | p.z, p, 1 << j] for j, p in enumerate(gens)],
             2 * n)
         # (x pivot site, row operator g, its generator combination)
-        self.orbit = [(bit - n, p, c) for bit, (_, p, c) in self.rows
+        self.orbit = [(bit - n, p, c) for bit, (_, p, c) in rows
                       if bit >= n]
         free = ((1 << n) - 1) & ~sum(1 << q for q, _, _ in self.orbit)
         # z.b = comb.t + k/2 (mod 2) for the pure-Z rows i^k Z^z
         self.parities = [
             (bit, m, c, k) for bit, (m, c, k) in _eliminate(
-                [[p.z & free, c, p.k >> 1 & 1] for bit, (_, p, c) in self.rows
+                [[p.z & free, c, p.k >> 1 & 1] for bit, (_, p, c) in rows
                  if bit < n], n)[0]]
         fixed = sum(1 << q for q, *_ in self.parities)
         self.sites = [j for j in range(n) if (free & ~fixed) >> j & 1]
         self.dim = 1 << len(self.sites)
+        # (c, comb, P'): the term c P acts on sector t as
+        # c (-1)^{|comb & t|} P', P' a string on ``sites``
+        self.terms = [(c, *self._taper(p)) for c, p in H.terms]
 
-    def value(self, p: PauliString) -> Optional[tuple[int, int]]:
-        """(sign, comb) with p = sign * prod_{j in comb} h_j, or None if
-        p lies outside the group."""
-        v = (p.x << self.H.n) | p.z
-        q, comb = PauliString.identity(self.H.n), 0
-        for bit, (m, g, c) in self.rows:
-            if v >> bit & 1:
-                v ^= m
-                q = multiply(q, g)
+    def _taper(self, p: PauliString) -> tuple[int, PauliString]:
+        """Orbit rows clear p's x bits at their pivots (P|psi_b> =
+        chi_t(g) g P|psi_b>); the parity rows replace its z bits at
+        theirs by the other bits of the row, a sign and a character."""
+        comb = 0
+        for q, g, c in self.orbit:
+            if p.x >> q & 1:
+                p = multiply(g, p)
                 comb ^= c
-        if v:
-            return None
-        return 1 - ((p.k - q.k) & 2), comb
+        z, k = p.z, p.k
+        for q, m, c, sign in self.parities:
+            if z >> q & 1:
+                z ^= m
+                comb ^= c
+                k += 2 * sign
+        reduced = [sum(1 << i for i, j in enumerate(self.sites) if v >> j & 1)
+                   for v in (p.x, z)]
+        return comb, PauliString(len(self.sites), *reduced, k)
 
     def representatives(self, t: int) -> np.ndarray:
         w = np.arange(self.dim, dtype=np.uint64)
@@ -330,34 +342,12 @@ class _Sectors:
             b |= par.astype(np.uint64) << np.uint64(q)
         return b
 
-    def index(self, b: np.ndarray) -> np.ndarray:
-        w = np.zeros_like(b)
-        for i, site in enumerate(self.sites):
-            w |= (b >> np.uint64(site) & np.uint64(1)) << np.uint64(i)
-        return w.astype(np.intp)
-
     def matrix(self, t: int) -> np.ndarray:
-        """H on sector t.  For a term P, let g be the product of the orbit
-        rows whose pivots P.x flips: g P keeps representatives
-        representatives, and P|psi_b> = chi_t(g) g P |psi_b>."""
-        b = self.representatives(t)
-        cols = np.arange(self.dim)
-        flat, vals = [], []
-        for coeff, p in self.H.terms:
-            chi = 0
-            for q, g, comb in self.orbit:
-                if p.x >> q & 1:
-                    p = multiply(g, p)
-                    chi ^= _parity(comb & t)
-            power = p.k + 2 * (_count(b, p.z) + chi)
-            flat.append(self.index(b ^ np.uint64(p.x)) * self.dim + cols)
-            vals.append(coeff * _PHASES[power & 3])
-        flat, vals = np.concatenate(flat), np.concatenate(vals)
-        size = self.dim * self.dim
-        M = np.bincount(flat, vals.real, minlength=size)
-        if self.H.dtype == np.complex128:
-            M = M + 1j * np.bincount(flat, vals.imag, minlength=size)
-        return M.reshape(self.dim, self.dim)
+        """H on sector t: the tapered terms with their characters at t."""
+        M = pauli_sum_matrix([(c * (1 - 2 * _parity(comb & t)), p)
+                              for c, comb, p in self.terms],
+                             len(self.sites)).toarray()
+        return M.real if self.H.dtype == np.float64 else M
 
     def embed(self, t: int, coeffs: np.ndarray) -> np.ndarray:
         """Full-space columns of the sector-t coefficient columns."""
@@ -380,14 +370,14 @@ def _sector_eigs(H: SpinHamiltonian, sec: _Sectors, k: int):
     on the syndrome bits; returns (vals, vecs, res, sector dims)."""
     const, rest = 0.0, 0.0
     by_bit: list[list[tuple[float, int]]] = [[] for _ in range(sec.r)]
-    for coeff, p in H.terms:
-        hit = sec.value(p)
-        if hit is None:
+    for coeff, comb, p in sec.terms:
+        if not p.is_identity_mask:
             rest += abs(coeff)
-        elif hit[1] == 0:
-            const += coeff * hit[0]
+        elif comb:
+            by_bit[comb.bit_length() - 1].append((coeff * (1 - (p.k & 2)),
+                                                 comb))
         else:
-            by_bit[hit[1].bit_length() - 1].append((coeff * hit[0], hit[1]))
+            const += coeff * (1 - (p.k & 2))
     # pool[d]: summed |c| of the group terms not yet fixed at depth d
     pool = np.cumsum([0.0] + [sum(abs(c) for c, _ in terms)
                               for terms in reversed(by_bit)])[::-1]
@@ -504,6 +494,10 @@ def ground_splitting(spectrum: Spectrum, n_holes: int) -> dict:
 def logical_expectation(spectrum: Spectrum, logical: PauliString,
                         subspace_dim: int) -> np.ndarray:
     """Matrix <v_a| L |v_b> on the lowest ``subspace_dim`` eigenvectors."""
+    have = spectrum.eigenvectors.shape[1]
+    if subspace_dim > have:
+        raise SpectraError(f"subspace_dim {subspace_dim} exceeds the {have} "
+                           f"eigenvectors of the spectrum")
     H = spectrum.hamiltonian
     L = H.to_frame(logical)
     vecs = spectrum.eigenvectors[:, :subspace_dim].astype(np.complex128)

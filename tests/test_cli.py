@@ -146,6 +146,18 @@ def test_compare_splitting_cli(one_hole_config, tmp_path):
     assert rep["fitted_constant"] == pytest.approx(row["ratio"])
 
 
+def test_compare_splitting_rejects_zero_field(one_hole_config, tmp_path,
+                                              capsys):
+    out = tmp_path / "cmp0.json"
+    rc = main(["compare-splitting", "--config", one_hole_config,
+               "--axis", "x", "--h-values", "0.05,0", "--output", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "h values must be nonzero" in err["message"]
+
+
 def test_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"width": 2, "height": 2,

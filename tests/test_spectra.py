@@ -19,7 +19,7 @@ from surfcode.lattice import HoledLattice, Plaquette, cell_parity
 from surfcode.pauli import PauliString
 from surfcode.spectra import (SECTOR_DENSE_CAP, DispersionParams, SpectraError,
                               SpinHamiltonian, _Apply, _conjugate_by_s,
-                              _conserved_generators,
+                              _conserved_generators, _Sectors,
                               apply_pauli, assemble, dispersion_grid,
                               fermion_dispersion, fermion_gap, flux_basis,
                               ground_splitting, logical_expectation,
@@ -51,7 +51,7 @@ def test_uniform_hx_adds_site_terms(one_hole_lattice):
     mask = sc.field_mask(lat, {"type": "all"}, (0.1, 0, 0))
     H = assemble(lat, 1.0, mask)
     field_terms = [t for t in H.terms if t[0] == 0.1]
-    assert len(field_terms) == lat.n_active
+    assert len(field_terms) == lat.n_sites
 
 
 def test_dimension_cap():
@@ -251,8 +251,8 @@ def _small_open(width, height, puncture):
                 continue
             sites = lat0.cell_sites(a, b)
             if sites:
-                plaqs.append(Plaquette((a + 0.5, b + 0.5), (a, b),
-                                       cell_parity(a, b), sites, not inner))
+                plaqs.append(Plaquette((a, b), cell_parity(a, b), sites,
+                                       not inner))
     return HoledLattice(width, height, "open", (), tuple(plaqs), (), None)
 
 
@@ -338,6 +338,66 @@ def test_sector_matches_lobpcg_on_corridor():
         vals, _ = spla.lobpcg(A, X, largest=False, maxiter=2000,
                               tol=1e-9 * H.norm_bound)
     assert np.max(np.abs(np.sort(vals)[:3] - spec.eigenvalues)) <= 1e-8
+
+
+def _phases_flipped(H):
+    """H - 2.5, with its first term written as (-c) (-P) and the shift as
+    a term 2.5 (-I): conserved products, parity rows and terms in the
+    group then carry a -1 of their own."""
+    (c, p), *rest = H.terms
+    terms = ((-c, PauliString(p.n, p.x, p.z, p.k + 2)), *rest,
+             (2.5, PauliString(H.n, 0, 0, 2)))
+    return dataclasses.replace(H, terms=terms)
+
+
+_OPEN_FIELDS = {1: (0, 0.1, 0), 6: (0, 0.2, 0), 7: (0, 0.15, 0)}
+
+
+@pytest.mark.parametrize("name, fields, frame, flip", [
+    ("torus 3x3", {0: (0.1, 0.2, 0), 4: (0, 0.05, 0.1)}, "plain", False),
+    ("open 4x3 puncture", _OPEN_FIELDS, "sgate", False),
+    ("open 4x3 puncture", _OPEN_FIELDS, "sgate", True),
+])
+def test_every_sector_matrix_is_h_in_its_basis(name, fields, frame, flip):
+    """Every sector, including those branch-and-bound never visits: the
+    tapered sector matrix equals B^H H B for the embedded basis B of the
+    sector, B is orthonormal, and the sectors, 2^n states in all,
+    together rebuild any vector."""
+    _, lat, mask, _ = _example(name, fields, 1)
+    H = assemble(lat, 1.0, mask)
+    assert H.frame == frame
+    if flip:
+        H = _phases_flipped(H)
+    M = sp.csr_matrix(_kron_matrix(H))
+    sec = _Sectors(H, _conserved_generators(H))
+    assert sec.orbit and sec.parities
+    assert sec.dim << sec.r == H.dimension
+    v = np.random.default_rng(3).standard_normal(H.dimension)
+    rebuilt = np.zeros(H.dimension, dtype=H.dtype)
+    for t in range(1 << sec.r):
+        B = sec.embed(t, np.eye(sec.dim))
+        assert np.allclose(B.conj().T @ B, np.eye(sec.dim), rtol=0,
+                           atol=1e-12)
+        assert np.allclose(sec.matrix(t), B.conj().T @ (M @ B), rtol=0,
+                           atol=1e-12)
+        rebuilt += B @ (B.conj().T @ v)
+    assert np.allclose(rebuilt, v, rtol=0, atol=1e-12)
+
+
+def test_sector_levels_do_not_depend_on_term_phases():
+    _, lat, mask, _ = _example("open 4x3 puncture", _OPEN_FIELDS, 1)
+    H = assemble(lat, 1.0, mask)
+    want = lowest_eigs(H, 6).eigenvalues - 2.5
+    spec = lowest_eigs(_phases_flipped(H), 6)
+    assert spec.method == "sector"
+    assert np.allclose(spec.eigenvalues, want, rtol=0, atol=1e-12)
+
+
+def test_logical_expectation_needs_enough_levels(one_hole_lattice):
+    spec = lowest_eigs(assemble(one_hole_lattice, 1.0), 2, tol=1e-9)
+    tau_z = sc.logical_pair(one_hole_lattice, 0).tau_z
+    with pytest.raises(SpectraError, match="subspace_dim 3 exceeds the 2 "):
+        logical_expectation(spec, tau_z, 3)
 
 
 def test_solver_path_by_geometry():
