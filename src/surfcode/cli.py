@@ -42,13 +42,16 @@ def _report(args, payload: dict) -> dict:
     }
 
 
-def _emit(args, payload: dict) -> None:
-    text = json.dumps(_report(args, payload), sort_keys=True, indent=2)
+def _write(args, text: str) -> None:
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(args, payload: dict) -> None:
+    _write(args, json.dumps(_report(args, payload), sort_keys=True, indent=2))
 
 
 def _emit_csv(args, header, rows) -> None:
@@ -58,12 +61,7 @@ def _emit_csv(args, header, rows) -> None:
     for row in rows:
         lines.append(",".join(f"{v:.12g}" if isinstance(v, float) else str(v)
                               for v in row))
-    text = "\n".join(lines)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args, "\n".join(lines))
 
 
 def _load(args) -> tuple[HoledLattice, object]:
@@ -200,20 +198,20 @@ def cmd_init(args) -> None:
 def cmd_tomography(args) -> None:
     n = args.n
     if args.state == "plus":
-        amps = np.ones(2 ** n) / np.sqrt(2 ** n)
+        amps = np.ones(2 ** n)
     elif args.state == "up":
         amps = np.zeros(2 ** n)
         amps[0] = 1.0
     elif args.state == "random":
         rng = np.random.default_rng(args.seed)
         amps = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
-        amps /= np.linalg.norm(amps)
     else:
         with open(args.state) as fh:
-            raw = json.load(fh)
-        amps = np.array([complex(c[0], c[1]) for c in raw])
-        amps /= np.linalg.norm(amps)
-    state = eff.PseudoSpinState(amps)
+            amps = np.array([complex(c[0], c[1]) for c in json.load(fh)])
+        if amps.size != 2 ** n:
+            raise ValueError(f"state file {args.state} holds {amps.size} "
+                             f"amplitudes, --n {n} needs {2 ** n}")
+    state = eff.PseudoSpinState(amps / np.linalg.norm(amps))
     plan = meas.tomography_plan(n)
     if args.shots > 0:
         readouts = meas.sample_readouts(state, plan, args.shots, args.seed)

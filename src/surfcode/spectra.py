@@ -28,26 +28,25 @@ eigenspaces.  Each sector gets a symmetry-adapted basis (orbit
 representatives under the generators' X parts, with the pure-Z
 generators' parities imposed), labelled by the bits of its n - r free
 sites for r generators.  Every term is tapered once to a Pauli string
-on those sites times a character of the sector, so a sector's matrix
-is ``pauli_sum_matrix`` of the tapered terms, the builder the
-pseudo-spin chain uses, and is diagonalized densely.  Sectors are
-visited best first by branch-and-bound: the bare energy of the terms
-that lie in the group (those tapered to the identity string), minus the
-summed |c| of all other terms, bounds a sector's lowest level from
-below, and the search stops once that bound reaches the k-th lowest
-level found, so the lowest k levels are exact across sectors.
-
-When no generator is conserved (a field on every site) or a sector
-exceeds ``SECTOR_DENSE_CAP``, a blocked, seeded LOBPCG iteration on the
-full space takes over.  A block of random vectors resolves exact
-ground-state degeneracy, which a single-vector Lanczos cannot.
+on those sites times a character of the sector, so a sector is itself
+a ``SpinHamiltonian`` on n - r sites; with no generator (a field on
+every site) the one sector is the full space.  Sectors are visited best
+first by branch-and-bound: the bare energy of the terms that lie in the
+group (those tapered to the identity string), minus the summed |c| of
+all other terms, bounds a sector's lowest level from below, and the
+search stops once that bound reaches the k-th lowest level found, so
+the lowest k levels are exact across sectors.  A sector of at most
+``SECTOR_DENSE_CAP`` states is diagonalized densely from
+``pauli_sum_matrix``, the builder the pseudo-spin chain uses; a larger
+one by blocked, seeded LOBPCG, whose block of random vectors resolves
+exact ground-state degeneracy, which a single-vector Lanczos cannot.
 """
 
 from __future__ import annotations
 
 import heapq
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -95,13 +94,13 @@ class SpinHamiltonian:
         return _conjugate_by_s(p) if self.frame == "sgate" else p
 
 
-def assemble(lat: HoledLattice, g: float, mask: Optional[FieldMask] = None,
-             dimension_cap: int = DIMENSION_CAP) -> SpinHamiltonian:
+def assemble(lat: HoledLattice, g: float,
+             mask: Optional[FieldMask] = None) -> SpinHamiltonian:
     """Hamiltonian term list: -g per stabilizer plus per-site field terms."""
     n = lat.n_sites
-    if n > dimension_cap:
+    if n > DIMENSION_CAP:
         raise SpectraError(
-            f"{n} spins exceeds the dimension cap {dimension_cap}")
+            f"{n} spins exceeds the dimension cap {DIMENSION_CAP}")
     raw: list[tuple[float, PauliString]] = []
     for s in lat.stabilizers():
         raw.append((-g, s))
@@ -221,8 +220,12 @@ class Spectrum:
     eigenvectors: np.ndarray       # columns, in the Hamiltonian's frame
     residual_norms: np.ndarray
     hamiltonian: SpinHamiltonian
-    method: str = "lobpcg"         # 'sector' or 'lobpcg'
-    sector_dims: tuple[int, ...] = ()   # dimension of every space solved
+    sector_dims: tuple[int, ...]   # dimension of every sector solved
+
+    @property
+    def method(self) -> str:    # 'lobpcg' once a sector exceeds the cap
+        big = max(self.sector_dims) > SECTOR_DENSE_CAP
+        return "lobpcg" if big else "sector"
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +345,12 @@ class _Sectors:
             b |= par.astype(np.uint64) << np.uint64(q)
         return b
 
-    def matrix(self, t: int) -> np.ndarray:
+    def hamiltonian(self, t: int) -> SpinHamiltonian:
         """H on sector t: the tapered terms with their characters at t."""
-        M = pauli_sum_matrix([(c * (1 - 2 * _parity(comb & t)), p)
-                              for c, comb, p in self.terms],
-                             len(self.sites)).toarray()
-        return M.real if self.H.dtype == np.float64 else M
+        return replace(
+            self.H, n=len(self.sites),
+            terms=tuple((c * (1 - 2 * _parity(comb & t)), p)
+                        for c, comb, p in self.terms))
 
     def embed(self, t: int, coeffs: np.ndarray) -> np.ndarray:
         """Full-space columns of the sector-t coefficient columns."""
@@ -365,9 +368,11 @@ class _Sectors:
         return out
 
 
-def _sector_eigs(H: SpinHamiltonian, sec: _Sectors, k: int):
+def _sector_eigs(H: SpinHamiltonian, sec: _Sectors, k: int, tol: float,
+                 seed: int, maxiter: int):
     """Lowest k levels over all sectors by best-first branch-and-bound
-    on the syndrome bits; returns (vals, vecs, res, sector dims)."""
+    on the syndrome bits; returns (vals, vecs, res, sector dims, LOBPCG
+    warnings)."""
     const, rest = 0.0, 0.0
     by_bit: list[list[tuple[float, int]]] = [[] for _ in range(sec.r)]
     for coeff, comb, p in sec.terms:
@@ -384,7 +389,7 @@ def _sector_eigs(H: SpinHamiltonian, sec: _Sectors, k: int):
     slack = 64 * np.finfo(float).eps * H.norm_bound
     heap = [(const - pool[0] - rest, 0, 0, const)]   # bound, -depth, t, bare
     levels: list[tuple[float, int, int]] = []        # value, sector, column
-    solved = []
+    solved, notes = [], []
     kth = np.inf
     while heap and heap[0][0] < kth - slack:
         _, depth, t, bare = heapq.heappop(heap)
@@ -397,11 +402,16 @@ def _sector_eigs(H: SpinHamiltonian, sec: _Sectors, k: int):
                 heapq.heappush(
                     heap, (e - pool[depth + 1] - rest, -depth - 1, tt, e))
             continue
-        M = sec.matrix(t)
-        w, U = np.linalg.eigh(M)
-        m = min(k, sec.dim)
-        w, U = w[:m], U[:, :m]
-        res = np.linalg.norm(M @ U - U * w, axis=0)
+        Hs, m = sec.hamiltonian(t), min(k, sec.dim)
+        if sec.dim <= SECTOR_DENSE_CAP:
+            M = pauli_sum_matrix(Hs.terms, Hs.n).toarray()
+            M = M.real if H.dtype == np.float64 else M
+            w, U = np.linalg.eigh(M)
+            w, U = w[:m], U[:, :m]
+            res = np.linalg.norm(M @ U - U * w, axis=0)
+        else:
+            w, U, res, caught = _lobpcg(Hs, m, tol, seed, maxiter)
+            notes += caught
         levels.extend((w[i], len(solved), i) for i in range(m))
         solved.append((t, U, res))
         levels.sort(key=lambda lv: lv[0])
@@ -415,7 +425,7 @@ def _sector_eigs(H: SpinHamiltonian, sec: _Sectors, k: int):
             vecs[:, at] = sec.embed(t, U[:, [chosen[j][2] for j in at]])
     vals = np.array([lv[0] for lv in chosen])
     res = np.array([solved[s][2][i] for _, s, i in chosen])
-    return vals, vecs, res, (sec.dim,) * len(solved)
+    return vals, vecs, res, (sec.dim,) * len(solved), notes
 
 
 def _lobpcg(H: SpinHamiltonian, k: int, tol: float, seed: int,
@@ -435,10 +445,8 @@ def _lobpcg(H: SpinHamiltonian, k: int, tol: float, seed: int,
     order = np.argsort(vals)
     vals = np.asarray(vals)[order][:k]
     vecs = np.asarray(vecs)[:, order][:, :k]
-    res = np.empty(k)
-    for i in range(k):
-        r = apply_h(vecs[:, i]) - vals[i] * vecs[:, i]
-        res[i] = np.linalg.norm(r)
+    res = np.array([np.linalg.norm(apply_h(v) - w * v)
+                    for w, v in zip(vals, vecs.T)])
     return vals, vecs, res, [str(w.message) for w in caught]
 
 
@@ -446,26 +454,18 @@ def lowest_eigs(H: SpinHamiltonian, k_count: int, tol: float = 1e-10,
                 seed: int = 2024, maxiter: int = 2000) -> Spectrum:
     """Lowest ``k_count`` eigenpairs, exact across symmetry sectors.
 
-    With a conserved generator and sectors of at most
-    ``SECTOR_DENSE_CAP`` states, each sector visited is diagonalized
-    densely (``seed`` and ``maxiter`` are unused).  Otherwise blocked
-    LOBPCG with a seeded random start block runs on the full space;
-    deterministic for fixed seed.  Residuals are those of the full
-    space on both paths, gated at 50 * tol * norm_bound.
+    Sectors of at most ``SECTOR_DENSE_CAP`` states are diagonalized
+    densely; ``seed`` and ``maxiter`` act on the larger ones, solved by
+    blocked LOBPCG from a seeded random start block, deterministic for
+    fixed seed.  Residuals are those of the full space, gated at
+    50 * tol * norm_bound.
     """
     dim = H.dimension
     k = int(k_count)
     if k < 1 or k >= dim:
         raise SpectraError(f"k_count {k} out of range for dimension {dim}")
-    gens = _conserved_generators(H)
-    sec = _Sectors(H, gens) if gens else None
-    notes = []
-    if sec is not None and sec.dim <= SECTOR_DENSE_CAP:
-        vals, vecs, res, dims = _sector_eigs(H, sec, k)
-        method = "sector"
-    else:
-        vals, vecs, res, notes = _lobpcg(H, k, tol, seed, maxiter)
-        method, dims = "lobpcg", (dim,)
+    sec = _Sectors(H, _conserved_generators(H))
+    vals, vecs, res, dims, notes = _sector_eigs(H, sec, k, tol, seed, maxiter)
     bound = max(tol * H.norm_bound, 1e-30)
     if np.any(res > 50 * bound):
         raise SpectraError(
@@ -473,7 +473,7 @@ def lowest_eigs(H: SpinHamiltonian, k_count: int, tol: float = 1e-10,
                       + notes), residuals=res)
     for arr in (vals, vecs, res):
         arr.flags.writeable = False
-    return Spectrum(vals, vecs, res, H, method, dims)
+    return Spectrum(vals, vecs, res, H, dims)
 
 
 def ground_splitting(spectrum: Spectrum, n_holes: int) -> dict:

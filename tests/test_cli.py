@@ -94,6 +94,22 @@ def test_tomography_roundtrip_cli(tmp_path):
     assert len(rep["plan"]) == 3
 
 
+@pytest.mark.parametrize("shots", ["0", "10"])
+def test_tomography_rejects_state_file_of_other_size(tmp_path, capsys, shots):
+    """A state file of 2^2 amplitudes with --n 1 is refused, sampled or
+    exact, with both sizes named."""
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps([[0.5, 0.0]] * 4))
+    out = tmp_path / "t.json"
+    rc = main(["tomography", "--n", "1", "--state", str(state),
+               "--shots", shots, "--output", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "holds 4 amplitudes, --n 1 needs 2" in err["message"]
+
+
 def test_decoherence_sweep_csv(tmp_path):
     text = run(["decoherence", "--sweep", "hx=0.005:0.05:6", "--Lp", "10"],
                tmp_path / "c.csv")

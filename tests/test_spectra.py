@@ -17,13 +17,15 @@ import surfcode as sc
 from surfcode import effective as eff
 from surfcode.lattice import HoledLattice, Plaquette, cell_parity
 from surfcode.pauli import PauliString
+from surfcode import spectra
 from surfcode.spectra import (SECTOR_DENSE_CAP, DispersionParams, SpectraError,
                               SpinHamiltonian, _Apply, _conjugate_by_s,
                               _conserved_generators, _Sectors,
                               apply_pauli, assemble, dispersion_grid,
                               fermion_dispersion, fermion_gap, flux_basis,
                               ground_splitting, logical_expectation,
-                              lowest_eigs, vortex_dispersion, vortex_gap)
+                              lowest_eigs, pauli_sum_matrix,
+                              vortex_dispersion, vortex_gap)
 
 
 def test_hermiticity_random_vectors(one_hole_lattice):
@@ -57,7 +59,7 @@ def test_uniform_hx_adds_site_terms(one_hole_lattice):
 def test_dimension_cap():
     lat = sc.build_lattice(6, 5, "open")
     with pytest.raises(SpectraError):
-        assemble(lat, 1.0, dimension_cap=24)
+        assemble(lat, 1.0)
 
 
 def test_identity_operator_eigenvalue():
@@ -351,18 +353,21 @@ def _phases_flipped(H):
 
 
 _OPEN_FIELDS = {1: (0, 0.1, 0), 6: (0, 0.2, 0), 7: (0, 0.15, 0)}
+_ALL_SITES = {site: (0.15, 0, 0.15) for site in range(9)}
 
 
 @pytest.mark.parametrize("name, fields, frame, flip", [
     ("torus 3x3", {0: (0.1, 0.2, 0), 4: (0, 0.05, 0.1)}, "plain", False),
     ("open 4x3 puncture", _OPEN_FIELDS, "sgate", False),
     ("open 4x3 puncture", _OPEN_FIELDS, "sgate", True),
+    ("torus 3x3", _ALL_SITES, "plain", False),
 ])
 def test_every_sector_matrix_is_h_in_its_basis(name, fields, frame, flip):
     """Every sector, including those branch-and-bound never visits: the
-    tapered sector matrix equals B^H H B for the embedded basis B of the
-    sector, B is orthonormal, and the sectors, 2^n states in all,
-    together rebuild any vector."""
+    tapered sector Hamiltonian's matrix equals B^H H B for the embedded
+    basis B of the sector, B is orthonormal, and the sectors, 2^n states
+    in all, together rebuild any vector.  With a field on every site
+    nothing is conserved and the one sector is the full space."""
     _, lat, mask, _ = _example(name, fields, 1)
     H = assemble(lat, 1.0, mask)
     assert H.frame == frame
@@ -370,7 +375,8 @@ def test_every_sector_matrix_is_h_in_its_basis(name, fields, frame, flip):
         H = _phases_flipped(H)
     M = sp.csr_matrix(_kron_matrix(H))
     sec = _Sectors(H, _conserved_generators(H))
-    assert sec.orbit and sec.parities
+    assert (sec.r > 0) == bool(sec.orbit) == bool(sec.parities)
+    assert sec.r > 0 or fields is _ALL_SITES
     assert sec.dim << sec.r == H.dimension
     v = np.random.default_rng(3).standard_normal(H.dimension)
     rebuilt = np.zeros(H.dimension, dtype=H.dtype)
@@ -378,19 +384,56 @@ def test_every_sector_matrix_is_h_in_its_basis(name, fields, frame, flip):
         B = sec.embed(t, np.eye(sec.dim))
         assert np.allclose(B.conj().T @ B, np.eye(sec.dim), rtol=0,
                            atol=1e-12)
-        assert np.allclose(sec.matrix(t), B.conj().T @ (M @ B), rtol=0,
-                           atol=1e-12)
+        Hs = sec.hamiltonian(t)
+        assert Hs.n == len(sec.sites) and Hs.dimension == sec.dim
+        assert np.allclose(pauli_sum_matrix(Hs.terms, Hs.n).toarray(),
+                           B.conj().T @ (M @ B), rtol=0, atol=1e-12)
         rebuilt += B @ (B.conj().T @ v)
     assert np.allclose(rebuilt, v, rtol=0, atol=1e-12)
 
 
-def test_sector_levels_do_not_depend_on_term_phases():
+def _open_flipped():
+    """The open 4x3 puncture with its phases flipped, against H - 2.5."""
     _, lat, mask, _ = _example("open 4x3 puncture", _OPEN_FIELDS, 1)
     H = assemble(lat, 1.0, mask)
-    want = lowest_eigs(H, 6).eigenvalues - 2.5
-    spec = lowest_eigs(_phases_flipped(H), 6)
+    return _phases_flipped(H), lowest_eigs(H, 6).eigenvalues - 2.5
+
+
+def _torus_group_term():
+    """Zero-field 3x3 torus plus (-0.3) (-P1), P1 its first stabilizer
+    term: a group term tapered to -I, against the same operator written
+    as (c1 + 0.3) P1."""
+    H = assemble(sc.build_lattice(3, 3, "torus"), 1.0)
+    (c1, p1), *rest = H.terms
+    extra = (-0.3, PauliString(p1.n, p1.x, p1.z, p1.k + 2))
+    same = dataclasses.replace(H, terms=((c1 + 0.3, p1), *rest))
+    return (dataclasses.replace(H, terms=H.terms + (extra,)),
+            lowest_eigs(same, 3).eigenvalues)
+
+
+@pytest.mark.parametrize("case", [_open_flipped, _torus_group_term])
+def test_sector_levels_do_not_depend_on_term_phases(case):
+    """Terms carrying a -1 of their own, in the conserved products, the
+    parity rows and the group terms that only shift a sector's energy,
+    leave the levels as they are."""
+    H, want = case()
+    spec = lowest_eigs(H, len(want))
     assert spec.method == "sector"
     assert np.allclose(spec.eigenvalues, want, rtol=0, atol=1e-12)
+
+
+def test_lobpcg_inside_sectors_above_the_cap(monkeypatch):
+    """With the dense cap below the sector size, LOBPCG runs inside each
+    visited sector and still gives the dense Kronecker levels."""
+    monkeypatch.setattr(spectra, "SECTOR_DENSE_CAP", 16)
+    fields = {site: (0.1, 0, 0.1) for site in (0, 1, 2, 4)}
+    _, lat, mask, _ = _example("torus 3x3", fields, 1)
+    H = assemble(lat, 1.0, mask)
+    spec = lowest_eigs(H, 4, tol=1e-10)
+    assert spec.method == "lobpcg"
+    assert set(spec.sector_dims) == {256}
+    want = np.linalg.eigvalsh(_kron_matrix(H))[:4]
+    assert np.max(np.abs(spec.eigenvalues - want)) <= 1e-10 * H.norm_bound
 
 
 def test_logical_expectation_needs_enough_levels(one_hole_lattice):
@@ -402,7 +445,8 @@ def test_logical_expectation_needs_enough_levels(one_hole_lattice):
 
 def test_solver_path_by_geometry():
     """Corridor, annulus and the zero-field acceptance geometries solve
-    in sectors; a field on every site leaves nothing conserved."""
+    in small sectors; a field on every site leaves nothing conserved, so
+    the one sector is the full space: dense up to the cap, LOBPCG above."""
     one = sc.build_lattice(4, 4, "open", [sc.HoleSpec(1, 1, 1, 2)])
     edge = sc.build_lattice(4, 4, "open", [sc.HoleSpec(0, 1, 0, 2)])
     cases = [
@@ -427,12 +471,13 @@ def test_solver_path_by_geometry():
     glob = assemble(edge, 1.0, sc.field_mask(edge, {"type": "all"},
                                              (0.15, 0, 0.15)))
     assert _conserved_generators(glob) == []
-    small = sc.build_lattice(3, 3, "torus")
-    spec = lowest_eigs(assemble(small, 1.0, sc.field_mask(
-        small, {"type": "all"}, (0.15, 0, 0.15))), 3, tol=1e-10)
-    assert spec.method == "lobpcg"
-    assert spec.sector_dims == (2 ** 9,)
-    assert np.all(spec.residual_norms > 0)
+    for (w, h), method in (((3, 3), "sector"), ((4, 3), "lobpcg")):
+        lat = sc.build_lattice(w, h, "torus")
+        spec = lowest_eigs(assemble(lat, 1.0, sc.field_mask(
+            lat, {"type": "all"}, (0.15, 0, 0.15))), 3, tol=1e-10)
+        assert spec.method == method
+        assert spec.sector_dims == (2 ** (w * h),)
+        assert np.all(spec.residual_norms > 0)
 
 
 def test_spectrum_replace_keeps_solve_record(ground_spectrum_one_hole):
@@ -532,7 +577,7 @@ def test_kernel_memory_on_all_site_field():
 
 
 def test_lobpcg_warnings_reach_the_error():
-    lat = sc.build_lattice(3, 3, "torus")
+    lat = sc.build_lattice(4, 3, "torus")
     H = assemble(lat, 1.0, sc.field_mask(lat, {"type": "all"},
                                          (0.15, 0, 0.15)))
     with pytest.raises(SpectraError,
