@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 from .lattice import (FieldMask, HoledLattice, HoleSpec, LatticeError,
                       PathMetrics, build_lattice, field_mask,
                       lattice_from_config, path_metrics)
-from .pauli import (LogicalPair, PauliError, PauliString, StabilizerGroup,
-                    commutes, ground_degeneracy, logical_pair, multiply,
-                    rank_gf2)
+from .pauli import (LogicalPair, PauliError, PauliString, commutes,
+                    ground_degeneracy, logical_pair, multiply, rank_gf2)
 from .spectra import (DispersionParams, SpectraError, Spectrum,
                       SpinHamiltonian, assemble, fermion_dispersion,
                       fermion_gap, ground_splitting, logical_expectation,

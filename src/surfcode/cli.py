@@ -197,6 +197,7 @@ def cmd_init(args) -> None:
 
 def cmd_tomography(args) -> None:
     n = args.n
+    plan = meas.tomography_plan(n)
     if args.state == "plus":
         amps = np.ones(2 ** n)
     elif args.state == "up":
@@ -212,7 +213,6 @@ def cmd_tomography(args) -> None:
             raise ValueError(f"state file {args.state} holds {amps.size} "
                              f"amplitudes, --n {n} needs {2 ** n}")
     state = eff.PseudoSpinState(amps / np.linalg.norm(amps))
-    plan = meas.tomography_plan(n)
     if args.shots > 0:
         readouts = meas.sample_readouts(state, plan, args.shots, args.seed)
     else:

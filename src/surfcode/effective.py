@@ -85,8 +85,7 @@ def pair_couplings(g: float, hx: float, hy: float,
     """(Jxx, Jzz) between holes l and l+1 from the closed forms."""
     if g <= 0:
         raise EffectiveError("g must be positive")
-    lff = metrics.fermion_pair[(l, l + 1)]
-    jxx = 0.0 if lff is None else fermion_splitting(g, hy, lff) / 2.0
+    jxx = fermion_splitting(g, hy, metrics.fermion_pair[(l, l + 1)]) / 2.0
     jzz = vortex_splitting(g, hx, metrics.vortex_pair[(l, l + 1)]) / 2.0
     return jxx, jzz
 

@@ -487,13 +487,8 @@ def path_metrics(lat: HoledLattice) -> PathMetrics:
         _, o1 = lat.hole_even_odd(l)
         _, o2 = lat.hole_even_odd(l + 1)
         vortex_pair[(l, l + 1)] = _shortest_enclosing_loop(lat, [o1, o2])
-        h1, h2 = lat.holes[l], lat.holes[l + 1]
-        if h1.kind == "domino-v" and h2.kind == "domino-v":
-            fermion_pair[(l, l + 1)] = h2.x0 - h1.x0
-        elif h1.kind == "domino-h" and h2.kind == "domino-h":
-            fermion_pair[(l, l + 1)] = h2.y0 - h1.y0
-        else:
-            fermion_pair[(l, l + 1)] = None
+        fermion_pair[(l, l + 1)] = len(region_sites(
+            lat, {"type": "corridor", "from": l, "to": l + 1}))
     m = PathMetrics(tuple(vortex_loop), tuple(fermion_boundary),
                     vortex_pair, fermion_pair)
     for (l, l2), v in vortex_pair.items():

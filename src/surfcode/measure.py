@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from .effective import PseudoSpinState, qubit_mask
+from .effective import CHAIN_CAP, PseudoSpinState, qubit_mask
 
 
 class MeasureError(ValueError):
@@ -139,9 +139,11 @@ class MeasurementPlan:
 
 
 def tomography_plan(n: int) -> MeasurementPlan:
-    """All z-subset and x-subset products plus quadrature repeats."""
-    if n < 1:
-        raise MeasureError("need n >= 1")
+    """All z-subset and x-subset products plus quadrature repeats, on a
+    register of at most ``CHAIN_CAP`` qubits."""
+    if not 1 <= n <= CHAIN_CAP:
+        raise MeasureError(f"need 1 <= n <= {CHAIN_CAP}, the register cap; "
+                           f"got n = {n}")
     subsets = []
     for r in range(1, n + 1):
         subsets.extend(itertools.combinations(range(n), r))

@@ -11,8 +11,10 @@ with ``x``, ``z`` arbitrary-precision integers (bit j = site j) and
     P|s> = i^k * (-1)^{popcount(z & s)} |s XOR x>
 
 Products track the phase exactly; commutation is the usual symplectic
-form and ignores phases.  Ranks are computed by Gaussian elimination on
-the (x|z) rows, using python integers as GF(2) row vectors.
+form and ignores phases.  ``eliminate`` is the package's one GF(2)
+Gauss-Jordan routine, on rows led by python-integer masks: ranks and
+span checks run it on the (x|z) masks, and ``spectra`` runs it to find
+and taper the conserved symmetries of a Hamiltonian.
 """
 
 from __future__ import annotations
@@ -139,58 +141,60 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     return (_popcount(p.x & q.z) + _popcount(p.z & q.x)) % 2 == 0
 
 
+def eliminate(rows: list[list], nbits: int):
+    """Gauss-Jordan elimination over GF(2) of rows [mask, ...], highest
+    bit first; later entries are XORed along, or multiplied if Pauli
+    strings.  Returns the (pivot bit, row) pairs in reduced row echelon
+    form and the rows eliminated to a zero mask."""
+    rows = list(rows)
+    done: list[tuple[int, list]] = []
+    for bit in reversed(range(nbits)):
+        hit = next((r for r in rows if r[0] >> bit & 1), None)
+        if hit is None:
+            continue
+        rows.remove(hit)
+        for r in rows + [r for _, r in done]:
+            if r[0] >> bit & 1:
+                r[:] = [multiply(a, b) if isinstance(a, PauliString) else a ^ b
+                        for a, b in zip(r, hit)]
+        done.append((bit, hit))
+    return done, rows
+
+
+def _pivots(strings: Sequence[PauliString]) -> list[tuple[int, list]]:
+    """Pivot rows of the symplectic (x|z) masks of ``strings``."""
+    n = strings[0].n if strings else 0
+    return eliminate([[(s.x << n) | s.z] for s in strings], 2 * n)[0]
+
+
+def _in_span(pivots: list[tuple[int, list]], p: PauliString) -> bool:
+    """True iff ``p``'s (x|z) mask reduces to zero against ``pivots``."""
+    v = (p.x << p.n) | p.z
+    for bit, (m,) in pivots:
+        if v >> bit & 1:
+            v ^= m
+    return v == 0
+
+
 def rank_gf2(strings: Sequence[PauliString]) -> int:
     """GF(2) row rank of the symplectic (x|z) representation."""
-    if not strings:
-        return 0
-    n = strings[0].n
-    basis: list[int] = []
-    rank = 0
-    for s in strings:
-        v = (s.x << n) | s.z
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
+    return len(_pivots(strings))
 
 
 def in_span_gf2(strings: Sequence[PauliString], p: PauliString) -> bool:
     """True iff ``p``'s masks lie in the GF(2) span of ``strings``."""
-    return rank_gf2(list(strings) + [p]) == rank_gf2(strings)
-
-
-@dataclass(frozen=True)
-class StabilizerGroup:
-    """A commuting generator set with its GF(2) rank."""
-
-    generators: tuple[PauliString, ...]
-    rank: int
-
-    @staticmethod
-    def from_generators(generators: Sequence[PauliString],
-                        check_commuting: bool = True) -> "StabilizerGroup":
-        gens = tuple(generators)
-        if check_commuting:
-            for i in range(len(gens)):
-                for j in range(i + 1, len(gens)):
-                    if not commutes(gens[i], gens[j]):
-                        raise PauliError(
-                            f"generators {i} and {j} do not commute")
-        return StabilizerGroup(gens, rank_gf2(gens))
-
-    @property
-    def n(self) -> int:
-        return self.generators[0].n if self.generators else 0
+    return _in_span(_pivots(strings), p)
 
 
 def ground_degeneracy(lat) -> int:
-    """Ground-space dimension 2^(n_sites - rank) of a built lattice."""
-    group = StabilizerGroup.from_generators(lat.stabilizers(),
-                                            check_commuting=True)
-    return 2 ** (lat.n_sites - group.rank)
+    """Ground-space dimension 2^(n_sites - rank) of a built lattice whose
+    generators must commute pairwise."""
+    gens = lat.stabilizers()
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if not commutes(gens[i], gens[j]):
+                raise PauliError(f"generators {i} and {j} do not commute")
+    return 2 ** (lat.n_sites - rank_gf2(gens))
 
 
 @dataclass(frozen=True)
@@ -212,6 +216,7 @@ def logical_pair(lat, l: int) -> LogicalPair:
     """
     tz, tx = lat.logical_operators(l)
     gens = lat.stabilizers()
+    pivots = _pivots(gens)
     for name, op in (("tau_z", tz), ("tau_x", tx)):
         for i, gp in enumerate(gens):
             if not commutes(gp, op):
@@ -222,7 +227,7 @@ def logical_pair(lat, l: int) -> LogicalPair:
         sq = multiply(op, op)
         if not (sq.is_identity_mask and sq.k == 0):
             raise PauliError(f"{name} of hole {l} does not square to +1")
-        if in_span_gf2(gens, op):
+        if _in_span(pivots, op):
             raise PauliError(f"{name} of hole {l} lies in the stabilizer group")
     if commutes(tz, tx):
         raise PauliError(f"tau_z and tau_x of hole {l} commute")

@@ -20,11 +20,11 @@ Spectra are unchanged; eigenvectors live in the chosen frame and
 operators evaluated on them are conjugated consistently.
 
 Eigenpairs come from exact symmetry sectors (qubit tapering, Bravyi,
-Gambetta, Mezzacapo and Temme, arXiv:1701.08213).  GF(2) elimination on
-the anticommutation pattern of the stabilizer terms with all terms
-gives independent generators of the products of stabilizer terms that
-commute with every term; H is block diagonal in their common
-eigenspaces.  Each sector gets a symmetry-adapted basis (orbit
+Gambetta, Mezzacapo and Temme, arXiv:1701.08213).  GF(2) elimination
+(``pauli.eliminate``) on the anticommutation pattern of the stabilizer
+terms with all terms gives independent generators of the products of
+stabilizer terms that commute with every term; H is block diagonal in
+their common eigenspaces.  Each sector gets a symmetry-adapted basis (orbit
 representatives under the generators' X parts, with the pure-Z
 generators' parities imposed), labelled by the bits of its n - r free
 sites for r generators.  Every term is tapered once to a Pauli string
@@ -54,7 +54,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import csr_array
 
 from .lattice import FieldMask, HoledLattice
-from .pauli import PauliString, commutes, in_span_gf2, multiply
+from .pauli import PauliString, commutes, eliminate, in_span_gf2, multiply
 
 DIMENSION_CAP = 24
 SECTOR_DENSE_CAP = 1 << 10    # largest sector diagonalized by dense eigh
@@ -244,32 +244,12 @@ def _count(a: np.ndarray, mask: int) -> np.ndarray:
     return np.bitwise_count(a & np.uint64(mask)).astype(np.int64)
 
 
-def _eliminate(rows: list[list], nbits: int):
-    """Gauss-Jordan elimination over GF(2) of rows [mask, ...], highest
-    bit first; later entries are XORed along, or multiplied if Pauli
-    strings.  Returns the (pivot bit, row) pairs in reduced row echelon
-    form and the rows eliminated to a zero mask."""
-    rows = list(rows)
-    done: list[tuple[int, list]] = []
-    for bit in reversed(range(nbits)):
-        hit = next((r for r in rows if r[0] >> bit & 1), None)
-        if hit is None:
-            continue
-        rows.remove(hit)
-        for r in rows + [r for _, r in done]:
-            if r[0] >> bit & 1:
-                r[:] = [multiply(a, b) if isinstance(a, PauliString) else a ^ b
-                        for a, b in zip(r, hit)]
-        done.append((bit, hit))
-    return done, rows
-
-
 def _conserved_generators(H: SpinHamiltonian) -> list[PauliString]:
     """Independent products of stabilizer terms commuting with every term:
     the stabilizer terms' anticommutation patterns with all terms,
     eliminated to zero, with independent (x|z) masks."""
     paulis = [p for _, p in H.terms]
-    _, kernel = _eliminate(
+    _, kernel = eliminate(
         [[sum(1 << t for t, q in enumerate(paulis) if not commutes(s, q)), s]
          for s in paulis[:H.n_stabilizer_terms]], len(paulis))
     gens: list[PauliString] = []
@@ -297,7 +277,7 @@ class _Sectors:
         n = H.n
         self.H = H
         self.r = len(gens)
-        rows, _ = _eliminate(
+        rows, _ = eliminate(
             [[(p.x << n) | p.z, p, 1 << j] for j, p in enumerate(gens)],
             2 * n)
         # (x pivot site, row operator g, its generator combination)
@@ -306,7 +286,7 @@ class _Sectors:
         free = ((1 << n) - 1) & ~sum(1 << q for q, _, _ in self.orbit)
         # z.b = comb.t + k/2 (mod 2) for the pure-Z rows i^k Z^z
         self.parities = [
-            (bit, m, c, k) for bit, (m, c, k) in _eliminate(
+            (bit, m, c, k) for bit, (m, c, k) in eliminate(
                 [[p.z & free, c, p.k >> 1 & 1] for bit, (_, p, c) in rows
                  if bit < n], n)[0]]
         fixed = sum(1 << q for q, *_ in self.parities)
@@ -353,7 +333,10 @@ class _Sectors:
                         for c, comb, p in self.terms))
 
     def embed(self, t: int, coeffs: np.ndarray) -> np.ndarray:
-        """Full-space columns of the sector-t coefficient columns."""
+        """Full-space columns of the sector-t coefficient columns; with
+        no generator (r = 0) the sector basis is the full one."""
+        if not self.r:
+            return coeffs
         idx = self.representatives(t)
         amp = coeffs / np.sqrt(2.0 ** len(self.orbit))
         for _, g, comb in self.orbit:
@@ -535,9 +518,9 @@ def vortex_dispersion(params: DispersionParams, kx, ky):
     """Vortex band sqrt((xi + 2g)^2 - xi^2) with diagonal hopping
     xi = 2 hx [cos(kx+ky) + cos(kx-ky)]; lattice constant 1."""
     g, hx = params.g, params.hx
-    if 4 * hx >= g:
+    if 4 * abs(hx) >= g:
         raise SpectraError(
-            f"vortex gap closes for 4*hx >= g (hx={hx}, g={g})")
+            f"vortex gap closes for 4*|hx| >= g (hx={hx}, g={g})")
     xi = 2.0 * hx * (np.cos(np.asarray(kx) + np.asarray(ky))
                      + np.cos(np.asarray(kx) - np.asarray(ky)))
     return np.sqrt((xi + 2 * g) ** 2 - xi ** 2)
@@ -548,9 +531,9 @@ def fermion_dispersion(params: DispersionParams, kx, ky,
     """Fermion branches: straight-line hopping xi = 4 hy cos k along x
     (vertical-link branch) or along y (parallel-link branch)."""
     g, hy = params.g, params.hy
-    if 2 * hy >= g:
+    if 2 * abs(hy) >= g:
         raise SpectraError(
-            f"fermion gap closes for 2*hy >= g (hy={hy}, g={g})")
+            f"fermion gap closes for 2*|hy| >= g (hy={hy}, g={g})")
     if branch == "vertical":
         xi = 4.0 * hy * np.cos(np.asarray(kx))
     elif branch == "parallel":
@@ -562,16 +545,16 @@ def fermion_dispersion(params: DispersionParams, kx, ky,
 
 def vortex_gap(params: DispersionParams) -> float:
     g, hx = params.g, params.hx
-    if 4 * hx >= g:
-        raise SpectraError("vortex gap closes for 4*hx >= g")
-    return 2 * g * np.sqrt(1 - 4 * hx / g)
+    if 4 * abs(hx) >= g:
+        raise SpectraError("vortex gap closes for 4*|hx| >= g")
+    return 2 * g * np.sqrt(1 - 4 * abs(hx) / g)
 
 
 def fermion_gap(params: DispersionParams) -> float:
     g, hy = params.g, params.hy
-    if 2 * hy >= g:
-        raise SpectraError("fermion gap closes for 2*hy >= g")
-    return 4 * g * np.sqrt(1 - 2 * hy / g)
+    if 2 * abs(hy) >= g:
+        raise SpectraError("fermion gap closes for 2*|hy| >= g")
+    return 4 * g * np.sqrt(1 - 2 * abs(hy) / g)
 
 
 def dispersion_grid(params: DispersionParams, kind: str, npts: int = 512,

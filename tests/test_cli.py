@@ -110,6 +110,29 @@ def test_tomography_rejects_state_file_of_other_size(tmp_path, capsys, shots):
     assert "holds 4 amplitudes, --n 1 needs 2" in err["message"]
 
 
+def test_tomography_rejects_register_above_the_cap(tmp_path, capsys):
+    """--n 13 is refused before any state or plan is built."""
+    out = tmp_path / "t.json"
+    rc = main(["tomography", "--n", "13", "--output", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MeasureError"
+    assert "n <= 12, the register cap" in err["message"]
+
+
+@pytest.mark.parametrize("kind, field", [("vortex", "--hx"),
+                                         ("fermion", "--hy")])
+def test_dispersion_rejects_negative_gap_closing_field(kind, field, tmp_path,
+                                                       capsys):
+    out = tmp_path / "d.csv"
+    rc = main(["dispersion", "--kind", kind, field, "-0.6", "--npts", "8",
+               "--sample", "2", "--output", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err)["error"] == "SpectraError"
+
+
 def test_decoherence_sweep_csv(tmp_path):
     text = run(["decoherence", "--sweep", "hx=0.005:0.05:6", "--Lp", "10"],
                tmp_path / "c.csv")

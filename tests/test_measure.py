@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfcode.effective import PseudoSpinState
+from surfcode.effective import CHAIN_CAP, PseudoSpinState
 from surfcode.measure import (EntangledState, InterferencePaths,
                               MeasureError, Observable, fermion_readout,
                               forward_readouts, interference_amplitude,
@@ -171,6 +171,13 @@ def test_plan_parameter_counts():
     assert plan4.parameter_count == 30
     assert not plan4.complete          # flagged: no known scheme for n > 3
     assert tomography_plan(3).complete
+
+
+def test_plan_rejects_registers_above_the_chain_cap():
+    with pytest.raises(MeasureError, match=f"n <= {CHAIN_CAP}"):
+        tomography_plan(CHAIN_CAP + 1)
+    with pytest.raises(MeasureError):
+        tomography_plan(0)
 
 
 def test_plan_covers_all_subsets():

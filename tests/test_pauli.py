@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surfcode as sc
-from surfcode.pauli import (PauliError, PauliString, StabilizerGroup,
-                            commutes, in_span_gf2, multiply, rank_gf2)
+from surfcode.pauli import (PauliError, PauliString, commutes, eliminate,
+                            in_span_gf2, multiply, rank_gf2)
 
 I2 = np.eye(2)
 MX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -118,7 +118,47 @@ def test_rank_gf2_simple():
 def test_all_generators_commute(one_hole_lattice, two_hole_lattice,
                                 puncture_lattice):
     for lat in (one_hole_lattice, two_hole_lattice, puncture_lattice):
-        StabilizerGroup.from_generators(lat.stabilizers())  # raises on failure
+        gens = lat.stabilizers()
+        assert all(commutes(a, b) for a in gens for b in gens)
+        sc.ground_degeneracy(lat)  # raises on a non-commuting pair
+
+
+def test_ground_degeneracy_rejects_anticommuting_generators():
+    class Frustrated:
+        n_sites = 2
+
+        def stabilizers(self):
+            return [PauliString.sx(2, 0), PauliString.sz(2, 0)]
+    with pytest.raises(PauliError, match="generators 0 and 1"):
+        sc.ground_degeneracy(Frustrated())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_eliminate_against_span_enumeration(n, data):
+    """Rank, span membership and the echelon form of ``eliminate`` on up
+    to 8 random strings, against the span enumerated by brute force."""
+    bits = st.integers(0, 2 ** n - 1)
+    strings = data.draw(st.lists(
+        st.builds(PauliString, st.just(n), bits, bits, st.integers(0, 3)),
+        max_size=8))
+    span = {0}
+    for s in strings:
+        span |= {v ^ ((s.x << n) | s.z) for v in span}
+    assert 2 ** rank_gf2(strings) == len(span)
+    probe = PauliString(n, data.draw(bits), data.draw(bits))
+    assert in_span_gf2(strings, probe) == (((probe.x << n) | probe.z) in span)
+
+    pivots, zero = eliminate([[(s.x << n) | s.z, s] for s in strings], 2 * n)
+    assert len(pivots) + len(zero) == len(strings)
+    bits_seen = [bit for bit, _ in pivots]
+    assert bits_seen == sorted(bits_seen, reverse=True)
+    for bit, (mask, p) in pivots:
+        assert mask.bit_length() == bit + 1
+        assert all(not m >> bit & 1 for b, (m, _) in pivots if b != bit)
+    for mask, p in [row for _, row in pivots] + zero:
+        assert (p.x << n) | p.z == mask
+    assert all(mask == 0 for mask, _ in zero)
 
 
 @pytest.mark.parametrize("w,h,boundary,holes,q", [

@@ -144,21 +144,21 @@ def test_flat_bands_at_zero_field():
     assert np.allclose(fermion_dispersion(p, KX, KY, "parallel"), 4.0)
 
 
-@pytest.mark.parametrize("hx", [0.0, 0.05, 0.1])
+@pytest.mark.parametrize("hx", [0.0, 0.05, 0.1, -0.05, -0.1])
 def test_vortex_gap_grid_minimum(hx):
     p = DispersionParams(1.0, hx=hx)
     _, _, E = dispersion_grid(p, "vortex", npts=512)
-    assert abs(E.min() - 2.0 * np.sqrt(1 - 4 * hx)) < 1e-9
-    assert abs(vortex_gap(p) - 2.0 * np.sqrt(1 - 4 * hx)) < 1e-12
+    assert abs(E.min() - 2.0 * np.sqrt(1 - 4 * abs(hx))) < 1e-9
+    assert abs(vortex_gap(p) - 2.0 * np.sqrt(1 - 4 * abs(hx))) < 1e-12
 
 
-@pytest.mark.parametrize("hy", [0.0, 0.05, 0.1])
+@pytest.mark.parametrize("hy", [0.0, 0.05, 0.1, -0.05, -0.1])
 @pytest.mark.parametrize("branch", ["vertical", "parallel"])
 def test_fermion_gap_grid_minimum(hy, branch):
     p = DispersionParams(1.0, hy=hy)
     _, _, E = dispersion_grid(p, "fermion", npts=512, branch=branch)
-    assert abs(E.min() - 4.0 * np.sqrt(1 - 2 * hy)) < 1e-9
-    assert abs(fermion_gap(p) - 4.0 * np.sqrt(1 - 2 * hy)) < 1e-12
+    assert abs(E.min() - 4.0 * np.sqrt(1 - 2 * abs(hy))) < 1e-9
+    assert abs(fermion_gap(p) - 4.0 * np.sqrt(1 - 2 * abs(hy))) < 1e-12
 
 
 def test_specific_gap_values():
@@ -169,10 +169,16 @@ def test_specific_gap_values():
 
 
 def test_gap_closing_flagged():
-    with pytest.raises(SpectraError):
-        vortex_dispersion(DispersionParams(1.0, hx=0.3), 0.0, 0.0)
-    with pytest.raises(SpectraError):
-        fermion_dispersion(DispersionParams(1.0, hy=0.6), 0.0, 0.0)
+    for h in (0.3, -0.3):
+        with pytest.raises(SpectraError):
+            vortex_dispersion(DispersionParams(1.0, hx=h), 0.0, 0.0)
+        with pytest.raises(SpectraError):
+            vortex_gap(DispersionParams(1.0, hx=h))
+    for h in (0.6, -0.6):
+        with pytest.raises(SpectraError):
+            fermion_dispersion(DispersionParams(1.0, hy=h), 0.0, 0.0)
+        with pytest.raises(SpectraError):
+            fermion_gap(DispersionParams(1.0, hy=h))
 
 
 # -- splitting ratio convergence -------------------------------------------
@@ -390,6 +396,16 @@ def test_every_sector_matrix_is_h_in_its_basis(name, fields, frame, flip):
                            B.conj().T @ (M @ B), rtol=0, atol=1e-12)
         rebuilt += B @ (B.conj().T @ v)
     assert np.allclose(rebuilt, v, rtol=0, atol=1e-12)
+
+
+def test_full_space_sector_embeds_in_place():
+    """With a field on every site the one sector is the full space, and
+    its coefficient columns are already full-space columns."""
+    _, lat, mask, _ = _example("torus 3x3", _ALL_SITES, 1)
+    sec = _Sectors(assemble(lat, 1.0, mask), [])
+    U = np.random.default_rng(4).standard_normal((sec.dim, 3))
+    assert sec.r == 0 and sec.dim == 512
+    assert np.shares_memory(sec.embed(0, U), U)
 
 
 def _open_flipped():
