@@ -18,7 +18,8 @@ The chain is a sum of ``PauliString`` terms on n pseudo-spins.  Qubit l
 is ``PauliString`` site n-1-l, so qubit 0 is the most significant bit of
 a basis index; ``qubit_mask`` is that mapping, shared with the readouts.
 Evolution applies exp(-iHt) to the state with ``expm_multiply`` on the
-sparse chain matrix (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011).
+real sparse chain matrix, ``spectra.pauli_sum_matrix`` of the X and Z
+terms (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011).
 """
 
 from __future__ import annotations
@@ -146,11 +147,11 @@ def qubit_mask(n: int, qubits: Sequence[int]) -> int:
     return sum(1 << (n - 1 - l) for l in set(qubits))
 
 
-def _uniform_component(mask: FieldMask, sites: Sequence[int],
+def _uniform_component(values: np.ndarray, sites: Sequence[int],
                        comp: int) -> float:
     """Field component on a path: must be uniform over the path sites;
     zero anywhere on the path disables the coupling."""
-    vals = mask.values[list(sites), comp]
+    vals = values[list(sites), comp]
     if np.any(vals == 0.0):
         return 0.0
     v0 = vals[0]
@@ -176,14 +177,15 @@ def build_chain(lat: HoledLattice, g: float, mask: FieldMask) -> EffectiveChain:
             raise EffectiveError(
                 "chain coefficients need domino holes (single-plaquette "
                 "holes have a charge-flavoured flip string)")
+    values = mask.on(lat)
     metrics = path_metrics(lat)
     hx_t, hz_t, jxx, jzz = [], [], [], []
     for l in range(n):
         _, od = lat.hole_even_odd(l)
         loop_sites = lat.cell_sites(*od)
         string_sites = region_sites(lat, {"type": "corridor", "hole": l})
-        hx_loc = _uniform_component(mask, loop_sites, 0)
-        hy_loc = _uniform_component(mask, string_sites, 1)
+        hx_loc = _uniform_component(values, loop_sites, 0)
+        hy_loc = _uniform_component(values, string_sites, 1)
         a, b = single_qubit_fields(g, hx_loc, hy_loc, metrics, l)
         hx_t.append(a)
         hz_t.append(b)
@@ -193,8 +195,8 @@ def build_chain(lat: HoledLattice, g: float, mask: FieldMask) -> EffectiveChain:
         pair_loop = sorted(set(lat.cell_sites(*o1)) | set(lat.cell_sites(*o2)))
         corridor = region_sites(lat, {"type": "corridor", "from": l,
                                       "to": l + 1})
-        hx_loc = _uniform_component(mask, pair_loop, 0)
-        hy_loc = _uniform_component(mask, corridor, 1)
+        hx_loc = _uniform_component(values, pair_loop, 0)
+        hy_loc = _uniform_component(values, corridor, 1)
         a, b = pair_couplings(g, hx_loc, hy_loc, metrics, l)
         jxx.append(a)
         jzz.append(b)
@@ -387,8 +389,7 @@ def adiabatic_init(template: ChainTemplate, schedule: AdiabaticSchedule,
     times = [-T + (i + 0.5) * dt for i in range(steps)]
     if start_state is None:
         H0 = template.at_field(g, schedule.h(-T)).matrix()
-        w, V = np.linalg.eigh(H0.real)   # X and Z terms: H is real
-        start_state = PseudoSpinState(V[:, 0])
+        start_state = PseudoSpinState(np.linalg.eigh(H0)[1][:, 0])
     if start_state.n != n:
         raise EffectiveError("start state size does not match template")
     target = PseudoSpinState.all_up(n)

@@ -523,6 +523,13 @@ class FieldMask:
     def __add__(self, other: "FieldMask") -> "FieldMask":
         return FieldMask(self.values + other.values)
 
+    def on(self, lat: HoledLattice) -> np.ndarray:
+        """The values, checked to hold one row per site of ``lat``."""
+        if len(self.values) != lat.n_sites:
+            raise LatticeError(f"field mask has {len(self.values)} rows; "
+                               f"the lattice has {lat.n_sites} sites")
+        return self.values
+
     def nonzero_sites(self) -> list[int]:
         return [int(i) for i in np.nonzero(np.any(self.values != 0, axis=1))[0]]
 

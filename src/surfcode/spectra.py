@@ -7,9 +7,11 @@ The Hamiltonian is a list of weighted Pauli strings,
 
 applied to state vectors without forming a matrix.  A term i^k X^x Z^z
 sends |t> to i^k (-1)^{z.t} |t XOR x>, and on the state viewed as a
-(2,)*n tensor XOR with x is a flip of x's axes, a view.  The x = 0 terms
-fold into one diagonal; the rest, summed per x mask, cost one strided
-pass each with a coefficient over only their z bits.
+(2,)*n tensor XOR with x is a flip of x's axes, a view.  Terms summed
+per x mask (``_groups``) are the one encoding of a Pauli sum: the x = 0
+group is a diagonal, each other one costs one strided pass with a
+coefficient over only its z bits, on a vector or a block of columns,
+and ``pauli_sum_matrix`` is the sparse matrix of the same groups.
 
 Because sigma^y carries imaginary entries, a term list containing only
 {stabilizers, sigma^x} or only {stabilizers, sigma^y} fields is mapped
@@ -35,11 +37,12 @@ first by branch-and-bound: the bare energy of the terms that lie in the
 group (those tapered to the identity string), minus the summed |c| of
 all other terms, bounds a sector's lowest level from below, and the
 search stops once that bound reaches the k-th lowest level found, so
-the lowest k levels are exact across sectors.  A sector of at most
-``SECTOR_DENSE_CAP`` states is diagonalized densely from
-``pauli_sum_matrix``, the builder the pseudo-spin chain uses; a larger
-one by blocked, seeded LOBPCG, whose block of random vectors resolves
-exact ground-state degeneracy, which a single-vector Lanczos cannot.
+the lowest k levels are exact across sectors.  Each visited sector
+gets one ``_Apply``: a sector of at most ``SECTOR_DENSE_CAP`` states is
+diagonalized densely from its application to the identity block, a
+larger one by blocked, seeded LOBPCG on block calls, whose block of
+random vectors resolves exact ground-state degeneracy, which a
+single-vector Lanczos cannot.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import csr_array
 
 from .lattice import FieldMask, HoledLattice
-from .pauli import PauliString, commutes, eliminate, in_span_gf2, multiply
+from .pauli import PauliString, commutes, eliminate, multiply
 
 DIMENSION_CAP = 24
 SECTOR_DENSE_CAP = 1 << 10    # largest sector diagonalized by dense eigh
@@ -76,7 +79,6 @@ def _conjugate_by_s(p: PauliString) -> PauliString:
 @dataclass(frozen=True)
 class SpinHamiltonian:
     n: int
-    g: float
     terms: tuple[tuple[float, PauliString], ...]   # in the working frame
     frame: str                                     # 'plain' or 'sgate'
     dtype: object
@@ -107,7 +109,7 @@ def assemble(lat: HoledLattice, g: float,
     n_stab = len(raw)
     has = [False, False, False]
     if mask is not None:
-        vals = mask.values
+        vals = mask.on(lat)
         for site in range(n):
             hx, hy, hz = vals[site]
             if hx:
@@ -129,7 +131,7 @@ def assemble(lat: HoledLattice, g: float,
         if abs((c * p.phase).imag) > 0:
             dtype = np.complex128
             break
-    return SpinHamiltonian(n, float(g), tuple(raw), frame, dtype, n_stab)
+    return SpinHamiltonian(n, tuple(raw), frame, dtype, n_stab)
 
 
 def _axes(n: int, mask: int) -> tuple[int, ...]:
@@ -138,79 +140,77 @@ def _axes(n: int, mask: int) -> tuple[int, ...]:
     return tuple(n - 1 - j for j in range(n) if mask >> j & 1)
 
 
-def _z_sum(n: int, terms, x: int, dtype) -> np.ndarray:
-    """sum_j c_j i^k_j (-1)^{z_j.x} (-1)^{z_j.t} over basis states t, the
-    factor that multiplies v[t ^ x] in (sum_j c_j P_j v)[t], as a tensor
-    broadcastable over the (2,)*n state tensor.  Axes outside the union
-    of the z masks have length 1, so it holds 2^|union| entries."""
+def _z_sum(n: int, terms) -> np.ndarray:
+    """sum_j c_j i^k_j (-1)^{z_j.x} (-1)^{z_j.t} over basis states t for
+    terms sharing one x mask, the factor that multiplies v[t ^ x] in
+    (sum_j c_j P_j v)[t], as a tensor broadcastable over the (2,)*n state
+    tensor.  Axes outside the union of the z masks have length 1, so it
+    holds 2^|union| entries.  It is real when every c_j i^k_j is."""
+    real = all((c * p.phase).imag == 0 for c, p in terms)
     out = np.zeros([1 + any(p.z >> (n - 1 - a) & 1 for _, p in terms)
-                    for a in range(n)], dtype=dtype)
+                    for a in range(n)], np.float64 if real else np.complex128)
     flip = np.array([1.0, -1.0])
     for c, p in terms:
         coeff = c * p.phase * (1 - 2 * _parity(p.z & p.x))
         sign = np.ones((1,) * n)
         for a in _axes(n, p.z):
             sign = sign * flip.reshape((1,) * a + (2,) + (1,) * (n - 1 - a))
-        out += (coeff.real if out.dtype == np.float64 else coeff) * sign
+        out += (coeff.real if real else coeff) * sign
     return out
 
 
+def _groups(n: int, terms) -> list[tuple[int, np.ndarray]]:
+    """The one encoding of a Pauli sum: a (x mask, ``_z_sum``) pair per
+    distinct x mask, x = 0 first (zero if no term is diagonal), so that
+    (sum_j c_j P_j v)[t] = sum over pairs of coeff[t] v[t ^ x]."""
+    by_x: dict[int, list] = {0: []}
+    for c, p in terms:
+        by_x.setdefault(p.x, []).append((c, p))
+    return [(x, _z_sum(n, group)) for x, group in by_x.items()]
+
+
 class _Apply:
-    """Matrix-free application of a term list: the x = 0 terms folded
-    into one diagonal, and in ``prepped`` one (flip axes, ``_z_sum``)
-    entry per other x mask."""
+    """Matrix-free application of a term list to (2^n,) states or
+    (2^n, k) blocks: the x = 0 group is the diagonal ``diag``, and
+    ``prepped`` holds one (flip axes, ``_z_sum``) entry per other group."""
 
     def __init__(self, H: SpinHamiltonian):
         self.H = H
-        self.dim = H.dimension
-        self.shape = (2,) * H.n
-        diagonal, groups = [], {}
-        for c, p in H.terms:
-            if p.x:
-                groups.setdefault(p.x, []).append((c, p))
-            else:
-                diagonal.append((c, p))
-        real = all((c * p.phase).imag == 0 for c, p in diagonal)
-        self.diag = _z_sum(H.n, diagonal, 0,
-                           np.float64 if real else np.complex128)
-        self.prepped = [(_axes(H.n, x), _z_sum(H.n, terms, x, H.dtype))
-                        for x, terms in groups.items()]
+        (_, self.diag), *rest = _groups(H.n, H.terms)
+        self.prepped = [(_axes(H.n, x), coeff) for x, coeff in rest]
+        self.dtype = np.result_type(self.diag, *(c for _, c in rest))
 
     def __call__(self, v):
-        v = np.asarray(v).reshape(self.shape)
-        dtype = np.result_type(v.dtype, self.H.dtype)
-        out = np.multiply(self.diag, v, dtype=dtype)
-        tmp = np.empty(self.shape, dtype=dtype)
+        v = np.asarray(v)
+        t = v.reshape((2,) * self.H.n + v.shape[1:])
+        tail = (...,) + (None,) * (v.ndim - 1)      # over a block's columns
+        out = np.multiply(self.diag[tail], t,
+                          dtype=np.result_type(v, self.dtype))
+        tmp = np.empty_like(out)
         for axes, coeff in self.prepped:
-            np.multiply(coeff, np.flip(v, axes), out=tmp)
+            np.multiply(coeff[tail], np.flip(t, axes), out=tmp)
             out += tmp
-        return out.reshape(self.dim)
+        return out.reshape(v.shape)
 
 
 def apply_pauli(p: PauliString, v: np.ndarray) -> np.ndarray:
-    """P|v> for a single Pauli string on a full state vector."""
-    shape = (2,) * p.n
-    v = np.asarray(v).reshape(shape)
-    dtype = np.float64 if p.k % 2 == 0 else np.complex128
-    coeff = _z_sum(p.n, [(1.0, p)], p.x, dtype)
-    return (coeff * np.flip(v, _axes(p.n, p.x))).reshape(1 << p.n)
+    """P|v> for a single Pauli string on (2^n,) states or (2^n, k) blocks."""
+    v = np.asarray(v)
+    _, coeff = _groups(p.n, [(1.0, p)])[-1]
+    t = np.flip(v.reshape((2,) * p.n + v.shape[1:]), _axes(p.n, p.x))
+    return (coeff[(...,) + (None,) * (v.ndim - 1)] * t).reshape(v.shape)
 
 
 def pauli_sum_matrix(terms, n: int) -> csr_array:
-    """Sparse matrix of sum_j c_j P_j over n sites, in O(terms * 2^n).
-
-    Column s of P holds i^k (-1)^{popcount(z & s)} in row s XOR x; the
-    CSR conversion sums duplicate entries, which fuses the diagonal terms
-    and merges terms that share an x mask."""
-    dim = 1 << n
-    s = np.arange(dim)
-    rows = np.empty((len(terms), dim), dtype=np.int64)
-    vals = np.empty((len(terms), dim), dtype=complex)
-    for j, (c, p) in enumerate(terms):
-        rows[j] = s ^ p.x
-        vals[j] = (c * p.phase) * (1.0 - 2.0 * (np.bitwise_count(s & p.z) & 1))
-    cols = np.broadcast_to(s, rows.shape)
-    return csr_array((vals.ravel(), (rows.ravel(), cols.ravel())),
+    """Sparse matrix of sum_j c_j P_j over n sites from its x-mask groups:
+    row t holds each group's coefficient at column t XOR x.  It is real
+    when every group is."""
+    dim, groups = 1 << n, _groups(n, terms)
+    cols = np.arange(dim)[:, None] ^ np.array([x for x, _ in groups])
+    vals = np.stack([np.broadcast_to(c, (2,) * n).ravel()
+                     for _, c in groups], axis=1)
+    return csr_array((vals.ravel(), cols.ravel(),
+                      np.arange(0, cols.size + 1, len(groups))),
                      shape=(dim, dim))
 
 
@@ -247,16 +247,17 @@ def _count(a: np.ndarray, mask: int) -> np.ndarray:
 def _conserved_generators(H: SpinHamiltonian) -> list[PauliString]:
     """Independent products of stabilizer terms commuting with every term:
     the stabilizer terms' anticommutation patterns with all terms,
-    eliminated to zero, with independent (x|z) masks."""
-    paulis = [p for _, p in H.terms]
+    eliminated to zero, less each product whose (x|z) mask depends on
+    earlier ones, i.e. that leads a zero combination of the masks."""
+    n, paulis = H.n, [p for _, p in H.terms]
     _, kernel = eliminate(
         [[sum(1 << t for t, q in enumerate(paulis) if not commutes(s, q)), s]
          for s in paulis[:H.n_stabilizer_terms]], len(paulis))
-    gens: list[PauliString] = []
-    for _, s in kernel:
-        if not in_span_gf2(gens, s):
-            gens.append(s)
-    return gens
+    _, zero = eliminate([[(s.x << n) | s.z, 1 << j]
+                         for j, (_, s) in enumerate(kernel)], 2 * n)
+    dependent = {bit for bit, _ in eliminate([[c] for _, c in zero],
+                                             len(kernel))[0]}
+    return [s for j, (_, s) in enumerate(kernel) if j not in dependent]
 
 
 class _Sectors:
@@ -385,16 +386,14 @@ def _sector_eigs(H: SpinHamiltonian, sec: _Sectors, k: int, tol: float,
                 heapq.heappush(
                     heap, (e - pool[depth + 1] - rest, -depth - 1, tt, e))
             continue
-        Hs, m = sec.hamiltonian(t), min(k, sec.dim)
+        A, m = _Apply(sec.hamiltonian(t)), min(k, sec.dim)
         if sec.dim <= SECTOR_DENSE_CAP:
-            M = pauli_sum_matrix(Hs.terms, Hs.n).toarray()
-            M = M.real if H.dtype == np.float64 else M
-            w, U = np.linalg.eigh(M)
+            w, U = np.linalg.eigh(A(np.eye(sec.dim, dtype=H.dtype)))
             w, U = w[:m], U[:, :m]
-            res = np.linalg.norm(M @ U - U * w, axis=0)
         else:
-            w, U, res, caught = _lobpcg(Hs, m, tol, seed, maxiter)
+            w, U, caught = _lobpcg(A, m, tol, seed, maxiter)
             notes += caught
+        res = np.linalg.norm(A(U) - U * w, axis=0)
         levels.extend((w[i], len(solved), i) for i in range(m))
         solved.append((t, U, res))
         levels.sort(key=lambda lv: lv[0])
@@ -411,26 +410,21 @@ def _sector_eigs(H: SpinHamiltonian, sec: _Sectors, k: int, tol: float,
     return vals, vecs, res, (sec.dim,) * len(solved), notes
 
 
-def _lobpcg(H: SpinHamiltonian, k: int, tol: float, seed: int,
-            maxiter: int):
-    dim = H.dimension
-    apply_h = _Apply(H)
+def _lobpcg(A: _Apply, k: int, tol: float, seed: int, maxiter: int):
+    H, dim = A.H, A.H.dimension
     block = min(dim - 1, k + 2)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((dim, block))
     if H.dtype == np.complex128:
         X = X + 1j * rng.standard_normal((dim, block))
-    A = spla.LinearOperator((dim, dim), matvec=apply_h, dtype=H.dtype)
+    op = spla.LinearOperator((dim, dim), matvec=A, matmat=A, dtype=H.dtype)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        vals, vecs = spla.lobpcg(A, X, largest=False, tol=tol * H.norm_bound,
-                                 maxiter=maxiter)
-    order = np.argsort(vals)
-    vals = np.asarray(vals)[order][:k]
-    vecs = np.asarray(vecs)[:, order][:, :k]
-    res = np.array([np.linalg.norm(apply_h(v) - w * v)
-                    for w, v in zip(vals, vecs.T)])
-    return vals, vecs, res, [str(w.message) for w in caught]
+        vals, vecs = spla.lobpcg(op, X, largest=False,
+                                 tol=tol * H.norm_bound, maxiter=maxiter)
+    order = np.argsort(vals)[:k]
+    return (np.asarray(vals)[order], np.asarray(vecs)[:, order],
+            [str(w.message) for w in caught])
 
 
 def lowest_eigs(H: SpinHamiltonian, k_count: int, tol: float = 1e-10,
@@ -476,20 +470,14 @@ def ground_splitting(spectrum: Spectrum, n_holes: int) -> dict:
 
 def logical_expectation(spectrum: Spectrum, logical: PauliString,
                         subspace_dim: int) -> np.ndarray:
-    """Matrix <v_a| L |v_b> on the lowest ``subspace_dim`` eigenvectors."""
+    """Matrix <v_a| L |v_b> on the lowest ``subspace_dim`` eigenvectors,
+    real when both they and L are."""
     have = spectrum.eigenvectors.shape[1]
     if subspace_dim > have:
         raise SpectraError(f"subspace_dim {subspace_dim} exceeds the {have} "
                            f"eigenvectors of the spectrum")
-    H = spectrum.hamiltonian
-    L = H.to_frame(logical)
-    vecs = spectrum.eigenvectors[:, :subspace_dim].astype(np.complex128)
-    out = np.empty((subspace_dim, subspace_dim), dtype=np.complex128)
-    for b in range(subspace_dim):
-        Lv = apply_pauli(L, vecs[:, b])
-        for a in range(subspace_dim):
-            out[a, b] = np.vdot(vecs[:, a], Lv)
-    return out
+    V = spectrum.eigenvectors[:, :subspace_dim]
+    return V.conj().T @ apply_pauli(spectrum.hamiltonian.to_frame(logical), V)
 
 
 def flux_basis(spectrum: Spectrum, tau_z: PauliString,

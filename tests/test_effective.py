@@ -92,6 +92,14 @@ def test_build_chain_rejects_punctures(puncture_lattice):
                     sc.FieldMask.zeros(puncture_lattice))
 
 
+def test_build_chain_rejects_a_mask_of_another_lattice(one_hole_lattice,
+                                                       two_hole_lattice):
+    with pytest.raises(sc.LatticeError,
+                       match="20 rows; the lattice has 16 sites"):
+        build_chain(one_hole_lattice, 1.0,
+                    sc.FieldMask.zeros(two_hole_lattice))
+
+
 def test_chain_three_holes_shape():
     chain = EffectiveChain(3, (0.1, 0.2), (0.0, 0.0),
                            (0.01, 0.02, 0.03), (0.0, 0.0, 0.0))

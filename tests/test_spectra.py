@@ -62,8 +62,23 @@ def test_dimension_cap():
         assemble(lat, 1.0)
 
 
+def test_assemble_rejects_a_mask_of_another_lattice(one_hole_lattice,
+                                                    two_hole_lattice):
+    """A 20-row mask with fields on sites 17 and 18 on a 16-site lattice
+    (whose fields the site loop dropped) and a 16-row mask on a 20-site
+    lattice are refused with both counts."""
+    values = np.zeros((20, 3))
+    values[17, 0] = values[18, 1] = 0.1
+    with pytest.raises(sc.LatticeError,
+                       match="20 rows; the lattice has 16 sites"):
+        assemble(one_hole_lattice, 1.0, sc.FieldMask(values))
+    with pytest.raises(sc.LatticeError,
+                       match="16 rows; the lattice has 20 sites"):
+        assemble(two_hole_lattice, 1.0, sc.FieldMask.zeros(one_hole_lattice))
+
+
 def test_identity_operator_eigenvalue():
-    H = SpinHamiltonian(4, 1.0, ((2.5, PauliString.identity(4)),),
+    H = SpinHamiltonian(4, ((2.5, PauliString.identity(4)),),
                         "plain", np.float64, 1)
     spec = lowest_eigs(H, 1, tol=1e-9)
     assert abs(spec.eigenvalues[0] - 2.5) < 1e-8
@@ -392,8 +407,11 @@ def test_every_sector_matrix_is_h_in_its_basis(name, fields, frame, flip):
                            atol=1e-12)
         Hs = sec.hamiltonian(t)
         assert Hs.n == len(sec.sites) and Hs.dimension == sec.dim
+        want = B.conj().T @ (M @ B)
         assert np.allclose(pauli_sum_matrix(Hs.terms, Hs.n).toarray(),
-                           B.conj().T @ (M @ B), rtol=0, atol=1e-12)
+                           want, rtol=0, atol=1e-12)
+        assert np.allclose(_Apply(Hs)(np.eye(sec.dim)), want, rtol=0,
+                           atol=1e-12)
         rebuilt += B @ (B.conj().T @ v)
     assert np.allclose(rebuilt, v, rtol=0, atol=1e-12)
 
@@ -511,7 +529,7 @@ def _ham(n, terms, frame="plain"):
     if frame == "sgate":
         terms = [(c, _conjugate_by_s(p)) for c, p in terms]
     real = all(abs((c * p.phase).imag) == 0 for c, p in terms)
-    return SpinHamiltonian(n, 1.0, tuple(terms), frame,
+    return SpinHamiltonian(n, tuple(terms), frame,
                            np.float64 if real else np.complex128, 0)
 
 
@@ -530,24 +548,54 @@ def _random_terms(rng, n, count, real):
 
 def _check_kernel(H, rng):
     """_Apply and apply_pauli against the Kronecker-built matrix on real
-    and complex vectors and on the strided columns of a block."""
+    and complex vectors, on the strided columns of a block, and on real
+    and complex (dim, 3) blocks, which also equal column-by-column
+    application; every call returns its input's shape."""
     M = _kron_matrix(H)
     apply_h = _Apply(H)
     tol = 1e-12 * max(H.norm_bound, 1.0)
     dim = H.dimension
     X = rng.standard_normal((dim, 4)) + 1j * rng.standard_normal((dim, 4))
-    for v in (X[:, 0].real.copy(), X[:, 1], X[:, 2:3], X.real[:, 3]):
-        want = M @ v.reshape(dim)
-        assert np.allclose(apply_h(v), want, rtol=0, atol=tol)
+    for v in (X[:, 0].real.copy(), X[:, 1], X[:, 2:3], X.real[:, 3],
+              X.real[:, :3], X[:, 1:]):
+        want = (M @ v.reshape(dim, -1)).reshape(v.shape)
+        got = apply_h(v)
+        assert got.shape == v.shape
+        assert np.allclose(got, want, rtol=0, atol=tol)
         got = sum(c * apply_pauli(p, v) for c, p in H.terms)
+        assert got.shape == v.shape
         assert np.allclose(got, want, rtol=0, atol=tol)
     A = spla.LinearOperator((dim, dim), matvec=apply_h,
                             dtype=np.complex128)
     assert np.allclose(A @ X, M @ X, rtol=0, atol=tol)
+    for B in (X.real[:, :3], X[:, 1:]):
+        cols = np.stack([apply_h(b) for b in B.T], axis=1)
+        assert np.allclose(apply_h(B), cols, rtol=0, atol=tol)
     for c, p in H.terms:
         P = _kron_matrix(_ham(H.n, [(1.0, p)]))
         assert np.allclose(apply_pauli(p, X[:, 1]), P @ X[:, 1], rtol=0,
                            atol=1e-12)
+        for B in (X.real[:, :3], X[:, 1:]):
+            cols = np.stack([apply_pauli(p, b) for b in B.T], axis=1)
+            assert np.allclose(apply_pauli(p, B), cols, rtol=0, atol=1e-12)
+            assert np.allclose(apply_pauli(p, B), P @ B, rtol=0, atol=1e-12)
+
+
+def test_pauli_sum_matrix_against_kronecker():
+    """pauli_sum_matrix equals the Kronecker-built matrix on real terms,
+    where it is float64, and on x and y fields of the same sites and on
+    random phases over shared x masks with an identity term, where it is
+    complex."""
+    n, rng = 5, np.random.default_rng(17)
+    xy = [(0.3 * (j + 1), f(n, j)) for j in (0, 2, 3)
+          for f in (PauliString.sx, PauliString.sy)]
+    for terms, dtype in ((_random_terms(rng, n, 12, True), np.float64),
+                         (xy, np.complex128),
+                         (_random_terms(rng, n, 12, False), np.complex128)):
+        M = pauli_sum_matrix(terms, n)
+        assert M.dtype == dtype
+        assert np.allclose(M.toarray(), _kron_matrix(_ham(n, terms)),
+                           rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 4, 7, 10])
