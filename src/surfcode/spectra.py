@@ -33,16 +33,28 @@ sites for r generators.  Every term is tapered once to a Pauli string
 on those sites times a character of the sector, so a sector is itself
 a ``SpinHamiltonian`` on n - r sites; with no generator (a field on
 every site) the one sector is the full space.  Sectors are visited best
-first by branch-and-bound: the bare energy of the terms that lie in the
-group (those tapered to the identity string), minus the summed |c| of
-all other terms, bounds a sector's lowest level from below, and the
-search stops once that bound reaches the k-th lowest level found, so
-the lowest k levels are exact across sectors.  Each visited sector
-gets one ``_Apply``: a sector of at most ``SECTOR_DENSE_CAP`` states is
+first by branch-and-bound on the sector bits, and the search stops once
+the lowest bound left reaches the k-th lowest level found, so the
+lowest k levels are exact across sectors.  Each visited sector gets one
+``_Apply``: a sector of at most ``SECTOR_DENSE_CAP`` states is
 diagonalized densely from its application to the identity block, a
 larger one by blocked, seeded LOBPCG on block calls, whose block of
 random vectors resolves exact ground-state degeneracy, which a
 single-vector Lanczos cannot.
+
+Sector t is its bare energy (the terms tapered to the identity string)
+plus R_t, the other terms.  An inner node of the search is bounded by
+the bare energy of its fixed bits less the |c| of everything else.  A
+sector gets a floor, the lowest level of D_s - M: D_s is R_t's
+diagonal, whose signs s depend on t, and M = sum_x (sum of |c| over the
+x group) X^x bounds every off-diagonal entry of every R_t.  For any
+psi, <psi|R_t|psi> >= <|psi||D_s - M||psi|>, the comparison behind
+stoquastic bounds (Bravyi, DiVincenzo, Oliveira and Terhal,
+arXiv:quant-ph/0606140), so the floor is a rigorous lower bound.  It is
+solved once per s, densely up to the cap and above it as the LOBPCG
+Ritz value less its residual norm, and it is never below -sum |c| of
+R_t, the inner nodes' bound.  With r = 0 nothing is pruned and no floor
+is solved.
 """
 
 from __future__ import annotations
@@ -100,6 +112,8 @@ def assemble(lat: HoledLattice, g: float,
              mask: Optional[FieldMask] = None) -> SpinHamiltonian:
     """Hamiltonian term list: -g per stabilizer plus per-site field terms."""
     n = lat.n_sites
+    if not np.isfinite(g):
+        raise SpectraError(f"g must be finite, got {g}")
     if n > DIMENSION_CAP:
         raise SpectraError(
             f"{n} spins exceeds the dimension cap {DIMENSION_CAP}")
@@ -296,6 +310,19 @@ class _Sectors:
         # (c, comb, P'): the term c P acts on sector t as
         # c (-1)^{|comb & t|} P', P' a string on ``sites``
         self.terms = [(c, *self._taper(p)) for c, p in H.terms]
+        # M = sum_x (summed |c| of the x group) X^x bounds the entries of
+        # every sector's off-diagonal part; floors are cached per signature
+        weight: dict[int, float] = {}
+        for c, _, p in self.terms:
+            if p.x:
+                weight[p.x] = weight.get(p.x, 0.0) + abs(c)
+        self.majorant = tuple((-w, PauliString(len(self.sites), x, 0))
+                              for x, w in weight.items())
+        self.diagonal = [(c, comb, p) for c, comb, p in self.terms
+                         if not p.x and p.z]
+        self.rest = sum(abs(c) for c, _, p in self.terms
+                        if not p.is_identity_mask)
+        self.floors: dict[tuple, float] = {}
 
     def _taper(self, p: PauliString) -> tuple[int, PauliString]:
         """Orbit rows clear p's x bits at their pivots (P|psi_b> =
@@ -333,6 +360,29 @@ class _Sectors:
             terms=tuple((c * (1 - 2 * _parity(comb & t)), p)
                         for c, comb, p in self.terms))
 
+    def floor(self, t: int, tol: float, seed: int, maxiter: int,
+              notes: list) -> float:
+        """Lower bound on the lowest level of R_t, the non-identity terms of
+        sector t: lambda_min(D_s - M), D_s its diagonal terms, solved once
+        per sign pattern s; -rest where an above-cap solve did not
+        converge (warnings go to ``notes``)."""
+        diag = tuple((c * (1 - 2 * _parity(comb & t)), p)
+                     for c, comb, p in self.diagonal)
+        key = tuple(c for c, _ in diag)
+        if key not in self.floors:
+            A = _Apply(replace(self.H, n=len(self.sites), dtype=np.float64,
+                               terms=diag + self.majorant))
+            if self.dim <= SECTOR_DENSE_CAP:
+                low = np.linalg.eigvalsh(A(np.eye(self.dim)))[0]
+            else:
+                w, U, caught = _lobpcg(A, 1, tol, seed, maxiter)
+                res = np.linalg.norm(A(U) - U * w)
+                notes += caught
+                low = (w[0] - res if res <= 50 * tol * self.H.norm_bound
+                       else -np.inf)
+            self.floors[key] = max(low, -self.rest)
+        return self.floors[key]
+
     def embed(self, t: int, coeffs: np.ndarray) -> np.ndarray:
         """Full-space columns of the sector-t coefficient columns; with
         no generator (r = 0) the sector basis is the full one."""
@@ -357,12 +407,12 @@ def _sector_eigs(H: SpinHamiltonian, sec: _Sectors, k: int, tol: float,
     """Lowest k levels over all sectors by best-first branch-and-bound
     on the syndrome bits; returns (vals, vecs, res, sector dims, LOBPCG
     warnings)."""
-    const, rest = 0.0, 0.0
+    const, rest = 0.0, sec.rest
     by_bit: list[list[tuple[float, int]]] = [[] for _ in range(sec.r)]
     for coeff, comb, p in sec.terms:
         if not p.is_identity_mask:
-            rest += abs(coeff)
-        elif comb:
+            continue
+        if comb:
             by_bit[comb.bit_length() - 1].append((coeff * (1 - (p.k & 2)),
                                                  comb))
         else:
@@ -383,8 +433,9 @@ def _sector_eigs(H: SpinHamiltonian, sec: _Sectors, k: int, tol: float,
                 tt = t | bit << depth
                 e = bare + sum(c * (1 - 2 * _parity(comb & tt))
                                for c, comb in by_bit[depth])
-                heapq.heappush(
-                    heap, (e - pool[depth + 1] - rest, -depth - 1, tt, e))
+                key = (e + sec.floor(tt, tol, seed, maxiter, notes)
+                       if depth + 1 == sec.r else e - pool[depth + 1] - rest)
+                heapq.heappush(heap, (key, -depth - 1, tt, e))
             continue
         A, m = _Apply(sec.hamiltonian(t)), min(k, sec.dim)
         if sec.dim <= SECTOR_DENSE_CAP:
@@ -399,6 +450,9 @@ def _sector_eigs(H: SpinHamiltonian, sec: _Sectors, k: int, tol: float,
         levels.sort(key=lambda lv: lv[0])
         if len(levels) >= k:
             kth = levels[k - 1][0]
+    if len(levels) < k:
+        raise SpectraError(f"found {len(levels)} of {k} levels: is every "
+                           f"coefficient finite?")
     chosen = levels[:k]
     vecs = np.empty((H.dimension, k), dtype=H.dtype)
     for s, (t, U, _) in enumerate(solved):

@@ -174,6 +174,25 @@ def test_spectrum_single_level(one_hole_config, tmp_path):
     assert len(rep["logical_expectations"]["hole0"]["tau_z"]) == 1
 
 
+@pytest.mark.parametrize("g", ["nan", "inf"])
+def test_spectrum_rejects_a_non_finite_g(tmp_path, capsys, g):
+    """A NaN or infinite g on the one-hole annulus exits 1 with the
+    reason, where it wrote an empty spectrum."""
+    cfg = tmp_path / "annulus.json"
+    cfg.write_text(json.dumps({
+        "width": 4, "height": 4, "boundary": "open",
+        "holes": [{"x0": 1, "y0": 1, "x1": 1, "y1": 2}],
+        "fields": [{"region": {"type": "annulus", "hole": 0}, "hx": 0.05}]}))
+    out = tmp_path / "s.json"
+    rc = main(["spectrum", "--config", str(cfg), "--g", g, "--k-count", "3",
+               "--output", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SpectraError"
+    assert f"g must be finite, got {g}" in err["message"]
+
+
 def test_compare_splitting_cli(one_hole_config, tmp_path):
     text = run(["compare-splitting", "--config", one_hole_config,
                 "--axis", "y", "--h-values", "0.1", "--tol", "1e-9"],

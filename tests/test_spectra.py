@@ -342,6 +342,23 @@ def test_sector_solver_matches_dense_eigh(problem):
     assert len(spec.sector_dims) >= 1
 
 
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(_small_problems())
+def test_floor_bounds_every_sector(problem):
+    """On every sector, visited or not, the majorant floor lies below the
+    lowest level of R_t, the sector's non-identity terms, up to the
+    search's slack, and never below -rest."""
+    _, lat, mask, _ = problem
+    H = assemble(lat, 1.0, mask)
+    slack = 64 * np.finfo(float).eps * H.norm_bound
+    sec = _Sectors(H, _conserved_generators(H))
+    for t in range(1 << sec.r):
+        Hs = sec.hamiltonian(t)
+        R = [(c, p) for c, p in Hs.terms if not p.is_identity_mask]
+        low = np.linalg.eigvalsh(pauli_sum_matrix(R, Hs.n).toarray())[0]
+        assert -sec.rest <= sec.floor(t, 1e-10, 0, 2000, []) <= low + slack
+
+
 def test_sector_matches_lobpcg_on_corridor():
     """The 16-spin edge corridor: sector levels against scipy's lobpcg
     run directly on the full-space application, and the splitting
@@ -468,6 +485,124 @@ def test_lobpcg_inside_sectors_above_the_cap(monkeypatch):
     assert set(spec.sector_dims) == {256}
     want = np.linalg.eigvalsh(_kron_matrix(H))[:4]
     assert np.max(np.abs(spec.eigenvalues - want)) <= 1e-10 * H.norm_bound
+
+
+def test_lobpcg_floors_above_the_cap(monkeypatch):
+    """With the dense cap below the sector size every floor is a
+    one-level LOBPCG solve, and the levels still equal dense Kronecker
+    eigh.  Floor solves stopped by maxiter fall back to -rest, so the
+    search solves exactly the sectors the plain bound solves."""
+    monkeypatch.setattr(spectra, "SECTOR_DENSE_CAP", 16)
+    fields = {site: (0.1, 0, 0.1) for site in (0, 1, 2, 4)}
+    _, lat, mask, _ = _example("open 3x3 puncture", fields, 1)
+    H = assemble(lat, 1.0, mask)
+    want = np.linalg.eigvalsh(_kron_matrix(H))[:4]
+    lobpcg, asked, stop = spectra._lobpcg, [], []
+
+    def counted(A, k, tol, seed, maxiter):    # a floor asks for one level
+        asked.append(k)
+        return lobpcg(A, k, tol, seed, 1 if stop and k == 1 else maxiter)
+
+    monkeypatch.setattr(spectra, "_lobpcg", counted)
+    spec = lowest_eigs(H, 4, tol=1e-10)
+    assert set(spec.sector_dims) == {64} and len(spec.sector_dims) == 1
+    assert asked.count(1) > 1 and asked.count(4) == 1
+    assert np.max(np.abs(spec.eigenvalues - want)) <= 1e-10 * H.norm_bound
+    stop.append(True)
+    stopped = lowest_eigs(H, 4, tol=1e-10)
+    monkeypatch.setattr(spectra._Sectors, "floor", lambda sec, *_: -sec.rest)
+    assert len(stopped.sector_dims) == len(lowest_eigs(H, 4).sector_dims) == 4
+    assert np.max(np.abs(stopped.eigenvalues - want)) <= 1e-10 * H.norm_bound
+
+
+def _scattered_two_hole():
+    """The 4x5 two-hole lattice with five 0.05 fields, x on sites 3 and
+    12, y on sites 1, 4 and 19."""
+    lat = sc.build_lattice(4, 5, "open", [sc.HoleSpec(1, 1, 2, 1),
+                                          sc.HoleSpec(1, 3, 2, 3)])
+    vals = np.zeros((lat.n_sites, 3))
+    for site, axis in ((3, 0), (12, 0), (1, 1), (4, 1), (19, 1)):
+        vals[site, axis] = 0.05
+    return lat, sc.FieldMask(vals)
+
+
+def _torus_4x3(h):
+    """The 4x3 torus with the field h on sites 0, 5 and 7."""
+    lat = sc.build_lattice(4, 3, "torus")
+    vals = np.zeros((lat.n_sites, 3))
+    vals[[0, 5, 7]] = h
+    return lat, sc.FieldMask(vals)
+
+
+def _region(lat, region, h):
+    return lat, sc.field_mask(lat, region, h)
+
+
+_ONE = sc.build_lattice(4, 4, "open", [sc.HoleSpec(1, 1, 1, 2)])
+_EDGE = sc.build_lattice(4, 4, "open", [sc.HoleSpec(0, 1, 0, 2)])
+_T44 = sc.build_lattice(4, 4, "torus")
+
+
+@pytest.mark.parametrize("build, args, k, solved", [
+    *[(_region, (_ONE, {"type": "annulus", "hole": 0}, (hx, 0, 0)), 3, 2)
+      for hx in (0.02, 0.05, 0.1)],
+    (_region, (_EDGE, {"type": "corridor", "hole": 0}, (0, 0.1, 0)), 3, 2),
+    *[(_region, (_T44, {"type": "all"}, (hx, 0, 0)), 5, 1)
+      for hx in (0.02, 0.05, 0.1)],
+    (_scattered_two_hole, (), 5, 2),
+    (_torus_4x3, ((0.1, 0, 0),), 5, 3),
+    (_torus_4x3, ((0, 0, 0.1),), 5, 192),
+], ids=["annulus-0.02", "annulus-0.05", "annulus-0.1", "corridor",
+        "torus4x4-0.02", "torus4x4-0.05", "torus4x4-0.1", "two-hole",
+        "torus4x3-x", "torus4x3-z"])
+def test_floors_prune_sectors(build, args, k, solved):
+    """Sectors solved by branch-and-bound with the majorant floors
+    (with the plain bound: 24 on the annulus, 2 on the corridor, 29 on
+    the 4x4 torus, 512 on the two-hole lattice, 58 and 256 on the 4x3
+    torus)."""
+    lat, mask = build(*args)
+    H = assemble(lat, 1.0, mask)
+    spec = lowest_eigs(H, k, tol=1e-10)
+    assert len(spec.sector_dims) == solved
+    assert np.all(spec.residual_norms <= 1e-12 * H.norm_bound)
+
+
+def test_no_floor_without_generators(monkeypatch):
+    """A field on every site leaves one sector and nothing to prune: the
+    solve builds one application, the sector's own, and no floor."""
+    built = []
+
+    class Counted(_Apply):
+        def __init__(self, H):
+            built.append(H)
+            super().__init__(H)
+
+    monkeypatch.setattr(spectra, "_Apply", Counted)
+    _, lat, mask, _ = _example("torus 3x3", _ALL_SITES, 1)
+    spec = lowest_eigs(assemble(lat, 1.0, mask), 3)
+    assert spec.sector_dims == (512,)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("g", [np.nan, np.inf])
+def test_assemble_rejects_a_non_finite_g(one_hole_lattice, g):
+    with pytest.raises(SpectraError, match="g must be finite"):
+        assemble(one_hole_lattice, g)
+
+
+@pytest.mark.parametrize("g", [np.nan, np.inf])
+def test_lowest_eigs_raises_below_k_levels(one_hole_lattice, g):
+    """Non-finite coefficients put past ``assemble`` give no level; the
+    solve raises instead of returning an empty spectrum."""
+    lat = one_hole_lattice
+    H = assemble(lat, 1.0, sc.field_mask(lat, {"type": "annulus", "hole": 0},
+                                         (0.05, 0, 0)))
+    H = dataclasses.replace(H, terms=tuple(
+        (g if j < H.n_stabilizer_terms else c, p)
+        for j, (c, p) in enumerate(H.terms)))
+    with np.errstate(invalid="ignore"), pytest.raises(
+            SpectraError, match="found 0 of 3 levels"):
+        lowest_eigs(H, 3)
 
 
 def test_logical_expectation_needs_enough_levels(one_hole_lattice):
