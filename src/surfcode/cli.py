@@ -155,7 +155,7 @@ def cmd_compare_splitting(args) -> None:
         "path_length": (metrics.fermion_boundary[0] if args.axis == "y"
                         else metrics.vortex_loop[0]),
         "table": rows,
-        "fitted_constant": rows[-1]["ratio"],
+        "fitted_constant": min(rows, key=lambda r: abs(r["h"]))["ratio"],
     })
 
 

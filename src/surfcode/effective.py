@@ -33,7 +33,7 @@ import scipy.sparse.linalg as spla
 from .lattice import (FieldMask, HoledLattice, PathMetrics, path_metrics,
                       region_sites)
 from .pauli import PauliString
-from .spectra import pauli_sum_matrix
+from .spectra import SpinHamiltonian, lowest_eigs, pauli_sum_matrix
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -377,7 +377,8 @@ def adiabatic_init(template: ChainTemplate, schedule: AdiabaticSchedule,
                    ) -> tuple[PseudoSpinState, float]:
     """Propagate through the ramp with piecewise-constant steps.
 
-    Default start state is the ground state of the initial Hamiltonian.
+    Default start state is the ground state of the initial Hamiltonian,
+    from ``lowest_eigs`` on the chain's terms (no stabilizer, so r = 0).
     Returns the final state and its fidelity to |up...up>.  Passing a
     list as ``trace`` records (t, h(t), fidelity) after every step.
     """
@@ -388,8 +389,9 @@ def adiabatic_init(template: ChainTemplate, schedule: AdiabaticSchedule,
     dt = T / steps
     times = [-T + (i + 0.5) * dt for i in range(steps)]
     if start_state is None:
-        H0 = template.at_field(g, schedule.h(-T)).matrix()
-        start_state = PseudoSpinState(np.linalg.eigh(H0)[1][:, 0])
+        terms = template.at_field(g, schedule.h(-T)).terms()
+        spec = lowest_eigs(SpinHamiltonian(n, tuple(terms), "plain", 0), 1)
+        start_state = PseudoSpinState(spec.eigenvectors[:, 0])
     if start_state.n != n:
         raise EffectiveError("start state size does not match template")
     target = PseudoSpinState.all_up(n)

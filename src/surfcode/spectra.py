@@ -42,6 +42,14 @@ larger one by blocked, seeded LOBPCG on block calls, whose block of
 random vectors resolves exact ground-state degeneracy, which a
 single-vector Lanczos cannot.
 
+Levels stay in sector coordinates: a ``Spectrum`` keeps each level's
+sector and its column of 2^(n - r) coefficients.  A logical operator
+commutes with every conserved product, so ``logical_expectation``
+tapers it like a term and works sector by sector; neither the solve nor
+a logical matrix forms a 2^n array.  ``DIMENSION_CAP`` bounds what
+would: a sector's states, and the full-space ``Spectrum.eigenvectors``,
+embedded on first read.
+
 Sector t is its bare energy (the terms tapered to the identity string)
 plus R_t, the other terms.  An inner node of the search is bounded by
 the bare energy of its fixed bits less the |c| of everything else.  A
@@ -62,6 +70,7 @@ from __future__ import annotations
 import heapq
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -93,12 +102,17 @@ class SpinHamiltonian:
     n: int
     terms: tuple[tuple[float, PauliString], ...]   # in the working frame
     frame: str                                     # 'plain' or 'sgate'
-    dtype: object
     n_stabilizer_terms: int
 
     @property
     def dimension(self) -> int:
         return 1 << self.n
+
+    @property
+    def dtype(self):
+        """float64 when every c i^k is real, else complex128."""
+        real = not any(abs((c * p.phase).imag) > 0 for c, p in self.terms)
+        return np.float64 if real else np.complex128
 
     @property
     def norm_bound(self) -> float:
@@ -114,9 +128,6 @@ def assemble(lat: HoledLattice, g: float,
     n = lat.n_sites
     if not np.isfinite(g):
         raise SpectraError(f"g must be finite, got {g}")
-    if n > DIMENSION_CAP:
-        raise SpectraError(
-            f"{n} spins exceeds the dimension cap {DIMENSION_CAP}")
     raw: list[tuple[float, PauliString]] = []
     for s in lat.stabilizers():
         raw.append((-g, s))
@@ -140,12 +151,7 @@ def assemble(lat: HoledLattice, g: float,
     if has[1] and not has[0]:
         frame = "sgate"
         raw = [(c, _conjugate_by_s(p)) for c, p in raw]
-    dtype = np.float64
-    for c, p in raw:
-        if abs((c * p.phase).imag) > 0:
-            dtype = np.complex128
-            break
-    return SpinHamiltonian(n, tuple(raw), frame, dtype, n_stab)
+    return SpinHamiltonian(n, tuple(raw), frame, n_stab)
 
 
 def _axes(n: int, mask: int) -> tuple[int, ...]:
@@ -230,16 +236,37 @@ def pauli_sum_matrix(terms, n: int) -> csr_array:
 
 @dataclass(frozen=True)
 class Spectrum:
+    """The lowest levels in sector coordinates: level j is column j of
+    ``columns`` in sector ``labels[j]`` of ``sectors``."""
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray       # columns, in the Hamiltonian's frame
     residual_norms: np.ndarray
     hamiltonian: SpinHamiltonian
     sector_dims: tuple[int, ...]   # dimension of every sector solved
+    sectors: _Sectors
+    labels: tuple[int, ...]
+    columns: np.ndarray            # (2^(n - r), k)
 
     @property
     def method(self) -> str:    # 'lobpcg' once a sector exceeds the cap
         big = max(self.sector_dims) > SECTOR_DENSE_CAP
         return "lobpcg" if big else "sector"
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """(2^n, k) columns in the Hamiltonian's frame, embedded on first
+        read (with r = 0 the columns as they are), for n up to the cap."""
+        H = self.hamiltonian
+        if H.n > DIMENSION_CAP:
+            raise SpectraError(f"eigenvectors of {H.n} spins exceed the "
+                               f"dimension cap 2^{DIMENSION_CAP}")
+        if not self.sectors.r:
+            return self.columns
+        out = np.empty((H.dimension, len(self.labels)), dtype=H.dtype)
+        for t in set(self.labels):
+            at = [j for j, s in enumerate(self.labels) if s == t]
+            out[:, at] = self.sectors.embed(t, self.columns[:, at])
+        out.flags.writeable = False
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +318,7 @@ class _Sectors:
     def __init__(self, H: SpinHamiltonian, gens: list[PauliString]):
         n = H.n
         self.H = H
+        self.gens = gens
         self.r = len(gens)
         rows, _ = eliminate(
             [[(p.x << n) | p.z, p, 1 << j] for j, p in enumerate(gens)],
@@ -370,15 +398,11 @@ class _Sectors:
                      for c, comb, p in self.diagonal)
         key = tuple(c for c, _ in diag)
         if key not in self.floors:
-            A = _Apply(replace(self.H, n=len(self.sites), dtype=np.float64,
-                               terms=diag + self.majorant))
-            if self.dim <= SECTOR_DENSE_CAP:
-                low = np.linalg.eigvalsh(A(np.eye(self.dim)))[0]
-            else:
-                w, U, caught = _lobpcg(A, 1, tol, seed, maxiter)
-                res = np.linalg.norm(A(U) - U * w)
-                notes += caught
-                low = (w[0] - res if res <= 50 * tol * self.H.norm_bound
+            (low,), _, (res,) = _solve(
+                replace(self.H, n=len(self.sites), terms=diag + self.majorant),
+                1, tol, seed, maxiter, notes)
+            if self.dim > SECTOR_DENSE_CAP:     # a Ritz value, if converged
+                low = (low - res if res <= 50 * tol * self.H.norm_bound
                        else -np.inf)
             self.floors[key] = max(low, -self.rest)
         return self.floors[key]
@@ -437,15 +461,9 @@ def _sector_eigs(H: SpinHamiltonian, sec: _Sectors, k: int, tol: float,
                        if depth + 1 == sec.r else e - pool[depth + 1] - rest)
                 heapq.heappush(heap, (key, -depth - 1, tt, e))
             continue
-        A, m = _Apply(sec.hamiltonian(t)), min(k, sec.dim)
-        if sec.dim <= SECTOR_DENSE_CAP:
-            w, U = np.linalg.eigh(A(np.eye(sec.dim, dtype=H.dtype)))
-            w, U = w[:m], U[:, :m]
-        else:
-            w, U, caught = _lobpcg(A, m, tol, seed, maxiter)
-            notes += caught
-        res = np.linalg.norm(A(U) - U * w, axis=0)
-        levels.extend((w[i], len(solved), i) for i in range(m))
+        w, U, res = _solve(sec.hamiltonian(t), min(k, sec.dim), tol, seed,
+                           maxiter, notes)
+        levels.extend((w[i], len(solved), i) for i in range(len(w)))
         solved.append((t, U, res))
         levels.sort(key=lambda lv: lv[0])
         if len(levels) >= k:
@@ -454,14 +472,26 @@ def _sector_eigs(H: SpinHamiltonian, sec: _Sectors, k: int, tol: float,
         raise SpectraError(f"found {len(levels)} of {k} levels: is every "
                            f"coefficient finite?")
     chosen = levels[:k]
-    vecs = np.empty((H.dimension, k), dtype=H.dtype)
-    for s, (t, U, _) in enumerate(solved):
-        at = [j for j, lv in enumerate(chosen) if lv[1] == s]
-        if at:
-            vecs[:, at] = sec.embed(t, U[:, [chosen[j][2] for j in at]])
     vals = np.array([lv[0] for lv in chosen])
+    labels = tuple(solved[s][0] for _, s, _ in chosen)
+    cols = np.stack([solved[s][1][:, i] for _, s, i in chosen], axis=1)
     res = np.array([solved[s][2][i] for _, s, i in chosen])
-    return vals, vecs, res, (sec.dim,) * len(solved), notes
+    return vals, labels, cols, res, (sec.dim,) * len(solved), notes
+
+
+def _solve(H: SpinHamiltonian, m: int, tol: float, seed: int, maxiter: int,
+           notes: list):
+    """Lowest m levels of H with their columns and residual norms: dense
+    eigh up to ``SECTOR_DENSE_CAP`` states, LOBPCG above (its warnings go
+    to ``notes``)."""
+    A = _Apply(H)
+    if H.dimension <= SECTOR_DENSE_CAP:
+        w, U = np.linalg.eigh(A(np.eye(H.dimension, dtype=H.dtype)))
+        w, U = w[:m], U[:, :m]
+    else:
+        w, U, caught = _lobpcg(A, m, tol, seed, maxiter)
+        notes += caught
+    return w, U, np.linalg.norm(A(U) - U * w, axis=0)
 
 
 def _lobpcg(A: _Apply, k: int, tol: float, seed: int, maxiter: int):
@@ -496,15 +526,19 @@ def lowest_eigs(H: SpinHamiltonian, k_count: int, tol: float = 1e-10,
     if k < 1 or k >= dim:
         raise SpectraError(f"k_count {k} out of range for dimension {dim}")
     sec = _Sectors(H, _conserved_generators(H))
-    vals, vecs, res, dims, notes = _sector_eigs(H, sec, k, tol, seed, maxiter)
+    if len(sec.sites) > DIMENSION_CAP:
+        raise SpectraError(f"sectors of 2^{len(sec.sites)} states exceed the "
+                           f"dimension cap 2^{DIMENSION_CAP}")
+    vals, labels, cols, res, dims, notes = _sector_eigs(H, sec, k, tol, seed,
+                                                        maxiter)
     bound = max(tol * H.norm_bound, 1e-30)
     if np.any(res > 50 * bound):
         raise SpectraError(
             "; ".join([f"eigensolver did not converge: residuals {res}"]
                       + notes), residuals=res)
-    for arr in (vals, vecs, res):
+    for arr in (vals, cols, res):
         arr.flags.writeable = False
-    return Spectrum(vals, vecs, res, H, dims)
+    return Spectrum(vals, res, H, dims, sec, labels, cols)
 
 
 def ground_splitting(spectrum: Spectrum, n_holes: int) -> dict:
@@ -524,14 +558,26 @@ def ground_splitting(spectrum: Spectrum, n_holes: int) -> dict:
 
 def logical_expectation(spectrum: Spectrum, logical: PauliString,
                         subspace_dim: int) -> np.ndarray:
-    """Matrix <v_a| L |v_b> on the lowest ``subspace_dim`` eigenvectors,
-    real when both they and L are."""
-    have = spectrum.eigenvectors.shape[1]
+    """Matrix <v_a| L |v_b> on the lowest ``subspace_dim`` levels, real
+    when both they and L are.  L commutes with every conserved product,
+    so it keeps each sector t and acts there as (-1)^{|comb & t|} P', its
+    tapered string: the matrix is C^H P' C, zero between sectors."""
+    have = len(spectrum.labels)
     if subspace_dim > have:
         raise SpectraError(f"subspace_dim {subspace_dim} exceeds the {have} "
-                           f"eigenvectors of the spectrum")
-    V = spectrum.eigenvectors[:, :subspace_dim]
-    return V.conj().T @ apply_pauli(spectrum.hamiltonian.to_frame(logical), V)
+                           f"levels of the spectrum")
+    if subspace_dim < 1:
+        raise SpectraError(f"subspace_dim {subspace_dim} is below 1")
+    sec, L = spectrum.sectors, spectrum.hamiltonian.to_frame(logical)
+    if not all(commutes(g, L) for g in sec.gens):
+        raise SpectraError(f"{logical} does not commute with every conserved "
+                           f"product, so it leaves the symmetry sectors")
+    comb, P = sec._taper(L)
+    ts = spectrum.labels[:subspace_dim]
+    sign = np.array([[(a == b) * (1 - 2 * _parity(comb & a)) for b in ts]
+                     for a in ts])
+    C = spectrum.columns[:, :subspace_dim]
+    return sign * (C.conj().T @ apply_pauli(P, C))
 
 
 def flux_basis(spectrum: Spectrum, tau_z: PauliString,

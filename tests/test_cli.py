@@ -204,6 +204,63 @@ def test_compare_splitting_cli(one_hole_config, tmp_path):
     assert rep["fitted_constant"] == pytest.approx(row["ratio"])
 
 
+def test_fitted_constant_is_the_ratio_at_the_smallest_field(
+        one_hole_config, tmp_path):
+    """Listed largest first or smallest first, the constant is the ratio
+    at |h| = 0.02 (it was the last row's: 3.9996 against 3.9900)."""
+    reps = [json.loads(run(["compare-splitting", "--config", one_hole_config,
+                            "--h-values", hs], tmp_path / f"{i}.json"))
+            for i, hs in enumerate(["0.1,0.05,0.02", "0.02,0.05,0.1"])]
+    at = [next(r["ratio"] for r in rep["table"] if r["h"] == 0.02)
+          for rep in reps]
+    assert reps[0]["fitted_constant"] == reps[1]["fitted_constant"] == at[0]
+    assert at[0] == at[1] == pytest.approx(3.9996, abs=1e-4)
+
+
+def _config(tmp_path, name, width, height, holes, fields=()):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({
+        "width": width, "height": height, "boundary": "open",
+        "holes": [dict(zip(("x0", "y0", "x1", "y1"), h)) for h in holes],
+        "fields": list(fields)}))
+    return str(path)
+
+
+@pytest.mark.parametrize("size, hole, length", [
+    (8, (3, 3, 3, 4), 4), (10, (4, 4, 4, 5), 5)], ids=["8x8", "10x10"])
+def test_compare_splitting_beyond_the_dimension_cap(tmp_path, size, hole,
+                                                    length):
+    """64 and 100 spins, solved in sectors of a few states: the ratio at
+    h = 0.02 is 4^(L-1), 63.99 at L = 4 and 255.97 at L = 5."""
+    cfg = _config(tmp_path, f"one_hole_{size}", size, size, [hole])
+    rep = json.loads(run(["compare-splitting", "--config", cfg,
+                          "--axis", "y"], tmp_path / "cmp.json"))
+    assert rep["path_length"] == length
+    assert rep["table"][-1]["h"] == 0.02
+    assert rep["fitted_constant"] == pytest.approx(4 ** (length - 1),
+                                                   rel=1e-3)
+
+
+def test_spectrum_on_a_44_spin_two_hole_lattice(tmp_path):
+    """hy = 0.05 on the corridor between two holes of a 4x11 lattice: the
+    ground quartet splits into two degenerate pairs, and each hole's
+    tau_x matrix on the quartet pairs its levels up."""
+    cfg = _config(tmp_path, "two_hole_4x11", 4, 11,
+                  [(1, 1, 2, 1), (1, 5, 2, 5)],
+                  [{"region": {"type": "corridor", "from": 0, "to": 1},
+                    "hy": 0.05}])
+    rep = json.loads(run(["spectrum", "--config", cfg],
+                         tmp_path / "s.json"))
+    vals = rep["eigenvalues"]
+    assert len(vals) == 4 and max(rep["residual_norms"]) < 1e-12
+    assert vals[1] - vals[0] < 1e-12 and vals[3] - vals[2] < 1e-12
+    assert vals[2] - vals[1] > 1e-7
+    for hole in ("hole0", "hole1"):
+        mx = np.array(rep["logical_expectations"][hole]["tau_x_abs"])
+        assert mx.shape == (4, 4)
+        assert np.allclose(np.sort(mx, axis=1)[:, -1], 1.0, atol=1e-8)
+
+
 def test_compare_splitting_rejects_zero_field(one_hole_config, tmp_path,
                                               capsys):
     out = tmp_path / "cmp0.json"

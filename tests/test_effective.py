@@ -295,6 +295,23 @@ def _template(n=2, jxx=1e-5, hx=2e-5):
     return ChainTemplate(base, (4,) * n, (8,) * (n - 1))
 
 
+def test_default_start_state_above_the_dense_cap():
+    """At n = 11 the chain's ground state comes from LOBPCG (2^11 states
+    exceed SECTOR_DENSE_CAP); a one-step ramp from it equals the same
+    step from the dense-eigh ground state up to a phase."""
+    n = 11
+    assert 2 ** n > sc.spectra.SECTOR_DENSE_CAP
+    tmpl = _template(n, jxx=1e-3, hx=5e-3)
+    sched = AdiabaticSchedule(0.5, 50.0, 600.0, 1)
+    st, _ = adiabatic_init(tmpl, sched)
+    v0 = np.linalg.eigh(tmpl.at_field(1.0, sched.h(-600.0)).matrix())[1][:, 0]
+    want = evolve(tmpl.at_field(1.0, sched.h(-300.0)), PseudoSpinState(v0),
+                  600.0).amplitudes
+    phase = np.vdot(want, st.amplitudes)
+    phase /= abs(phase)
+    assert np.max(np.abs(st.amplitudes - phase * want)) <= 1e-10
+
+
 def test_adiabatic_trivial_cases():
     tmpl = ChainTemplate(EffectiveChain(2, (0.0,), (0.0,), (0.0, 0.0),
                                         (0.0, 0.0)), (4, 4), (8,))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import surfcode as sc
 from surfcode import effective as eff
 from surfcode.lattice import HoledLattice, Plaquette, cell_parity
-from surfcode.pauli import PauliString
+from surfcode.pauli import PauliString, commutes
 from surfcode import spectra
 from surfcode.spectra import (SECTOR_DENSE_CAP, DispersionParams, SpectraError,
                               SpinHamiltonian, _Apply, _conjugate_by_s,
@@ -57,9 +57,35 @@ def test_uniform_hx_adds_site_terms(one_hole_lattice):
 
 
 def test_dimension_cap():
+    """The cap bounds arrays of 2^n amplitudes, not spins: the 30-spin 6x5
+    lattice solves in sectors of one state, and only its full-space
+    eigenvectors are refused."""
     lat = sc.build_lattice(6, 5, "open")
-    with pytest.raises(SpectraError):
-        assemble(lat, 1.0)
+    spec = lowest_eigs(assemble(lat, 1.0), 2)
+    e0 = -1.0 * len(lat.stabilizers())
+    assert spec.hamiltonian.n == 30
+    assert np.allclose(spec.eigenvalues, [e0, e0 + 2], rtol=0, atol=1e-12)
+    with pytest.raises(SpectraError, match=r"30 spins exceed the dimension "
+                                           r"cap 2\^24"):
+        spec.eigenvectors
+
+
+def test_dimension_cap_refuses_a_large_sector_before_allocating():
+    """A field on every site of 5x5 conserves nothing, so its one sector
+    has 2^25 states: the solve is refused with a few kB traced, where
+    one vector would take 256 MiB."""
+    lat = sc.build_lattice(5, 5, "open")
+    H = assemble(lat, 1.0, sc.field_mask(lat, {"type": "all"},
+                                         (0.1, 0, 0.1)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpectraError, match=r"sectors of 2\^25 states "
+                                               r"exceed the dimension cap"):
+            lowest_eigs(H, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_assemble_rejects_a_mask_of_another_lattice(one_hole_lattice,
@@ -78,11 +104,38 @@ def test_assemble_rejects_a_mask_of_another_lattice(one_hole_lattice,
 
 
 def test_identity_operator_eigenvalue():
-    H = SpinHamiltonian(4, ((2.5, PauliString.identity(4)),),
-                        "plain", np.float64, 1)
+    H = SpinHamiltonian(4, ((2.5, PauliString.identity(4)),), "plain", 1)
     spec = lowest_eigs(H, 1, tol=1e-9)
     assert abs(spec.eigenvalues[0] - 2.5) < 1e-8
     assert spec.residual_norms[0] < 1e-8
+
+
+def test_dtype_follows_the_terms(one_hole_lattice):
+    """A sigma^y term added to the real annulus Hamiltonian by replace
+    makes it complex, so the eigenvectors solve it with the residuals
+    reported.  A stored dtype stayed float64: the eigenvalues were right,
+    but the eigenvectors lost their imaginary parts (true residual 0.05
+    against a reported 1e-14, with only a ComplexWarning)."""
+    lat, site = one_hole_lattice, 9
+    mask = sc.field_mask(lat, {"type": "annulus", "hole": 0}, (0.05, 0, 0))
+    H = assemble(lat, 1.0, mask)
+    assert H.dtype == np.float64 and mask.values[site, 0] == 0.05
+    H = dataclasses.replace(
+        H, terms=H.terms + ((0.05, PauliString.sy(H.n, site)),))
+    assert H.dtype == np.complex128
+    vals = mask.values.copy()
+    vals[site, 1] = 0.05
+    fresh = lowest_eigs(assemble(lat, 1.0, sc.FieldMask(vals)), 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spec = lowest_eigs(H, 3)
+        V = spec.eigenvectors
+    assert np.allclose(spec.eigenvalues, fresh.eigenvalues, rtol=0,
+                       atol=1e-12)
+    true = np.linalg.norm(_Apply(H)(V) - V * spec.eigenvalues, axis=0)
+    assert np.all(true <= 1e-12 * H.norm_bound)
+    assert np.allclose(spec.residual_norms, true, rtol=0,
+                       atol=1e-12 * H.norm_bound)
 
 
 def test_ground_energy_and_gap(ground_spectrum_one_hole, one_hole_lattice):
@@ -612,6 +665,62 @@ def test_logical_expectation_needs_enough_levels(one_hole_lattice):
         logical_expectation(spec, tau_z, 3)
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_logical_expectation_rejects_an_empty_subspace(
+        ground_spectrum_one_hole, one_hole_lattice, size):
+    """-1 used to slice off the last level and return a 2x2 matrix for a
+    3-level spectrum."""
+    tau_z = sc.logical_pair(one_hole_lattice, 0).tau_z
+    with pytest.raises(SpectraError, match=f"subspace_dim {size} is below 1"):
+        logical_expectation(ground_spectrum_one_hole, tau_z, size)
+
+
+def test_logical_expectation_rejects_an_operator_leaving_the_sectors(
+        ground_spectrum_one_hole):
+    """sigma^x on a site flips the Z plaquettes on it, which are conserved
+    at zero field, so it has no matrix within the sectors."""
+    with pytest.raises(SpectraError, match="does not commute with every "
+                                           "conserved product"):
+        logical_expectation(ground_spectrum_one_hole, PauliString.sx(16, 5),
+                            2)
+
+
+def _two_hole_zero_field():
+    return sc.build_lattice(4, 5, "open", [sc.HoleSpec(1, 1, 2, 1),
+                                           sc.HoleSpec(1, 3, 2, 3)]), None
+
+
+@pytest.mark.parametrize("build, args, k", [
+    (_region, (_EDGE, {"type": "corridor", "hole": 0}, (0, 0.1, 0)), 3),
+    (_region, (_ONE, {"type": "annulus", "hole": 0}, (0.05, 0, 0)), 3),
+    (_two_hole_zero_field, (), 5),
+    (_scattered_two_hole, (), 5),
+    (_region, (_T44, {"type": "all"}, (0.05, 0, 0)), 5),
+], ids=["corridor", "annulus", "two-hole", "two-hole-scattered", "torus"])
+def test_logical_expectation_in_sector_coordinates(build, args, k):
+    """The sector-coordinate matrices equal V^H L V on the embedded
+    eigenvectors, for every hole's logicals and every single-site Pauli
+    that commutes with the conserved products, on 1 to k levels."""
+    lat, mask = build(*args)
+    H = assemble(lat, 1.0, mask)
+    spec = lowest_eigs(H, k, tol=1e-10)
+    gens = _conserved_generators(H)
+    pairs = [sc.logical_pair(lat, l) for l in range(len(lat.holes))]
+    ops = [op for pair in pairs for op in (pair.tau_z, pair.tau_x)]
+    ops += [op for site in range(H.n)
+            for op in (PauliString.sx(H.n, site), PauliString.sy(H.n, site),
+                       PauliString.sz(H.n, site))
+            if all(commutes(g, H.to_frame(op)) for g in gens)]
+    assert len(ops) > 2
+    V = spec.eigenvectors
+    for L in ops:
+        want = V.conj().T @ apply_pauli(H.to_frame(L), V)
+        for m in (1, k):
+            got = logical_expectation(spec, L, m)
+            assert got.shape == (m, m)
+            assert np.max(np.abs(got - want[:m, :m])) <= 1e-12
+
+
 def test_solver_path_by_geometry():
     """Corridor, annulus and the zero-field acceptance geometries solve
     in small sectors; a field on every site leaves nothing conserved, so
@@ -660,12 +769,10 @@ def test_spectrum_replace_keeps_solve_record(ground_spectrum_one_hole):
 
 
 def _ham(n, terms, frame="plain"):
-    """SpinHamiltonian of a raw term list, typed as ``assemble`` types it."""
+    """SpinHamiltonian of a raw term list."""
     if frame == "sgate":
         terms = [(c, _conjugate_by_s(p)) for c, p in terms]
-    real = all(abs((c * p.phase).imag) == 0 for c, p in terms)
-    return SpinHamiltonian(n, tuple(terms), frame,
-                           np.float64 if real else np.complex128, 0)
+    return SpinHamiltonian(n, tuple(terms), frame, 0)
 
 
 def _random_terms(rng, n, count, real):
