@@ -423,12 +423,10 @@ def test_sector_matches_lobpcg_on_corridor():
     spec = lowest_eigs(H, 3, tol=1e-10)
     assert spec.method == "sector"
     assert abs(spec.eigenvalues[1] - spec.eigenvalues[0] - 2 * hy) <= 1e-12
-    A = spla.LinearOperator((H.dimension,) * 2, matvec=_Apply(H),
-                            dtype=H.dtype)
     X = np.random.default_rng(7).standard_normal((H.dimension, 5))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        vals, _ = spla.lobpcg(A, X, largest=False, maxiter=2000,
+        vals, _ = spla.lobpcg(_Apply(H), X, largest=False, maxiter=2000,
                               tol=1e-9 * H.norm_bound)
     assert np.max(np.abs(np.sort(vals)[:3] - spec.eigenvalues)) <= 1e-8
 
@@ -538,6 +536,67 @@ def test_lobpcg_inside_sectors_above_the_cap(monkeypatch):
     assert set(spec.sector_dims) == {256}
     want = np.linalg.eigvalsh(_kron_matrix(H))[:4]
     assert np.max(np.abs(spec.eigenvalues - want)) <= 1e-10 * H.norm_bound
+
+
+def test_lobpcg_diagonal_hamiltonian_above_the_cap():
+    """Z and ZZ terms with no stabilizer term on 11 spins: nothing is off
+    the diagonal, so the preconditioner's Gershgorin shift would be 0 at
+    the lowest entry; the solve still gives the 3 smallest entries."""
+    n, rng = 11, np.random.default_rng(3)
+    terms = [(float(rng.normal()), PauliString.sz(n, j)) for j in range(n)]
+    terms += [(float(rng.normal()), PauliString(n, 0, 3 << j, 0))
+              for j in range(n - 1)]
+    H = SpinHamiltonian(n, tuple(terms), "plain", 0)
+    assert H.dimension > SECTOR_DENSE_CAP
+    spec = lowest_eigs(H, 3)
+    assert spec.method == "lobpcg"
+    want = np.sort(pauli_sum_matrix(terms, n).diagonal())[:3]
+    assert np.allclose(spec.eigenvalues, want, rtol=0,
+                       atol=1e-10 * H.norm_bound)
+
+
+def test_lobpcg_block_of_k_columns_resolves_a_doublet(monkeypatch):
+    """The 4x4 torus with uniform hx = 0.05 and the cap below its one
+    512-state sector: a block of exactly k = 5 columns (no _Apply call
+    gets more) finds the dense levels, the exact doublet twice."""
+    H = assemble(_T44, 1.0, sc.field_mask(_T44, {"type": "all"},
+                                          (0.05, 0, 0)))
+    want = lowest_eigs(H, 5).eigenvalues
+    monkeypatch.setattr(spectra, "SECTOR_DENSE_CAP", 64)
+    widths, call = [], _Apply.__call__
+
+    def counted(op, v):
+        widths.append(np.shape(v)[1] if np.ndim(v) > 1 else 1)
+        return call(op, v)
+
+    monkeypatch.setattr(_Apply, "__call__", counted)
+    spec = lowest_eigs(H, 5, tol=1e-10)
+    assert spec.method == "lobpcg" and spec.sector_dims == (512,)
+    assert max(widths) <= 5
+    assert np.max(np.abs(spec.eigenvalues - want)) <= 1e-10 * H.norm_bound
+    doublet = np.abs(spec.eigenvalues - (-16.0100155555)) <= 1e-9
+    assert doublet.sum() == 2
+
+
+def test_complex_lobpcg_above_the_cap(monkeypatch):
+    """hx = hy on every site of the 3x3 torus is complex and conserves
+    nothing; with the cap below its 512 states LOBPCG solves the full
+    space, within the residual gate, at the dense Kronecker levels."""
+    monkeypatch.setattr(spectra, "SECTOR_DENSE_CAP", 64)
+    _, lat, mask, _ = _example("torus 3x3", {s: (0.1, 0.1, 0)
+                                             for s in range(9)}, 4)
+    H = assemble(lat, 1.0, mask)
+    assert H.dtype == np.complex128
+    M = _kron_matrix(H)
+    spec = lowest_eigs(H, 4, tol=1e-10)
+    assert spec.method == "lobpcg" and spec.sector_dims == (512,)
+    assert np.max(np.abs(spec.eigenvalues - np.linalg.eigvalsh(M)[:4])) \
+        <= 1e-10 * H.norm_bound
+    V = spec.eigenvectors
+    full = np.linalg.norm(M @ V - V * spec.eigenvalues, axis=0)
+    assert np.all(full <= 50 * 1e-10 * H.norm_bound)
+    assert np.allclose(spec.residual_norms, full, rtol=0,
+                       atol=1e-12 * H.norm_bound)
 
 
 def test_lobpcg_floors_above_the_cap(monkeypatch):
