@@ -179,20 +179,18 @@ def build_chain(lat: HoledLattice, g: float, mask: FieldMask) -> EffectiveChain:
                 "holes have a charge-flavoured flip string)")
     values = mask.on(lat)
     metrics = path_metrics(lat)
+    loops = [region_sites(lat, {"type": "annulus", "hole": l})
+             for l in range(n)]
     hx_t, hz_t, jxx, jzz = [], [], [], []
     for l in range(n):
-        _, od = lat.hole_even_odd(l)
-        loop_sites = lat.cell_sites(*od)
         string_sites = region_sites(lat, {"type": "corridor", "hole": l})
-        hx_loc = _uniform_component(values, loop_sites, 0)
+        hx_loc = _uniform_component(values, loops[l], 0)
         hy_loc = _uniform_component(values, string_sites, 1)
         a, b = single_qubit_fields(g, hx_loc, hy_loc, metrics, l)
         hx_t.append(a)
         hz_t.append(b)
     for l in range(n - 1):
-        _, o1 = lat.hole_even_odd(l)
-        _, o2 = lat.hole_even_odd(l + 1)
-        pair_loop = sorted(set(lat.cell_sites(*o1)) | set(lat.cell_sites(*o2)))
+        pair_loop = sorted(set(loops[l]) | set(loops[l + 1]))
         corridor = region_sites(lat, {"type": "corridor", "from": l,
                                       "to": l + 1})
         hx_loc = _uniform_component(values, pair_loop, 0)

@@ -66,6 +66,20 @@ def cell_parity(a: int, b: int) -> int:
     return (a + b) % 2
 
 
+def _cell_sites(width: int, height: int, boundary: str,
+                a: int, b: int) -> tuple[int, ...]:
+    """Corner sites of cell (a, b), wrapped on a torus, else clipped."""
+    out = []
+    for dx in (0, 1):
+        for dy in (0, 1):
+            x, y = a + dx, b + dy
+            if boundary == TORUS:
+                out.append((y % height) * width + (x % width))
+            elif 0 <= x < width and 0 <= y < height:
+                out.append(y * width + x)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class HoleSpec:
     """Cell rectangle {x0..x1} x {y0..y1} of dropped plaquettes."""
@@ -131,27 +145,16 @@ class HoledLattice:
         return y * self.width + x
 
     def cell_sites(self, a: int, b: int) -> tuple[int, ...]:
-        out = []
-        for dx in (0, 1):
-            for dy in (0, 1):
-                x, y = a + dx, b + dy
-                if self.boundary == TORUS:
-                    out.append((y % self.height) * self.width + (x % self.width))
-                elif 0 <= x < self.width and 0 <= y < self.height:
-                    out.append(y * self.width + x)
-        return tuple(out)
+        return _cell_sites(self.width, self.height, self.boundary, a, b)
 
     # -- stabilizers ----------------------------------------------------
 
     def _plaquette_string(self, p: Plaquette) -> PauliString:
         if self.boundary == TORUS and self.torus_form == "corner":
             return _corner_form_string(self, p.cell)
-        m = 0
-        for s in p.sites:
-            m |= 1 << s
         if p.parity == 0:
-            return PauliString(self.n_sites, 0, m, 0)
-        return PauliString(self.n_sites, m, 0, 0)
+            return PauliString.z_on(self.n_sites, p.sites)
+        return PauliString.x_on(self.n_sites, p.sites)
 
     def stabilizers(self) -> list[PauliString]:
         """Full generator list: plaquettes, boundary reductions, composites."""
@@ -161,13 +164,7 @@ class HoledLattice:
 
     def hole_even_odd(self, l: int) -> tuple[Optional[Cell], Optional[Cell]]:
         """(even cell, odd cell) of hole l; a puncture has no even cell."""
-        ev = od = None
-        for c in self.holes[l].cells:
-            if cell_parity(*c) == 0:
-                ev = c
-            else:
-                od = c
-        return ev, od
+        return _even_odd(self.holes[l])
 
     # -- logical operators -----------------------------------------------
 
@@ -189,27 +186,17 @@ class HoledLattice:
             return tau_z, tau_x
         # domino: label = sigma^z loop on the dropped Z cell
         tau_z = PauliString.z_on(n, self.cell_sites(*ev))
-        tau_x = PauliString.y_on(n, self._fermion_string_sites(l))
+        tau_x = PauliString.y_on(n, self._line_sites(-1, l))
         return tau_z, tau_x
 
-    def _string_line(self) -> tuple[str, int]:
-        """(axis, coordinate) of the shared-corner line carrying fermion
-        strings: ('row', y) for vertical dominoes, ('col', x) for a
-        horizontal one."""
-        h0 = self.holes[0]
-        if h0.kind == "domino-v":
-            return "row", h0.y0 + 1
-        if h0.kind == "domino-h":
-            return "col", h0.x0 + 1
-        raise LatticeError("puncture holes carry no fermion string")
-
-    def _fermion_string_sites(self, l: int) -> list[int]:
-        """Sites of the straight sigma^y string from hole ``l`` to the port."""
-        axis, c = self._string_line()
-        h = self.holes[l]
-        if axis == "row":
-            return [self.site(x, c) for x in range(h.x0 + 1)]
-        return [self.site(c, y) for y in range(h.y0 + 1)]
+    def _line_sites(self, p: int, q: int) -> list[int]:
+        """Sites of the shared-corner line from position p to q > p, a
+        position being a hole index or -1 for the port: the straight
+        sigma^y string between two holes, or from the port to a hole."""
+        flip, _, across = _band(self.holes[0])
+        lo = -1 if p < 0 else _band(self.holes[p])[1]
+        return [self.site(*_xy(flip, u, across + 1))
+                for u in range(lo + 1, _band(self.holes[q])[1] + 1)]
 
     # -- config round trip -------------------------------------------------
 
@@ -228,71 +215,71 @@ def _corner_form_string(lat: HoledLattice, cell: Cell) -> PauliString:
     X on the base and far corner, Y on the two side corners.  The exact
     product of the four factors carries phase power 2 (two Y factors);
     keeping it makes the term set frustration free on odd tori."""
-    a, b = cell
-    w, h = lat.width, lat.height
-    s00 = (b % h) * w + (a % w)
-    s10 = (b % h) * w + ((a + 1) % w)
-    s01 = ((b + 1) % h) * w + (a % w)
-    s11 = ((b + 1) % h) * w + ((a + 1) % w)
-    from .pauli import product
+    s00, s01, s10, s11 = lat.cell_sites(*cell)
     n = lat.n_sites
-    return product([PauliString.sx(n, s00), PauliString.sy(n, s10),
-                    PauliString.sy(n, s01), PauliString.sx(n, s11)])
+    return multiply(PauliString.x_on(n, (s00, s11)),
+                    PauliString.y_on(n, (s10, s01)))
+
+
+def _even_odd(h: HoleSpec) -> tuple[Optional[Cell], Optional[Cell]]:
+    """(even cell, odd cell) of a hole; a puncture has no even cell."""
+    by_parity = {cell_parity(*c): c for c in h.cells}
+    return by_parity.get(0), by_parity.get(1)
+
+
+def _band(h: HoleSpec) -> tuple[bool, int, int]:
+    """(flip, along, across) of a domino.  Vertical dominoes chain west to
+    east along a row band, horizontal ones south to north along a column
+    band; ``flip`` swaps x and y so that both read as the vertical case,
+    with ``along`` and ``across`` the hole's lower cell coordinates."""
+    if h.kind == "domino-v":
+        return False, h.x0, h.y0
+    if h.kind == "domino-h":
+        return True, h.y0, h.x0
+    raise LatticeError("puncture holes carry no fermion string")
+
+
+def _xy(flip: bool, u: int, v: int) -> tuple[int, int]:
+    """(x, y) of band coordinates (along u, across v)."""
+    return (v, u) if flip else (u, v)
 
 
 def _validate_holes(width: int, height: int,
                     holes: Sequence[HoleSpec]) -> None:
     amax, bmax = width - 2, height - 2
     for i, h in enumerate(holes):
-        if h.shape not in ((1, 1), (1, 2), (2, 1)):
-            raise LatticeError(
-                f"hole {i}: unsupported rectangle {h.shape}; holes are a "
-                f"single X plaquette or a two-plaquette domino")
-        if not (0 <= h.x0 and h.x1 <= amax and 0 <= h.y0 and h.y1 <= bmax):
-            raise LatticeError(f"hole {i} extends beyond the plaquette grid")
         if h.kind == "puncture" and cell_parity(h.x0, h.y0) == 0:
             raise LatticeError(
                 f"hole {i}: a single-plaquette hole must sit on an X "
                 f"(odd-parity) cell to carry a logical qubit")
+        if not (0 <= h.x0 and h.x1 <= amax and 0 <= h.y0 and h.y1 <= bmax):
+            raise LatticeError(f"hole {i} extends beyond the plaquette grid")
+    corners = [{(a + dx, b + dy) for a, b in h.cells
+                for dx in (0, 1) for dy in (0, 1)} for h in holes]
     for i in range(len(holes)):
-        si = set()
-        for c in holes[i].cells:
-            si.update({(c[0] + dx, c[1] + dy) for dx in (0, 1) for dy in (0, 1)})
         for j in range(i + 1, len(holes)):
-            sj = set()
-            for c in holes[j].cells:
-                sj.update({(c[0] + dx, c[1] + dy) for dx in (0, 1) for dy in (0, 1)})
-            if si & sj:
+            if corners[i] & corners[j]:
                 raise LatticeError(f"holes {i} and {j} overlap")
     if len(holes) > 1:
-        kinds = {h.kind for h in holes}
-        if kinds == {"domino-v"}:
-            if len({(h.y0, h.y1) for h in holes}) != 1:
-                raise LatticeError("domino chain must share one row band")
-            xs = [h.x0 for h in holes]
-            if xs != sorted(xs) or len(set(xs)) != len(xs):
-                raise LatticeError("holes must be listed west to east")
-        elif kinds == {"domino-h"}:
-            if len({(h.x0, h.x1) for h in holes}) != 1:
-                raise LatticeError("domino chain must share one column band")
-            ys = [h.y0 for h in holes]
-            if ys != sorted(ys) or len(set(ys)) != len(ys):
-                raise LatticeError("holes must be listed south to north")
-        else:
+        if {h.kind for h in holes} not in ({"domino-v"}, {"domino-h"}):
             raise LatticeError(
                 "multi-hole lattices require same-orientation domino holes")
+        flip, _, across = _band(holes[0])
+        along = [_band(h)[1] for h in holes]
+        if any(_band(h)[2] != across for h in holes):
+            raise LatticeError("domino chain must share one "
+                               f"{('row', 'column')[flip]} band")
+        if any(a >= b for a, b in zip(along, along[1:])):
+            raise LatticeError("holes must be listed "
+                               f"{('west to east', 'south to north')[flip]}")
 
 
 def _port_cell(holes: Sequence[HoleSpec]) -> Optional[Cell]:
     dominoes = [h for h in holes if h.kind.startswith("domino")]
     if not dominoes:
         return None
-    h0 = dominoes[0]
-    if h0.kind == "domino-v":
-        b = h0.y0 if h0.y0 % 2 == 1 else h0.y0 + 1
-        return (-1, b)
-    a = h0.x0 if h0.x0 % 2 == 1 else h0.x0 + 1
-    return (a, -1)
+    flip, _, across = _band(dominoes[0])
+    return _xy(flip, -1, across | 1)
 
 
 def build_lattice(width: int, height: int, boundary: str,
@@ -317,11 +304,10 @@ def build_lattice(width: int, height: int, boundary: str,
     if boundary == TORUS:
         form = "checkerboard" if width % 2 == 0 and height % 2 == 0 else "corner"
         plaqs = []
-        lat0 = HoledLattice(width, height, boundary, (), (), (), None, form)
         for b in range(height):
             for a in range(width):
                 plaqs.append(Plaquette((a, b), cell_parity(a, b),
-                                       lat0.cell_sites(a, b)))
+                                       _cell_sites(width, height, TORUS, a, b)))
         return HoledLattice(width, height, boundary, (), tuple(plaqs), (),
                             None, form)
 
@@ -331,40 +317,34 @@ def build_lattice(width: int, height: int, boundary: str,
         dropped.update(h.cells)
     port = _port_cell(holes)
 
-    lat0 = HoledLattice(width, height, OPEN, (), (), (), None)
+    def corners(a: int, b: int) -> tuple[int, ...]:
+        return _cell_sites(width, height, OPEN, a, b)
+
     plaqs = []
     for b in range(height - 1):
         for a in range(width - 1):
             if (a, b) in dropped:
                 continue
-            plaqs.append(Plaquette((a, b), cell_parity(a, b),
-                                   lat0.cell_sites(a, b)))
+            plaqs.append(Plaquette((a, b), cell_parity(a, b), corners(a, b)))
     for b in range(-1, height):
         for a in range(-1, width):
             if 0 <= a < width - 1 and 0 <= b < height - 1:
-                continue
-            if a > width - 1 or b > height - 1:
                 continue
             if cell_parity(a, b) != 0:
                 continue
             if port is not None and (a, b) == port:
                 continue
-            sites = lat0.cell_sites(a, b)
-            if not sites:
-                continue
-            plaqs.append(Plaquette((a, b), 0, sites, boundary_reduced=True))
+            plaqs.append(Plaquette((a, b), 0, corners(a, b),
+                                   boundary_reduced=True))
 
     composites = []
     n = width * height
     for h in holes:
         if h.kind == "puncture":
             continue
-        cells = h.cells
-        ev = cells[0] if cell_parity(*cells[0]) == 0 else cells[1]
-        od = cells[1] if ev == cells[0] else cells[0]
-        ze = PauliString.z_on(n, lat0.cell_sites(*ev))
-        xo = PauliString.x_on(n, lat0.cell_sites(*od))
-        composites.append(multiply(ze, xo))
+        ev, od = _even_odd(h)
+        composites.append(multiply(PauliString.z_on(n, corners(*ev)),
+                                   PauliString.x_on(n, corners(*od))))
 
     return HoledLattice(width, height, OPEN, holes, tuple(plaqs),
                         tuple(composites), port)
@@ -472,23 +452,20 @@ def path_metrics(lat: HoledLattice) -> PathMetrics:
     """Shortest-path lengths on the quasiparticle hopping graphs."""
     if lat.boundary == TORUS or not lat.holes:
         raise LatticeError("path metrics need an open lattice with holes")
+    odd = [lat.hole_even_odd(l)[1] for l in range(len(lat.holes))]
     vortex_loop = []
     fermion_boundary: list[Optional[int]] = []
     for l, h in enumerate(lat.holes):
-        _, od = lat.hole_even_odd(l)
-        vortex_loop.append(_shortest_enclosing_loop(lat, [od]))
+        vortex_loop.append(_shortest_enclosing_loop(lat, [odd[l]]))
         if h.kind == "puncture":
             fermion_boundary.append(None)
         else:
-            fermion_boundary.append(len(lat._fermion_string_sites(l)))
+            fermion_boundary.append(len(lat._line_sites(-1, l)))
     vortex_pair = {}
     fermion_pair = {}
     for l in range(len(lat.holes) - 1):
-        _, o1 = lat.hole_even_odd(l)
-        _, o2 = lat.hole_even_odd(l + 1)
-        vortex_pair[(l, l + 1)] = _shortest_enclosing_loop(lat, [o1, o2])
-        fermion_pair[(l, l + 1)] = len(region_sites(
-            lat, {"type": "corridor", "from": l, "to": l + 1}))
+        vortex_pair[(l, l + 1)] = _shortest_enclosing_loop(lat, odd[l:l + 2])
+        fermion_pair[(l, l + 1)] = len(lat._line_sites(l, l + 1))
     m = PathMetrics(tuple(vortex_loop), tuple(fermion_boundary),
                     vortex_pair, fermion_pair)
     for (l, l2), v in vortex_pair.items():
@@ -534,6 +511,12 @@ class FieldMask:
         return [int(i) for i in np.nonzero(np.any(self.values != 0, axis=1))[0]]
 
 
+def _region_hole(lat: HoledLattice, l: int) -> int:
+    if not 0 <= l < len(lat.holes):
+        raise LatticeError(f"region references unknown hole {l}")
+    return l
+
+
 def region_sites(lat: HoledLattice, region) -> list[int]:
     """Resolve a region spec to a site list.
 
@@ -549,25 +532,13 @@ def region_sites(lat: HoledLattice, region) -> list[int]:
     if kind == "all":
         return list(range(lat.n_sites))
     if kind == "annulus":
-        l = region["hole"]
-        if not 0 <= l < len(lat.holes):
-            raise LatticeError(f"region references unknown hole {l}")
-        _, od = lat.hole_even_odd(l)
+        _, od = lat.hole_even_odd(_region_hole(lat, region["hole"]))
         return sorted(lat.cell_sites(*od))
     if kind == "corridor":
         if "hole" in region:
-            l = region["hole"]
-            if not 0 <= l < len(lat.holes):
-                raise LatticeError(f"region references unknown hole {l}")
-            return sorted(lat._fermion_string_sites(l))
-        l, m = region["from"], region["to"]
-        if not (0 <= l < len(lat.holes) and 0 <= m < len(lat.holes)):
-            raise LatticeError("corridor references unknown hole")
-        axis, c = lat._string_line()
-        h1, h2 = lat.holes[min(l, m)], lat.holes[max(l, m)]
-        if axis == "row":
-            return [lat.site(x, c) for x in range(h1.x0 + 1, h2.x0 + 1)]
-        return [lat.site(c, y) for y in range(h1.y0 + 1, h2.y0 + 1)]
+            return sorted(lat._line_sites(-1, _region_hole(lat, region["hole"])))
+        return lat._line_sites(*sorted(_region_hole(lat, region[k])
+                                       for k in ("from", "to")))
     if kind == "sites":
         out = []
         for s in region["sites"]:

@@ -8,11 +8,12 @@ interference) and tau^x (fermion interference) over hole subsets, plus
 repeats after a fixed quarter turn about z that expose the phase
 quadrature (a product of cosines alone leaves sin-signs ambiguous).
 
-Readouts are exact expectation values; ``sample_readouts`` adds seeded
-shot noise for realism but plays no role in acceptance.  Products are
-evaluated with parity arrays over the basis indices, in the chain's bit
-order: qubit l is ``PauliString`` site n-1-l (``effective.qubit_mask``),
-so qubit 0 is the most significant bit of a basis index.
+Every readout is one ``PauliString`` P with the quarter turns folded in
+(``Observable.pauli``); its +1 probability is 1/2 (1 + <v|P|v>), exact,
+and ``sample_readouts`` adds seeded shot noise that plays no role in
+acceptance.  Reconstruction fits the same strings.  Qubit l is
+``PauliString`` site n-1-l (``effective.qubit_mask``), so qubit 0 is the
+most significant bit of a basis index.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .effective import CHAIN_CAP, PseudoSpinState, qubit_mask
+from .pauli import PauliString
 
 
 class MeasureError(ValueError):
@@ -65,12 +67,12 @@ def interference_amplitude(paths: InterferencePaths) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_subset(state: PseudoSpinState, subset: Sequence[int]) -> tuple:
+def _check_subset(n: int, subset: Sequence[int]) -> tuple:
     qs = tuple(sorted(set(int(q) for q in subset)))
     if not qs:
         raise MeasureError("readout needs a nonempty hole subset")
-    if qs[0] < 0 or qs[-1] >= state.n:
-        raise MeasureError(f"subset {qs} outside register of size {state.n}")
+    if qs[0] < 0 or qs[-1] >= n:
+        raise MeasureError(f"qubits {qs} outside register of size {n}")
     return qs
 
 
@@ -80,34 +82,31 @@ def _signs(n: int, mask: int) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << n) & mask) & 1)
 
 
-def expectation_tau_z(state: PseudoSpinState, subset: Sequence[int]) -> float:
-    n = state.n
-    m = qubit_mask(n, _check_subset(state, subset))
-    return float(_signs(n, m) @ np.abs(state.amplitudes) ** 2)
-
-
-def expectation_tau_x(state: PseudoSpinState, subset: Sequence[int]) -> float:
-    m = qubit_mask(state.n, _check_subset(state, subset))
-    v = state.amplitudes
-    return float(np.real(np.vdot(v, v[np.arange(v.size) ^ m])))
+def _expect(v: np.ndarray, p: PauliString) -> float:
+    """<v|P|v> from P|t> = i^k (-1)^{z.t} |t XOR x>: component s of P|v>
+    takes its sign and amplitude at the source index t = s XOR x."""
+    src = np.arange(v.size) ^ p.x
+    return float((p.phase * np.vdot(v, _signs(p.n, p.z)[src] * v[src])).real)
 
 
 def vortex_readout(state: PseudoSpinState, subset: Sequence[int]) -> float:
     """Probability of the flux-free (+1) outcome of prod tau^z."""
-    return 0.5 * (1.0 + expectation_tau_z(state, subset))
+    return measure_observable(state, Observable("z", tuple(subset)))
 
 
 def fermion_readout(state: PseudoSpinState, subset: Sequence[int]) -> float:
     """Probability of the periodic-boundary (+1) outcome of prod tau^x."""
-    return 0.5 * (1.0 + expectation_tau_x(state, subset))
+    return measure_observable(state, Observable("x", tuple(subset)))
 
 
 def quarter_turn(state: PseudoSpinState, l: int) -> PseudoSpinState:
     """exp(-i pi/4 tau^z_l): advances the relative phase of qubit l by
-    pi/2; the fixed rotation used for quadrature readouts."""
+    pi/2.  Quadrature readouts fold this turn into their Pauli string
+    (``Observable.pauli``) instead of applying it."""
     n = state.n
-    phase = np.exp(-0.25j * np.pi * _signs(n, qubit_mask(n, (l,))))
-    return PseudoSpinState(phase * state.amplitudes)
+    m = qubit_mask(n, _check_subset(n, (l,)))
+    return PseudoSpinState(np.exp(-0.25j * np.pi * _signs(n, m))
+                           * state.amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +124,22 @@ class Observable:
         r = "" if not self.rotations else \
             ";rot" + ",".join(str(q) for q in self.rotations)
         return f"{self.basis}:" + ",".join(str(q) for q in self.subset) + r
+
+    def pauli(self, n: int) -> PauliString:
+        """The string this readout measures on an n-qubit register: Z or X
+        on the subset, each quarter turn on a subset qubit l folding X_l
+        into e^{i pi/4 Z_l} X_l e^{-i pi/4 Z_l} = -i X_l Z_l (k += 3).
+        Turns outside the subset commute with the string and drop out."""
+        if self.basis not in ("z", "x"):
+            raise MeasureError(f"unknown readout basis {self.basis!r}")
+        m = qubit_mask(n, _check_subset(n, self.subset))
+        r = k = 0
+        for l in self.rotations:
+            b = qubit_mask(n, _check_subset(n, (l,))) & m
+            r, k = r ^ b, k + 3 * (b != 0)
+        if self.basis == "z":
+            return PauliString(n, 0, m)
+        return PauliString(n, m, r, k)
 
 
 @dataclass(frozen=True)
@@ -156,12 +171,8 @@ def tomography_plan(n: int) -> MeasurementPlan:
 
 
 def measure_observable(state: PseudoSpinState, ob: Observable) -> float:
-    s = state
-    for l in ob.rotations:
-        s = quarter_turn(s, l)
-    if ob.basis == "z":
-        return vortex_readout(s, ob.subset)
-    return fermion_readout(s, ob.subset)
+    """Probability of the +1 outcome: 1/2 (1 + <v|P|v>), P = ob.pauli(n)."""
+    return 0.5 * (1.0 + _expect(state.amplitudes, ob.pauli(state.n)))
 
 
 def forward_readouts(state: PseudoSpinState,
@@ -206,10 +217,6 @@ class EntangledState:
         if abs(sum(a * a for a in self.alphas) - 1.0) > 1e-9:
             raise MeasureError("alphas are not normalized")
 
-    @property
-    def parameter_count(self) -> int:
-        return 2 * (2 ** self.n - 1)
-
     @staticmethod
     def from_state(state: PseudoSpinState, tol: float = 1e-12) -> "EntangledState":
         amps = state.amplitudes.copy()
@@ -228,112 +235,78 @@ class EntangledState:
         return PseudoSpinState(amps / np.linalg.norm(amps))
 
 
-def _z_probabilities(readouts: dict, n: int) -> np.ndarray:
-    """Joint z-basis distribution from the z-subset expectations."""
-    dim = 1 << n
+def _z_probabilities(readouts: dict, plan: MeasurementPlan) -> np.ndarray:
+    """Joint z-basis distribution from the plan's z-subset expectations."""
+    n, dim = plan.n, 1 << plan.n
     total = np.ones(dim)
-    for r in range(1, n + 1):
-        for s in itertools.combinations(range(n), r):
-            e = 2.0 * readouts[Observable("z", s).key()] - 1.0
-            total += e * _signs(n, qubit_mask(n, s))
+    for ob in plan.observables:
+        if ob.basis == "z":
+            e = 2.0 * readouts[ob.key()] - 1.0
+            total += e * _signs(n, ob.pauli(n).z)
     return np.clip(total / dim, 0.0, None)
 
 
 def reconstruct(readouts: dict, n: int, tol: float = 1e-8) -> EntangledState:
     """Recover the state parameters from exact readout probabilities.
 
-    Supported for n <= 2.  Inconsistent inputs (probabilities that no
-    state reproduces within ``tol``) are rejected with the residual.
+    Supported for n <= 2: amplitudes from the z readouts, phases by a
+    multi-start Levenberg-Marquardt fit to the plan's x readouts (exact
+    inputs land at machine precision from the best grid start).
+    Inconsistent inputs (probabilities that no state reproduces within
+    ``tol``) are rejected with the residual.
     """
-    if n == 1:
-        return _reconstruct_1(readouts, tol)
-    if n == 2:
-        return _reconstruct_2(readouts, tol)
-    raise MeasureError("reconstruction is implemented for n <= 2")
+    if n not in (1, 2):
+        raise MeasureError("reconstruction is implemented for n <= 2")
+    plan = tomography_plan(n)
+    for ob in plan.observables:
+        if ob.key() not in readouts:
+            raise MeasureError(f"readouts lack observable {ob.key()!r}")
+    alphas = np.sqrt(_z_probabilities(readouts, plan))
+    alphas /= np.linalg.norm(alphas)
+    fit = [(ob.pauli(n), 2.0 * readouts[ob.key()] - 1.0)
+           for ob in plan.observables if ob.basis == "x"]
+
+    def amplitudes(phis):
+        return alphas * np.exp(1j * np.concatenate(([0.0], phis)))
+
+    def misfit(phis):
+        # (E - e) / 2, not (1 + E) / 2 - r: rounding 1 + E drowns small terms
+        v = amplitudes(phis)
+        return [0.5 * (_expect(v, p) - e) for p, e in fit]
+
+    best = None
+    for s0 in itertools.product((0.0, -2.1, 2.1), repeat=alphas.size - 1):
+        sol = least_squares(misfit, s0, method="lm",
+                            xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        if best is None or sol.cost < best.cost:
+            best = sol
+        if best.cost < 1e-24:
+            break
+    est = EntangledState.from_state(PseudoSpinState(amplitudes(best.x)))
+    _residual_check(est, readouts, tol)
+    return est
 
 
-def _residual_check(est: EntangledState, readouts: dict, tol: float) -> float:
+def _residual_check(est: EntangledState, readouts: dict, tol: float) -> None:
     sim = forward_readouts(est.to_state(), tomography_plan(est.n))
     resid = max(abs(sim[k] - readouts[k]) for k in sim)
     if resid > tol:
         raise MeasureError(
             f"readouts inconsistent with a pure register state "
             f"(residual {resid:.3e} > {tol:.1e})")
-    return resid
-
-
-def _reconstruct_1(readouts: dict, tol: float) -> EntangledState:
-    pz = readouts[Observable("z", (0,)).key()]
-    px = readouts[Observable("x", (0,)).key()]
-    pq = readouts[Observable("x", (0,), (0,)).key()]
-    alpha = np.sqrt(np.clip(pz, 0.0, 1.0))
-    beta = np.sqrt(np.clip(1.0 - pz, 0.0, 1.0))
-    if alpha * beta < 1e-12:
-        phi = 0.0
-    else:
-        c = (px - 0.5) / (alpha * beta)
-        s = (0.5 - pq) / (alpha * beta)
-        phi = float(np.arctan2(np.clip(s, -1, 1), np.clip(c, -1, 1)))
-    if phi <= -np.pi + 1e-15:
-        phi = np.pi
-    est = EntangledState(1, (float(alpha), float(beta)), (0.0, phi))
-    _residual_check(est, readouts, tol)
-    return est
-
-
-def _phase_residuals(phis: np.ndarray, alphas: np.ndarray,
-                     readouts: dict) -> np.ndarray:
-    amps = alphas * np.exp(1j * np.concatenate(([0.0], phis)))
-    nrm = np.linalg.norm(amps)
-    if nrm == 0:
-        return np.full(8, 1e3)
-    state = PseudoSpinState(amps / nrm)
-    out = []
-    for ob in _PHASE_OBSERVABLES:
-        out.append(measure_observable(state, ob) - readouts[ob.key()])
-    return np.asarray(out)
-
-
-_PHASE_OBSERVABLES = tuple(
-    [Observable("x", s) for s in ((0,), (1,), (0, 1))]
-    + [Observable("x", (0,), (0,)), Observable("x", (1,), (1,)),
-       Observable("x", (0, 1), (0,)), Observable("x", (0, 1), (1,))]
-)
-
-
-def _reconstruct_2(readouts: dict, tol: float) -> EntangledState:
-    alphas = np.sqrt(_z_probabilities(readouts, 2))
-    # phases by deterministic multi-start refinement; exact inputs land
-    # at machine precision from the best grid start
-    starts = [np.zeros(3)]
-    grid = (-2.1, 0.0, 2.1)
-    starts += [np.array(p) for p in itertools.product(grid, repeat=3)]
-    best = None
-    for s0 in starts:
-        sol = least_squares(_phase_residuals, s0, args=(alphas, readouts),
-                            method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        if best is None or sol.cost < best.cost:
-            best = sol
-        if best.cost < 1e-24:
-            break
-    phis = np.concatenate(([0.0], best.x))
-    amps = alphas * np.exp(1j * phis)
-    nrm = np.linalg.norm(amps)
-    if nrm == 0:
-        raise MeasureError("all-zero readout distribution")
-    est = EntangledState.from_state(PseudoSpinState(amps / nrm))
-    _residual_check(est, readouts, tol)
-    return est
 
 
 def parameter_error(a: EntangledState, b: EntangledState,
                     amp_tol: float = 1e-7) -> float:
-    """Max deviation over amplitudes and (relevant) wrapped phases."""
+    """Max deviation over amplitudes and (relevant) wrapped phases, the
+    phases taken relative to a's largest amplitude: a gauge fixed on a
+    later index, where amplitude 0 was too small to resolve, agrees."""
     if a.n != b.n:
         raise MeasureError("register sizes differ")
     err = max(abs(x - y) for x, y in zip(a.alphas, b.alphas))
+    ref = int(np.argmax(a.alphas))
     for aa, pa, pb in zip(a.alphas, a.phis, b.phis):
         if aa > amp_tol:
-            d = abs((pa - pb + np.pi) % (2 * np.pi) - np.pi)
-            err = max(err, d)
+            d = (pa - a.phis[ref]) - (pb - b.phis[ref])
+            err = max(err, abs((d + np.pi) % (2 * np.pi) - np.pi))
     return float(err)

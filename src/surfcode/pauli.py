@@ -31,6 +31,10 @@ def _popcount(v: int) -> int:
     return bin(v).count("1")
 
 
+def _mask(sites: Iterable[int]) -> int:
+    return sum(1 << s for s in set(sites))
+
+
 @dataclass(frozen=True)
 class PauliString:
     """Signed product of single-site Pauli factors over ``n`` sites."""
@@ -66,26 +70,16 @@ class PauliString:
 
     @staticmethod
     def x_on(n: int, sites: Iterable[int]) -> "PauliString":
-        m = 0
-        for s in sites:
-            m |= 1 << s
-        return PauliString(n, m, 0, 0)
+        return PauliString(n, _mask(sites), 0, 0)
 
     @staticmethod
     def z_on(n: int, sites: Iterable[int]) -> "PauliString":
-        m = 0
-        for s in sites:
-            m |= 1 << s
-        return PauliString(n, 0, m, 0)
+        return PauliString(n, 0, _mask(sites), 0)
 
     @staticmethod
     def y_on(n: int, sites: Iterable[int]) -> "PauliString":
-        m = 0
-        c = 0
-        for s in sites:
-            m |= 1 << s
-            c += 1
-        return PauliString(n, m, m, c)
+        m = _mask(sites)
+        return PauliString(n, m, m, _popcount(m))
 
     # -- properties ---------------------------------------------------
 
@@ -123,15 +117,6 @@ def multiply(p: PauliString, q: PauliString) -> PauliString:
     # move Z^{z_p} past X^{x_q}: one (-1) per overlapping site
     k = p.k + q.k + 2 * _popcount(p.z & q.x)
     return PauliString(p.n, p.x ^ q.x, p.z ^ q.z, k % 4)
-
-
-def product(strings: Sequence[PauliString]) -> PauliString:
-    if not strings:
-        raise PauliError("empty product")
-    out = PauliString.identity(strings[0].n)
-    for s in strings:
-        out = multiply(out, s)
-    return out
 
 
 def commutes(p: PauliString, q: PauliString) -> bool:

@@ -266,6 +266,33 @@ def test_metrics_translation_invariance():
     assert mb.fermion_boundary == mu.fermion_boundary
 
 
+def test_transposed_chains_share_one_string_line():
+    # a west-east chain of vertical dominoes and its mirror image in the
+    # diagonal, a south-north chain of horizontal ones
+    v = build_lattice(8, 5, "open", [sc.HoleSpec(x, 1, x, 2) for x in (1, 3, 5)])
+    h = build_lattice(5, 8, "open", [sc.HoleSpec(1, y, 2, y) for y in (1, 3, 5)])
+    assert h.port == v.port[::-1] == (1, -1)
+    regions = [{"type": "corridor", "hole": l} for l in range(3)]
+    regions += [{"type": "corridor", "from": l, "to": m}
+                for l, m in ((0, 1), (2, 1), (0, 2))]
+    for region in regions:
+        mirrored = [(s % v.width) * h.width + s // v.width
+                    for s in region_sites(v, region)]
+        assert sorted(region_sites(h, region)) == sorted(mirrored)
+    assert path_metrics(h).fermion_boundary == path_metrics(v).fermion_boundary
+
+
+@pytest.mark.parametrize("w,hgt,holes,message", [
+    (8, 6, [(3, 1, 3, 2), (1, 1, 1, 2)], "west to east"),
+    (8, 6, [(1, 1, 1, 2), (3, 2, 3, 3)], "one row band"),
+    (6, 8, [(1, 3, 2, 3), (1, 1, 2, 1)], "south to north"),
+    (6, 8, [(1, 1, 2, 1), (2, 3, 3, 3)], "one column band"),
+])
+def test_chain_band_and_order_rejections(w, hgt, holes, message):
+    with pytest.raises(LatticeError, match=message):
+        build_lattice(w, hgt, "open", [sc.HoleSpec(*c) for c in holes])
+
+
 def test_metrics_require_holes():
     lat = build_lattice(4, 4, "torus")
     with pytest.raises(LatticeError):

@@ -12,9 +12,10 @@ from surfcode.effective import CHAIN_CAP, PseudoSpinState
 from surfcode.measure import (EntangledState, InterferencePaths,
                               MeasureError, Observable, fermion_readout,
                               forward_readouts, interference_amplitude,
-                              parameter_error, quarter_turn, reconstruct,
-                              sample_readouts, tomography_plan,
-                              vortex_readout)
+                              measure_observable, parameter_error,
+                              quarter_turn, reconstruct, sample_readouts,
+                              tomography_plan, vortex_readout)
+from surfcode.spectra import pauli_sum_matrix
 
 
 def rand_state(rng, n):
@@ -161,6 +162,49 @@ def test_quarter_turn_matches_kronecker_on_each_qubit():
         assert np.max(np.abs(quarter_turn(s, q).amplitudes - want)) < 1e-12
 
 
+def rotated_operator(n, ob):
+    """U^dagger P U with U the observable's quarter turns in order."""
+    U = np.eye(2 ** n)
+    for q in ob.rotations:
+        U = kron_on(n, {q: QUARTER}) @ U
+    P = kron_on(n, {q: PAULI[ob.basis] for q in ob.subset})
+    return U.conj().T @ P @ U
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_folded_strings_match_kronecker_rotations(n):
+    hand = [Observable("x", (0,), (0, 0))]             # two turns on one qubit
+    if n >= 2:
+        hand += [Observable("x", (0, 1), (0, 1)),      # two turns inside
+                 Observable("x", (1,), (0,)),          # one turn outside
+                 Observable("z", (0, 1), (1,))]
+    if n == 3:
+        hand += [Observable("x", (0, 2), (1, 2, 0)),
+                 Observable("x", (2,), (2, 2, 2))]
+    for ob in tomography_plan(n).observables + tuple(hand):
+        got = pauli_sum_matrix([(1.0, ob.pauli(n))], n).toarray()
+        assert np.max(np.abs(got - rotated_operator(n, ob))) < 1e-12, ob
+
+
+def test_rotation_qubits_and_readout_keys_are_validated():
+    up = PseudoSpinState.all_up(1)
+    for l in (-1, 1):
+        with pytest.raises(MeasureError, match=rf"qubits \({l},\) outside"):
+            quarter_turn(up, l)
+        with pytest.raises(MeasureError, match=rf"qubits \({l},\) outside"):
+            measure_observable(up, Observable("x", (0,), (l,)))
+    with pytest.raises(MeasureError, match=r"qubits \(1,\) outside"):
+        fermion_readout(up, [1])
+    with pytest.raises(MeasureError, match="basis 'y'"):
+        measure_observable(up, Observable("y", (0,)))
+    with pytest.raises(MeasureError, match="'z:0'"):
+        reconstruct({}, 1)
+    ro = forward_readouts(PseudoSpinState.all_up(2))
+    del ro["x:0,1;rot1"]
+    with pytest.raises(MeasureError, match="'x:0,1;rot1'"):
+        reconstruct(ro, 2)
+
+
 # -- plan ------------------------------------------------------------------
 
 
@@ -213,6 +257,43 @@ def test_roundtrip_random_states(n, count, seed):
         truth = EntangledState.from_state(s)
         worst = max(worst, parameter_error(truth, est))
     assert worst <= 1e-6
+
+
+def closed_form_1(readouts):
+    """Single-qubit reconstruction by inverting the three readouts."""
+    pz, px, pq = (readouts[k] for k in ("z:0", "x:0", "x:0;rot0"))
+    alpha = np.sqrt(np.clip(pz, 0.0, 1.0))
+    beta = np.sqrt(np.clip(1.0 - pz, 0.0, 1.0))
+    if alpha * beta < 1e-12:
+        return (alpha, beta), (0.0, 0.0)
+    c = (px - 0.5) / (alpha * beta)
+    s = (0.5 - pq) / (alpha * beta)
+    phi = np.arctan2(np.clip(s, -1, 1), np.clip(c, -1, 1))
+    return (alpha, beta), (0.0, phi)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.7, 1e-6])
+@pytest.mark.parametrize("phi", [0.0, np.pi / 2, -np.pi / 2, np.pi, 3.1, -3.1])
+def test_reconstruct_1_matches_the_closed_form(alpha, phi):
+    beta = np.sqrt(1.0 - alpha * alpha)
+    s = PseudoSpinState(np.array([alpha, beta * np.exp(1j * phi)]))
+    ro = forward_readouts(s)
+    est = reconstruct(ro, 1)
+    alphas, phis = closed_form_1(ro)
+    assert np.max(np.abs(np.array(est.alphas) - alphas)) < 1e-9
+    for a, b in zip(est.phis, phis):
+        assert abs((a - b + np.pi) % (2 * np.pi) - np.pi) < 1e-9
+
+
+def test_parameter_error_ignores_the_phase_gauge():
+    # amplitude 0 is far below what the readouts resolve, so the estimate
+    # gauges its phase on basis index 1 while the truth gauges on index 0
+    for small, phi in ((1e-9, 3.0), (1e-10, -2.0), (1e-11, 1.0)):
+        a = np.array([small, np.exp(1j * phi)])
+        s = PseudoSpinState(a / np.linalg.norm(a))
+        est = reconstruct(forward_readouts(s), 1)
+        assert s.fidelity(est.to_state()) > 1 - 1e-12
+        assert parameter_error(EntangledState.from_state(s), est) < 1e-8
 
 
 def test_reconstruct_inconsistent_rejected():
