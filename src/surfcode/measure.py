@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import least_squares
 
-from .effective import CHAIN_CAP, PseudoSpinState, qubit_mask
+from .effective import CHAIN_CAP, PseudoSpinState, qubit_mask, z_signs
 from .pauli import PauliString
 
 
@@ -76,17 +76,15 @@ def _check_subset(n: int, subset: Sequence[int]) -> tuple:
     return qs
 
 
-def _signs(n: int, mask: int) -> np.ndarray:
-    """(-1)^popcount(i & mask) for every basis index i: the diagonal of
-    prod tau^z over the qubits in ``mask``."""
-    return 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << n) & mask) & 1)
+def _apply(v: np.ndarray, p: PauliString) -> np.ndarray:
+    """P|v> from P|t> = i^k (-1)^{z.t} |t XOR x>: component s of P|v>
+    takes its sign and amplitude at the source index t = s XOR x."""
+    src = np.arange(v.size) ^ p.x
+    return p.phase * z_signs(p.n, p.z)[src] * v[src]
 
 
 def _expect(v: np.ndarray, p: PauliString) -> float:
-    """<v|P|v> from P|t> = i^k (-1)^{z.t} |t XOR x>: component s of P|v>
-    takes its sign and amplitude at the source index t = s XOR x."""
-    src = np.arange(v.size) ^ p.x
-    return float((p.phase * np.vdot(v, _signs(p.n, p.z)[src] * v[src])).real)
+    return float(np.vdot(v, _apply(v, p)).real)
 
 
 def vortex_readout(state: PseudoSpinState, subset: Sequence[int]) -> float:
@@ -105,7 +103,7 @@ def quarter_turn(state: PseudoSpinState, l: int) -> PseudoSpinState:
     (``Observable.pauli``) instead of applying it."""
     n = state.n
     m = qubit_mask(n, _check_subset(n, (l,)))
-    return PseudoSpinState(np.exp(-0.25j * np.pi * _signs(n, m))
+    return PseudoSpinState(np.exp(-0.25j * np.pi * z_signs(n, m))
                            * state.amplitudes)
 
 
@@ -242,7 +240,7 @@ def _z_probabilities(readouts: dict, plan: MeasurementPlan) -> np.ndarray:
     for ob in plan.observables:
         if ob.basis == "z":
             e = 2.0 * readouts[ob.key()] - 1.0
-            total += e * _signs(n, ob.pauli(n).z)
+            total += e * z_signs(n, ob.pauli(n).z)
     return np.clip(total / dim, 0.0, None)
 
 
@@ -252,8 +250,9 @@ def reconstruct(readouts: dict, n: int, tol: float = 1e-8) -> EntangledState:
     Supported for n <= 2: amplitudes from the z readouts, phases by a
     multi-start Levenberg-Marquardt fit to the plan's x readouts (exact
     inputs land at machine precision from the best grid start).
-    Inconsistent inputs (probabilities that no state reproduces within
-    ``tol``) are rejected with the residual.
+    Missing or non-finite readouts and inconsistent inputs
+    (probabilities that no state reproduces within ``tol``) are rejected,
+    the latter with the residual.
     """
     if n not in (1, 2):
         raise MeasureError("reconstruction is implemented for n <= 2")
@@ -261,30 +260,43 @@ def reconstruct(readouts: dict, n: int, tol: float = 1e-8) -> EntangledState:
     for ob in plan.observables:
         if ob.key() not in readouts:
             raise MeasureError(f"readouts lack observable {ob.key()!r}")
+        if not np.isfinite(readouts[ob.key()]):
+            raise MeasureError(f"readout {ob.key()!r} is not finite: "
+                               f"{readouts[ob.key()]}")
     alphas = np.sqrt(_z_probabilities(readouts, plan))
     alphas /= np.linalg.norm(alphas)
     fit = [(ob.pauli(n), 2.0 * readouts[ob.key()] - 1.0)
            for ob in plan.observables if ob.basis == "x"]
 
-    def amplitudes(phis):
-        return alphas * np.exp(1j * np.concatenate(([0.0], phis)))
-
-    def misfit(phis):
-        # (E - e) / 2, not (1 + E) / 2 - r: rounding 1 + E drowns small terms
-        v = amplitudes(phis)
-        return [0.5 * (_expect(v, p) - e) for p, e in fit]
-
     best = None
     for s0 in itertools.product((0.0, -2.1, 2.1), repeat=alphas.size - 1):
-        sol = least_squares(misfit, s0, method="lm",
-                            xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        sol = least_squares(_misfit, s0, jac=_misfit_jacobian,
+                            method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
+                            args=(alphas, fit))
         if best is None or sol.cost < best.cost:
             best = sol
         if best.cost < 1e-24:
             break
-    est = EntangledState.from_state(PseudoSpinState(amplitudes(best.x)))
+    est = EntangledState.from_state(
+        PseudoSpinState(_amplitudes(alphas, best.x)))
     _residual_check(est, readouts, tol)
     return est
+
+
+def _amplitudes(alphas: np.ndarray, phis) -> np.ndarray:
+    return alphas * np.exp(1j * np.concatenate(([0.0], phis)))
+
+
+def _misfit(phis, alphas: np.ndarray, fit: list) -> list:
+    # (E - e) / 2, not (1 + E) / 2 - r: rounding 1 + E drowns small terms
+    v = _amplitudes(alphas, phis)
+    return [0.5 * (_expect(v, p) - e) for p, e in fit]
+
+
+def _misfit_jacobian(phis, alphas: np.ndarray, fit: list) -> list:
+    """Im(conj(v_s) (P v)_s), s >= 1: dv_s/dphi_s = i v_s, P Hermitian."""
+    v = _amplitudes(alphas, phis)
+    return [(v.conj() * _apply(v, p)).imag[1:] for p, _ in fit]
 
 
 def _residual_check(est: EntangledState, readouts: dict, tol: float) -> None:

@@ -8,11 +8,11 @@ from scipy.linalg import expm
 import surfcode as sc
 from surfcode.effective import (AdiabaticSchedule, ChainTemplate,
                                 EffectiveChain, EffectiveError,
-                                PseudoSpinState, adiabatic_init, build_chain,
-                                evolve, fermion_splitting, hadamard_gate,
-                                pair_couplings, pi8_gate, rotation_gate,
-                                rotation_unitary, single_qubit_fields,
-                                vortex_splitting)
+                                PseudoSpinState, _propagate, adiabatic_init,
+                                build_chain, evolve, fermion_splitting,
+                                hadamard_gate, pair_couplings, pi8_gate,
+                                rotation_gate, rotation_unitary,
+                                single_qubit_fields, vortex_splitting)
 from surfcode.lattice import PathMetrics
 
 
@@ -154,7 +154,7 @@ def test_matrix_matches_kronecker_build():
 
 
 def test_evolve_matches_expm_at_large_norm_times_duration():
-    # |H| t ~ 100: expm_multiply takes many substeps
+    # |H| t ~ 100: the propagator takes ceil(t sum|c|) substeps
     rng = np.random.default_rng(22)
     for n in (2, 4, 5):
         ch = random_chain(rng, n, scale=0.5)
@@ -195,6 +195,62 @@ def test_adiabatic_init_matches_eigh_per_step_reference():
     want, _ = _eigh_per_step_ramp(tmpl, sched, np.linalg.eigh(H0)[1][:, 0])
     assert abs(abs(np.vdot(want, st.amplitudes)) - 1.0) < 1e-10
     assert fid == pytest.approx(abs(want[0]) ** 2, abs=1e-10)
+
+
+def test_ramp_with_a_z_coefficient_that_is_zero_only_at_the_start():
+    """hz_0 = -eps(h(-T))/2 cancels the ramp's share at h(-T), so the
+    first chain drops that term; every later step needs it back."""
+    n, g = 3, 1.0
+    sched = AdiabaticSchedule(0.8, 20.0, 300.0, 60)
+    hz0 = -vortex_splitting(g, sched.h(-300.0), 4) / 2.0
+    base = EffectiveChain(n, (0.02, -0.01), (0.005, 0.0), (0.03, 0.01, -0.02),
+                          (hz0, 0.01, 0.0))
+    tmpl = ChainTemplate(base, (4, 4, 6), (8, 10))
+    assert tmpl.at_field(g, sched.h(-300.0)).hz[0] == 0.0
+    assert tmpl.at_field(g, sched.h(-297.5)).hz[0] != 0.0
+    trace = []
+    st, fid = adiabatic_init(tmpl, sched, trace=trace)
+    H0 = kron_chain_matrix(tmpl.at_field(g, sched.h(-300.0)))
+    w, V = np.linalg.eigh(H0)
+    assert w[1] - w[0] > 1e-3                  # a unique start state
+    want, fids = _eigh_per_step_ramp(tmpl, sched, V[:, 0], g)
+    assert abs(abs(np.vdot(want, st.amplitudes)) - 1.0) < 1e-10
+    assert np.max(np.abs(np.array([f for _, _, f in trace]) - fids)) < 1e-10
+    assert fid == pytest.approx(abs(want[0]) ** 2, abs=1e-10)
+
+
+def test_ramp_refuses_a_step_that_drifts_in_norm(monkeypatch):
+    tmpl = _template(3, jxx=1e-3, hx=2e-3)
+    sched = AdiabaticSchedule(0.5, 50.0, 600.0, 5)
+    adiabatic_init(tmpl, sched)
+    monkeypatch.setattr(sc.effective, "_propagate",
+                        lambda *a: (1.0 + 1e-6) * _propagate(*a))
+    with pytest.raises(EffectiveError, match="norm drift 1.00e-06"):
+        adiabatic_init(tmpl, sched)
+
+
+def test_propagate_matches_expm():
+    """At t = 0, at negative t, at |H| t ~ 100 and with H = 0, directly
+    and through ``evolve``."""
+    rng = np.random.default_rng(31)
+    for n in (1, 3, 4):
+        ch = random_chain(rng, n, scale=0.5)
+        H = kron_chain_matrix(ch)
+        bound = sum(abs(c) for c, _ in ch.terms())
+        assert bound > 0.0
+        v = random_state(rng, n)
+        for t in (0.0, -2.5, 100.0 / bound, -100.0 / bound):
+            want = expm(-1j * t * H) @ v.amplitudes
+            got = _propagate(lambda u: H @ u, bound, v.amplitudes, t)
+            assert np.max(np.abs(got - want)) < 1e-10
+            assert np.max(np.abs(evolve(ch, v, t).amplitudes - want)) < 1e-10
+    zero = EffectiveChain(2, (0.0,), (0.0,), (0.0, 0.0), (0.0, 0.0))
+    v = random_state(rng, 2)
+    for t in (0.0, -3.0, 1e3):
+        assert np.array_equal(_propagate(lambda u: 0.0 * u, 0.0,
+                                         v.amplitudes, t), v.amplitudes)
+        assert np.max(np.abs(evolve(zero, v, t).amplitudes
+                             - v.amplitudes)) < 1e-15
 
 
 def test_ramp_n10_100_steps_keeps_norm():

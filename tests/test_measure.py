@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from surfcode.effective import CHAIN_CAP, PseudoSpinState
 from surfcode.measure import (EntangledState, InterferencePaths,
-                              MeasureError, Observable, fermion_readout,
+                              MeasureError, Observable, _misfit,
+                              _misfit_jacobian, fermion_readout,
                               forward_readouts, interference_amplitude,
                               measure_observable, parameter_error,
                               quarter_turn, reconstruct, sample_readouts,
@@ -302,6 +303,35 @@ def test_reconstruct_inconsistent_rejected():
     ro[Observable("x", (0,)).key()] = 0.99   # incompatible with z readout
     with pytest.raises(MeasureError):
         reconstruct(ro, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_misfit_jacobian_matches_central_differences(n):
+    rng = np.random.default_rng(40 + n)
+    plan = tomography_plan(n)
+    for _ in range(5):
+        alphas = np.abs(rand_state(rng, n).amplitudes)
+        fit = [(ob.pauli(n), rng.uniform(-1.0, 1.0))
+               for ob in plan.observables if ob.basis == "x"]
+        phis = rng.uniform(-np.pi, np.pi, 2 ** n - 1)
+        jac = np.array(_misfit_jacobian(phis, alphas, fit))
+        assert jac.shape == (len(fit), 2 ** n - 1)
+        h = 1e-6
+        for s in range(2 ** n - 1):
+            e = np.zeros(2 ** n - 1)
+            e[s] = h
+            fd = (np.array(_misfit(phis + e, alphas, fit))
+                  - np.array(_misfit(phis - e, alphas, fit))) / (2 * h)
+            assert np.max(np.abs(jac[:, s] - fd)) < 1e-8
+
+
+@pytest.mark.parametrize("n,key", [(1, "x:0"), (2, "z:0,1")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_reconstruct_rejects_non_finite_readouts(n, key, bad):
+    ro = forward_readouts(rand_state(np.random.default_rng(9), n))
+    ro[key] = bad
+    with pytest.raises(MeasureError, match=f"readout '{key}' is not finite"):
+        reconstruct(ro, n)
 
 
 def test_reconstruct_n3_unsupported():
