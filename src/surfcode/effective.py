@@ -391,13 +391,21 @@ class ChainTemplate:
     vortex_loop: tuple[int, ...]
     vortex_pair: tuple[int, ...]
 
+    def __post_init__(self):
+        if (len(self.vortex_pair), len(self.vortex_loop)) != (
+                self.base.n - 1, self.base.n):
+            raise EffectiveError("need n-1 pair loops and n hole loops")
+
     def at_field(self, g: float, hx: float) -> EffectiveChain:
+        b, zc = self.base, self._z_coefficients(g, hx)
+        return EffectiveChain(b.n, b.jxx, zc[:b.n - 1], b.hx, zc[b.n - 1:])
+
+    def _z_coefficients(self, g: float, hx: float) -> tuple[float, ...]:
+        """``jzz + hz`` at field hx, in the order of the chain's Z strings:
+        each base coefficient plus half the vortex splitting of its loop."""
         b = self.base
-        hz = tuple(h + vortex_splitting(g, hx, L) / 2.0
-                   for h, L in zip(b.hz, self.vortex_loop))
-        jzz = tuple(j + vortex_splitting(g, hx, L) / 2.0
-                    for j, L in zip(b.jzz, self.vortex_pair))
-        return EffectiveChain(b.n, b.jxx, jzz, b.hx, hz)
+        return tuple(c + vortex_splitting(g, hx, L) / 2.0 for c, L in
+                     zip(b.jzz + b.hz, self.vortex_pair + self.vortex_loop))
 
 
 def adiabatic_init(template: ChainTemplate, schedule: AdiabaticSchedule,
@@ -411,8 +419,9 @@ def adiabatic_init(template: ChainTemplate, schedule: AdiabaticSchedule,
     from ``lowest_eigs`` on the chain's terms (no stabilizer, so r = 0).
     Returns the final state and its fidelity to |up...up>.  Passing a
     list as ``trace`` records (t, h(t), fidelity) after every step.
-    ``at_field`` changes only Z coefficients, so a step applies the X
-    matrix and its diagonal, built from every Z string (zero ones too).
+    The field changes only Z coefficients, so a step applies the X
+    matrix and its diagonal, built from every Z string (zero ones too),
+    with the step's ``jzz + hz`` from ``ChainTemplate._z_coefficients``.
     """
     n = template.base.n
     if n > CHAIN_CAP:
@@ -434,8 +443,7 @@ def adiabatic_init(template: ChainTemplate, schedule: AdiabaticSchedule,
     target = PseudoSpinState.all_up(n)
     state = start_state
     for t in times:
-        chain = template.at_field(g, schedule.h(t))
-        zc = np.array(chain.jzz + chain.hz)
+        zc = np.array(template._z_coefficients(g, schedule.h(t)))
         d = zc @ signs
         amps = _propagate(lambda v: A @ v + d * v,
                           x_bound + np.abs(zc).sum(), state.amplitudes, dt)

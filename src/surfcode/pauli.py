@@ -207,11 +207,8 @@ def logical_pair(lat, l: int) -> LogicalPair:
             if not commutes(gp, op):
                 raise PauliError(
                     f"{name} of hole {l} anticommutes with stabilizer {i}")
-        if not op.is_hermitian():
+        if not op.is_hermitian():     # hence it also squares to +1
             raise PauliError(f"{name} of hole {l} is not hermitian")
-        sq = multiply(op, op)
-        if not (sq.is_identity_mask and sq.k == 0):
-            raise PauliError(f"{name} of hole {l} does not square to +1")
         if _in_span(pivots, op):
             raise PauliError(f"{name} of hole {l} lies in the stabilizer group")
     if commutes(tz, tx):

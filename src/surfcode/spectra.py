@@ -41,12 +41,15 @@ diagonalized densely from its application to the identity block, a
 larger one by seeded LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517
 (2001)) on block calls.  Its block holds exactly the k random columns
 asked for, which resolves a k-fold exact degeneracy, as a single-vector
-Lanczos cannot; guard columns would only hold the stop back until the
-cluster above level k converged too.  It is preconditioned by the
-inverse of the sector's diagonal shifted to be positive definite
-(after Davidson, J. Comput. Phys. 17, 87 (1975)): D - min D + w, w the
-summed |c| of the off-diagonal terms, so min D - w is a Gershgorin bound
-below the spectrum.
+Lanczos cannot.  It is preconditioned by the inverse of the sector's
+diagonal shifted to be positive definite (after Davidson, J. Comput.
+Phys. 17, 87 (1975)): D - min D + w, w the summed |c| of the
+off-diagonal terms, so min D - w is a Gershgorin bound below the
+spectrum.  Where level k cuts through a degenerate cluster a column can
+stall above the residual gate 50 tol ||H||; only then is the sector
+solved again with 2, then 4 guard columns, the first k kept.  One
+``_Sectors`` per call is the solve context that holds ``tol``, ``seed``,
+the gate and LOBPCG's warnings.
 
 Levels stay in sector coordinates: a ``Spectrum`` keeps each level's
 sector and its column of 2^(n - r) coefficients.  A logical operator
@@ -88,6 +91,7 @@ from .pauli import PauliString, commutes, eliminate, multiply
 
 DIMENSION_CAP = 24
 SECTOR_DENSE_CAP = 1 << 10    # largest sector diagonalized by dense eigh
+LOBPCG_MAXITER = 2000         # iteration cap of one above-cap LOBPCG solve
 
 
 class SpectraError(RuntimeError):
@@ -319,13 +323,21 @@ class _Sectors:
     state of representative b is 2^(-a/2) prod_g (1 + chi_t(g) g) |b>
     over the a rows with x pivots.  Each term is tapered once, in
     ``terms``, to a string on ``sites`` and a character of t.
+
+    It is also one ``lowest_eigs`` call's solve context: ``tol``,
+    ``seed``, the residual ``gate`` that levels and above-cap floors must
+    pass, and ``notes``, the LOBPCG warnings.
     """
 
-    def __init__(self, H: SpinHamiltonian, gens: list[PauliString]):
+    def __init__(self, H: SpinHamiltonian, gens: list[PauliString],
+                 tol: float, seed: int):
         n = H.n
         self.H = H
         self.gens = gens
         self.r = len(gens)
+        self.tol, self.seed = tol, seed
+        self.gate = 50 * max(tol * H.norm_bound, 1e-30)
+        self.notes: list[str] = []
         rows, _ = eliminate(
             [[(p.x << n) | p.z, p, 1 << j] for j, p in enumerate(gens)],
             2 * n)
@@ -394,24 +406,55 @@ class _Sectors:
             terms=tuple((c * (1 - 2 * _parity(comb & t)), p)
                         for c, comb, p in self.terms))
 
-    def floor(self, t: int, tol: float, seed: int, maxiter: int,
-              notes: list) -> float:
+    def floor(self, t: int) -> float:
         """Lower bound on the lowest level of R_t, the non-identity terms of
         sector t: lambda_min(D_s - M), D_s its diagonal terms, solved once
-        per sign pattern s; -rest where an above-cap solve did not
-        converge (warnings go to ``notes``)."""
+        per sign pattern s; -rest where an above-cap solve fails the
+        gate."""
         diag = tuple((c * (1 - 2 * _parity(comb & t)), p)
                      for c, comb, p in self.diagonal)
         key = tuple(c for c, _ in diag)
         if key not in self.floors:
-            (low,), _, (res,) = _solve(
+            (low,), _, (res,) = self.solve(
                 replace(self.H, n=len(self.sites), terms=diag + self.majorant),
-                1, tol, seed, maxiter, notes)
+                1)
             if self.dim > SECTOR_DENSE_CAP:     # a Ritz value, if converged
-                low = (low - res if res <= 50 * tol * self.H.norm_bound
-                       else -np.inf)
+                low = low - res if res <= self.gate else -np.inf
             self.floors[key] = max(low, -self.rest)
         return self.floors[key]
+
+    def solve(self, H: SpinHamiltonian, m: int):
+        """Lowest m levels of H, a sector's or a floor's, with their columns
+        and residual norms: dense eigh up to ``SECTOR_DENSE_CAP`` states,
+        above it LOBPCG on m seeded random columns preconditioned by the
+        (D - min D + w)^-1 of the module docstring (a diagonal H, w = 0,
+        takes its norm bound instead, and H = 0 takes 1).  A column that
+        fails the gate sends it back with 2, then 4 guard columns, the
+        first m kept; scipy's warnings go to ``notes``."""
+        A, dim = _Apply(H), H.dimension
+        if dim <= SECTOR_DENSE_CAP:
+            w, U = np.linalg.eigh(A(np.eye(dim, dtype=H.dtype)))
+            w, U = w[:m], U[:, :m]
+            return w, U, np.linalg.norm(A(U) - U * w, axis=0)
+        w = sum(abs(c) for c, p in H.terms if p.x) or H.norm_bound or 1.0
+        inv = np.broadcast_to(1.0 / (A.diag - A.diag.min() + w),
+                              (2,) * H.n).reshape(dim, 1)
+        for guard in (0, 2, 4):
+            rng = np.random.default_rng(self.seed)
+            X = rng.standard_normal((dim, m + guard))
+            if H.dtype == np.complex128:
+                X = X + 1j * rng.standard_normal(X.shape)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                w, U = spla.lobpcg(A, X, M=lambda R: inv * R, largest=False,
+                                   tol=self.tol * H.norm_bound,
+                                   maxiter=LOBPCG_MAXITER)
+            self.notes += [str(note.message) for note in caught]
+            w, U = w[:m], U[:, :m]
+            res = np.linalg.norm(A(U) - U * w, axis=0)
+            if np.all(res <= self.gate):
+                break
+        return w, U, res
 
     def embed(self, t: int, coeffs: np.ndarray) -> np.ndarray:
         """Full-space columns of the sector-t coefficient columns; with
@@ -432,12 +475,10 @@ class _Sectors:
         return out
 
 
-def _sector_eigs(H: SpinHamiltonian, sec: _Sectors, k: int, tol: float,
-                 seed: int, maxiter: int):
+def _sector_eigs(sec: _Sectors, k: int) -> Spectrum:
     """Lowest k levels over all sectors by best-first branch-and-bound
-    on the syndrome bits; returns (vals, vecs, res, sector dims, LOBPCG
-    warnings)."""
-    const, rest = 0.0, sec.rest
+    on the syndrome bits, each residual within ``sec.gate``."""
+    H, const, rest = sec.H, 0.0, sec.rest
     by_bit: list[list[tuple[float, int]]] = [[] for _ in range(sec.r)]
     for coeff, comb, p in sec.terms:
         if not p.is_identity_mask:
@@ -453,7 +494,7 @@ def _sector_eigs(H: SpinHamiltonian, sec: _Sectors, k: int, tol: float,
     slack = 64 * np.finfo(float).eps * H.norm_bound
     heap = [(const - pool[0] - rest, 0, 0, const)]   # bound, -depth, t, bare
     levels: list[tuple[float, int, int]] = []        # value, sector, column
-    solved, notes = [], []
+    solved = []
     kth = np.inf
     while heap and heap[0][0] < kth - slack:
         _, depth, t, bare = heapq.heappop(heap)
@@ -463,12 +504,11 @@ def _sector_eigs(H: SpinHamiltonian, sec: _Sectors, k: int, tol: float,
                 tt = t | bit << depth
                 e = bare + sum(c * (1 - 2 * _parity(comb & tt))
                                for c, comb in by_bit[depth])
-                key = (e + sec.floor(tt, tol, seed, maxiter, notes)
+                key = (e + sec.floor(tt)
                        if depth + 1 == sec.r else e - pool[depth + 1] - rest)
                 heapq.heappush(heap, (key, -depth - 1, tt, e))
             continue
-        w, U, res = _solve(sec.hamiltonian(t), min(k, sec.dim), tol, seed,
-                           maxiter, notes)
+        w, U, res = sec.solve(sec.hamiltonian(t), min(k, sec.dim))
         levels.extend((w[i], len(solved), i) for i in range(len(w)))
         solved.append((t, U, res))
         levels.sort(key=lambda lv: lv[0])
@@ -482,78 +522,35 @@ def _sector_eigs(H: SpinHamiltonian, sec: _Sectors, k: int, tol: float,
     labels = tuple(solved[s][0] for _, s, _ in chosen)
     cols = np.stack([solved[s][1][:, i] for _, s, i in chosen], axis=1)
     res = np.array([solved[s][2][i] for _, s, i in chosen])
-    return vals, labels, cols, res, (sec.dim,) * len(solved), notes
-
-
-def _solve(H: SpinHamiltonian, m: int, tol: float, seed: int, maxiter: int,
-           notes: list):
-    """Lowest m levels of H with their columns and residual norms: dense
-    eigh up to ``SECTOR_DENSE_CAP`` states, LOBPCG above (its warnings go
-    to ``notes``)."""
-    A = _Apply(H)
-    if H.dimension <= SECTOR_DENSE_CAP:
-        w, U = np.linalg.eigh(A(np.eye(H.dimension, dtype=H.dtype)))
-        w, U = w[:m], U[:, :m]
-    else:
-        w, U, caught = _lobpcg(A, m, tol, seed, maxiter)
-        notes += caught
-    return w, U, np.linalg.norm(A(U) - U * w, axis=0)
-
-
-def _lobpcg(A: _Apply, k: int, tol: float, seed: int, maxiter: int):
-    """Lowest k levels, ascending, by LOBPCG on k seeded random columns,
-    with the preconditioner (D - min D + w)^-1 of the module docstring.  A
-    diagonal H (w = 0) takes its norm bound as the shift instead, and
-    H = 0 takes 1, where any shift does."""
-    H, dim = A.H, A.H.dimension
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((dim, k))
-    if H.dtype == np.complex128:
-        X = X + 1j * rng.standard_normal((dim, k))
-    w = sum(abs(c) for c, p in H.terms if p.x) or H.norm_bound or 1.0
-    inv = 1.0 / (A.diag - A.diag.min() + w)
-
-    def precondition(R):
-        t = R.reshape((2,) * H.n + R.shape[1:])
-        return (inv[..., None] * t).reshape(R.shape)
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        vals, vecs = spla.lobpcg(A, X, M=precondition, largest=False,
-                                 tol=tol * H.norm_bound, maxiter=maxiter)
-    return vals, vecs, [str(note.message) for note in caught]
+    if np.any(res > sec.gate):
+        raise SpectraError(
+            "; ".join([f"eigensolver did not converge: residuals {res}"]
+                      + sec.notes), residuals=res)
+    for arr in (vals, cols, res):
+        arr.flags.writeable = False
+    return Spectrum(vals, res, H, (sec.dim,) * len(solved), sec, labels, cols)
 
 
 def lowest_eigs(H: SpinHamiltonian, k_count: int, tol: float = 1e-10,
-                seed: int = 2024, maxiter: int = 2000) -> Spectrum:
+                seed: int = 2024) -> Spectrum:
     """Lowest ``k_count`` eigenpairs, exact across symmetry sectors.
 
     Sectors of at most ``SECTOR_DENSE_CAP`` states are diagonalized
-    densely; ``seed`` and ``maxiter`` act on the larger ones, solved by
-    LOBPCG from a seeded random block of as many columns as levels
-    asked of the sector, deterministic for fixed seed, and
-    preconditioned by the inverse of the sector's Gershgorin-shifted
-    diagonal.  Residuals are those of the full space, gated at
-    50 * tol * norm_bound.
+    densely; ``seed`` acts on the larger ones, solved by LOBPCG from a
+    seeded random block of as many columns as levels asked of the
+    sector, plus guard columns after a failed gate.  ``tol``, ``seed``,
+    the gate 50 * tol * norm_bound on the full-space residuals and the
+    solver's warnings make up one solve context, ``Spectrum.sectors``.
     """
     dim = H.dimension
     k = int(k_count)
     if k < 1 or k >= dim:
         raise SpectraError(f"k_count {k} out of range for dimension {dim}")
-    sec = _Sectors(H, _conserved_generators(H))
+    sec = _Sectors(H, _conserved_generators(H), tol, seed)
     if len(sec.sites) > DIMENSION_CAP:
         raise SpectraError(f"sectors of 2^{len(sec.sites)} states exceed the "
                            f"dimension cap 2^{DIMENSION_CAP}")
-    vals, labels, cols, res, dims, notes = _sector_eigs(H, sec, k, tol, seed,
-                                                        maxiter)
-    bound = max(tol * H.norm_bound, 1e-30)
-    if np.any(res > 50 * bound):
-        raise SpectraError(
-            "; ".join([f"eigensolver did not converge: residuals {res}"]
-                      + notes), residuals=res)
-    for arr in (vals, cols, res):
-        arr.flags.writeable = False
-    return Spectrum(vals, res, H, dims, sec, labels, cols)
+    return _sector_eigs(sec, k)
 
 
 def ground_splitting(spectrum: Spectrum, n_holes: int) -> dict:

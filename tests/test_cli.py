@@ -261,6 +261,79 @@ def test_spectrum_on_a_44_spin_two_hole_lattice(tmp_path):
         assert np.allclose(np.sort(mx, axis=1)[:, -1], 1.0, atol=1e-8)
 
 
+def test_spectrum_splittings_above_the_ground_space(one_hole_config,
+                                                   tmp_path):
+    """--k-count above 2^holes adds the splittings block: the zero-field
+    doublet and the gap 2g to the next level."""
+    rep = json.loads(run(["spectrum", "--config", one_hole_config,
+                          "--k-count", "3"], tmp_path / "s3.json"))
+    split = rep["splittings"]
+    assert split["ground_levels"] == rep["eigenvalues"][:2]
+    assert split["splittings"][0] == 0.0 and split["splittings"][1] < 1e-12
+    assert split["excitation_gap"] == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, state, want", [
+    (1, "up", {"z:0": 1.0, "x:0": 0.5, "x:0;rot0": 0.5}),
+    (1, "plus", {"z:0": 0.5, "x:0": 1.0, "x:0;rot0": 0.5}),
+])
+def test_tomography_named_states(tmp_path, n, state, want):
+    """--state up and plus read out their known probabilities and are
+    reconstructed exactly."""
+    rep = json.loads(run(["tomography", "--n", str(n), "--state", state],
+                         tmp_path / "t.json"))
+    assert rep["raw_probabilities"] == pytest.approx(want, abs=1e-15)
+    assert rep["residual"] <= 1e-12
+
+
+def test_tomography_sampled_shots(tmp_path):
+    """--shots 5 reports frequencies in fifths and no reconstruction."""
+    rep = json.loads(run(["tomography", "--n", "1", "--shots", "5"],
+                         tmp_path / "t.json"))
+    probs = rep["raw_probabilities"]
+    assert set(probs) == set(rep["plan"])
+    assert all(5 * p == round(5 * p) for p in probs.values())
+    assert "reconstructed_parameters" not in rep and "residual" not in rep
+
+
+def test_gates_custom_angles(tmp_path, capsys):
+    """--gate custom takes theta,phi,gamma; two angles are refused."""
+    rep = json.loads(run(["gates", "--gate", "custom", "--angles",
+                          "0.3,0.2,0.1"], tmp_path / "g.json"))
+    assert rep["angles"] == {"theta": 0.3, "phi": 0.2, "gamma": 0.1}
+    assert rep["pulse_product_error"] <= 1e-12
+    out = tmp_path / "g2.json"
+    rc = main(["gates", "--gate", "custom", "--angles", "0.3,0.2",
+               "--output", str(out)])
+    assert rc == 1 and not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError",
+                   "message": "custom gate needs --angles theta,phi,gamma"}
+
+
+def test_decoherence_single_point(tmp_path):
+    """Without --sweep one thermal report: T* does not depend on T, and
+    safe holds while T <= T*/10."""
+    reps = [json.loads(run(["decoherence", "--T", T, "--hx", "0.05",
+                            "--hy", "0.05"], tmp_path / f"d{T}.json"))
+            for T in ("0.001", "0.01")]
+    assert reps[0]["T_star"] == reps[1]["T_star"]
+    assert 0.001 <= reps[0]["T_star"] / 10 < 0.01
+    assert [r["safe"] for r in reps] == [True, False]
+    assert reps[0]["B"] > 0 and reps[0]["safety_factor"] == 10.0
+
+
+def test_compare_splitting_rejects_two_holes(two_hole_config, tmp_path,
+                                             capsys):
+    out = tmp_path / "cmp2.json"
+    rc = main(["compare-splitting", "--config", two_hole_config,
+               "--output", str(out)])
+    assert rc == 1 and not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "LatticeError",
+                   "message": "compare-splitting expects a one-hole config"}
+
+
 def test_compare_splitting_rejects_zero_field(one_hole_config, tmp_path,
                                               capsys):
     out = tmp_path / "cmp0.json"

@@ -368,6 +368,22 @@ def test_default_start_state_above_the_dense_cap():
     assert np.max(np.abs(st.amplitudes - phase * want)) <= 1e-10
 
 
+def test_template_needs_a_loop_per_hole_and_pair():
+    """A template's loop lengths line up with the chain's hz and jzz, and
+    the ramp steps read the same ``jzz + hz`` as ``at_field``."""
+    base = EffectiveChain(3, (0.02, -0.01), (0.005, 0.0), (0.03, 0.0, -0.02),
+                          (0.01, 0.0, 0.0))
+    for loops, pairs in (((4, 4), (8, 10)), ((4, 4, 6), (8,)),
+                         ((4, 4, 6, 6), (8, 10))):
+        with pytest.raises(EffectiveError, match="pair loops and n hole"):
+            ChainTemplate(base, loops, pairs)
+    tmpl = ChainTemplate(base, (4, 4, 6), (8, 10))
+    chain = tmpl.at_field(1.0, 0.3)
+    assert tmpl._z_coefficients(1.0, 0.3) == chain.jzz + chain.hz
+    assert chain.jzz[0] == 0.005 + vortex_splitting(1.0, 0.3, 8) / 2.0
+    assert chain.hz[2] == vortex_splitting(1.0, 0.3, 6) / 2.0
+
+
 def test_adiabatic_trivial_cases():
     tmpl = ChainTemplate(EffectiveChain(2, (0.0,), (0.0,), (0.0, 0.0),
                                         (0.0, 0.0)), (4, 4), (8,))

@@ -345,6 +345,19 @@ def test_field_mask_sites_are_active(one_hole_lattice):
             assert 0 <= s < lat.n_sites
 
 
+def test_sites_region_keeps_the_listed_sites(one_hole_lattice):
+    """A "sites" region is its list as given, and the field lands only
+    there; a site outside the lattice is refused by name."""
+    lat = one_hole_lattice
+    region = {"type": "sites", "sites": [7, 2, np.int64(11)]}
+    assert region_sites(lat, region) == [7, 2, 11]
+    m = field_mask(lat, region, (0, 0, 0.1))
+    assert np.flatnonzero(m.values[:, 2]).tolist() == [2, 7, 11]
+    for s in (-1, lat.n_sites):
+        with pytest.raises(LatticeError, match=f"site {s} outside lattice"):
+            region_sites(lat, {"type": "sites", "sites": [0, s]})
+
+
 def test_config_round_trip(two_hole_lattice):
     cfg = two_hole_lattice.to_config()
     lat2, mask = sc.lattice_from_config(cfg)

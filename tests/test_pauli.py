@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import surfcode as sc
+from surfcode.lattice import HoledLattice
 from surfcode.pauli import (PauliError, PauliString, commutes, eliminate,
                             in_span_gf2, multiply, rank_gf2)
 
@@ -206,3 +207,35 @@ def test_logical_pair_weight_four_label(one_hole_lattice, puncture_lattice):
 def test_logical_pair_missing_hole(one_hole_lattice):
     with pytest.raises(Exception):
         one_hole_lattice.logical_operators(3)
+
+
+def _anticommuting_site(lat):
+    """A one-site Pauli that anticommutes with the first stabilizer."""
+    g, n = lat.stabilizers()[0], lat.n_sites
+    s = (g.x | g.z).bit_length() - 1
+    return PauliString.sz(n, s) if g.x >> s & 1 else PauliString.sx(n, s)
+
+
+@pytest.mark.parametrize("case, match", [
+    ("site", "tau_z of hole 0 anticommutes with stabilizer 0"),
+    ("phase", "tau_z of hole 0 is not hermitian"),
+    ("stabilizer", "tau_x of hole 0 lies in the stabilizer group"),
+    ("same", "tau_z and tau_x of hole 0 commute"),
+    ("other hole", "logicals of holes 0 and 1 fail to commute"),
+])
+def test_logical_pair_rejects_bad_logicals(two_hole_lattice, monkeypatch,
+                                           case, match):
+    """Each check of logical_pair fires on logicals that break it, as a
+    lattice handing out wrong operators would: a hermitian Pauli string
+    squares to +1, so no separate square check is needed."""
+    lat, real = two_hole_lattice, HoledLattice.logical_operators
+    tz, tx = real(lat, 0)
+    bad = {"site": {0: (_anticommuting_site(lat), tx)},
+           "phase": {0: (PauliString(tz.n, tz.x, tz.z, tz.k + 1), tx)},
+           "stabilizer": {0: (tz, lat.stabilizers()[0])},
+           "same": {0: (tz, tz)},
+           "other hole": {1: (tx, tz)}}[case]
+    monkeypatch.setattr(HoledLattice, "logical_operators",
+                        lambda self, l: bad.get(l) or real(self, l))
+    with pytest.raises(PauliError, match=match):
+        sc.logical_pair(lat, 0)

@@ -404,12 +404,12 @@ def test_floor_bounds_every_sector(problem):
     _, lat, mask, _ = problem
     H = assemble(lat, 1.0, mask)
     slack = 64 * np.finfo(float).eps * H.norm_bound
-    sec = _Sectors(H, _conserved_generators(H))
+    sec = _Sectors(H, _conserved_generators(H), 1e-10, 0)
     for t in range(1 << sec.r):
         Hs = sec.hamiltonian(t)
         R = [(c, p) for c, p in Hs.terms if not p.is_identity_mask]
         low = np.linalg.eigvalsh(pauli_sum_matrix(R, Hs.n).toarray())[0]
-        assert -sec.rest <= sec.floor(t, 1e-10, 0, 2000, []) <= low + slack
+        assert -sec.rest <= sec.floor(t) <= low + slack
 
 
 def test_sector_matches_lobpcg_on_corridor():
@@ -463,7 +463,7 @@ def test_every_sector_matrix_is_h_in_its_basis(name, fields, frame, flip):
     if flip:
         H = _phases_flipped(H)
     M = sp.csr_matrix(_kron_matrix(H))
-    sec = _Sectors(H, _conserved_generators(H))
+    sec = _Sectors(H, _conserved_generators(H), 1e-10, 0)
     assert (sec.r > 0) == bool(sec.orbit) == bool(sec.parities)
     assert sec.r > 0 or fields is _ALL_SITES
     assert sec.dim << sec.r == H.dimension
@@ -488,7 +488,7 @@ def test_full_space_sector_embeds_in_place():
     """With a field on every site the one sector is the full space, and
     its coefficient columns are already full-space columns."""
     _, lat, mask, _ = _example("torus 3x3", _ALL_SITES, 1)
-    sec = _Sectors(assemble(lat, 1.0, mask), [])
+    sec = _Sectors(assemble(lat, 1.0, mask), [], 1e-10, 0)
     U = np.random.default_rng(4).standard_normal((sec.dim, 3))
     assert sec.r == 0 and sec.dim == 512
     assert np.shares_memory(sec.embed(0, U), U)
@@ -602,20 +602,22 @@ def test_complex_lobpcg_above_the_cap(monkeypatch):
 def test_lobpcg_floors_above_the_cap(monkeypatch):
     """With the dense cap below the sector size every floor is a
     one-level LOBPCG solve, and the levels still equal dense Kronecker
-    eigh.  Floor solves stopped by maxiter fall back to -rest, so the
-    search solves exactly the sectors the plain bound solves."""
+    eigh.  Floor solves stopped by LOBPCG_MAXITER fall back to -rest, so
+    the search solves exactly the sectors the plain bound solves."""
     monkeypatch.setattr(spectra, "SECTOR_DENSE_CAP", 16)
+    monkeypatch.setattr(spectra, "LOBPCG_MAXITER", 2000)   # set per solve
     fields = {site: (0.1, 0, 0.1) for site in (0, 1, 2, 4)}
     _, lat, mask, _ = _example("open 3x3 puncture", fields, 1)
     H = assemble(lat, 1.0, mask)
     want = np.linalg.eigvalsh(_kron_matrix(H))[:4]
-    lobpcg, asked, stop = spectra._lobpcg, [], []
+    solve, asked, stop = spectra._Sectors.solve, [], []
 
-    def counted(A, k, tol, seed, maxiter):    # a floor asks for one level
+    def counted(sec, Hs, k):    # a floor asks for one level
         asked.append(k)
-        return lobpcg(A, k, tol, seed, 1 if stop and k == 1 else maxiter)
+        spectra.LOBPCG_MAXITER = 1 if stop and k == 1 else 2000
+        return solve(sec, Hs, k)
 
-    monkeypatch.setattr(spectra, "_lobpcg", counted)
+    monkeypatch.setattr(spectra._Sectors, "solve", counted)
     spec = lowest_eigs(H, 4, tol=1e-10)
     assert set(spec.sector_dims) == {64} and len(spec.sector_dims) == 1
     assert asked.count(1) > 1 and asked.count(4) == 1
@@ -625,6 +627,32 @@ def test_lobpcg_floors_above_the_cap(monkeypatch):
     monkeypatch.setattr(spectra._Sectors, "floor", lambda sec, *_: -sec.rest)
     assert len(stopped.sector_dims) == len(lowest_eigs(H, 4).sector_dims) == 4
     assert np.max(np.abs(stopped.eigenvalues - want)) <= 1e-10 * H.norm_bound
+
+
+def test_guard_columns_after_a_failed_gate(monkeypatch):
+    """Uniform hy = 0.1 on the 3x3 torus with the cap below its sectors
+    of 128 states: level 8 lies in a 15-fold cluster at E0 + 3.8158, and
+    a block of 8 columns stalls above the gate.  The sector is solved
+    again with guard columns, and the levels equal dense eigh."""
+    _, lat, mask, _ = _example("torus 3x3", {s: (0, 0.1, 0)
+                                             for s in range(9)}, 8)
+    H = assemble(lat, 1.0, mask)
+    want = np.linalg.eigvalsh(_kron_matrix(H))
+    assert np.sum(np.abs(want - want[7]) < 1e-9) == 15
+    assert abs(want[7] - want[0] - 3.8158) < 1e-4
+    monkeypatch.setattr(spectra, "SECTOR_DENSE_CAP", 16)
+    widths, call = [], _Apply.__call__
+
+    def counted(op, v):
+        widths.append(np.shape(v)[1] if np.ndim(v) > 1 else 1)
+        return call(op, v)
+
+    monkeypatch.setattr(_Apply, "__call__", counted)
+    spec = lowest_eigs(H, 8, tol=1e-10)
+    assert spec.method == "lobpcg" and set(spec.sector_dims) == {128}
+    assert max(widths) == 10                 # 8 columns and 2 guards
+    assert np.max(np.abs(spec.eigenvalues - want[:8])) <= 1e-10 * H.norm_bound
+    assert np.all(spec.residual_norms <= 50 * 1e-10 * H.norm_bound)
 
 
 def _scattered_two_hole():
@@ -941,10 +969,11 @@ def test_kernel_memory_on_all_site_field():
     assert len(apply_h.prepped) == len({p.x for _, p in H.terms if p.x})
 
 
-def test_lobpcg_warnings_reach_the_error():
+def test_lobpcg_warnings_reach_the_error(monkeypatch):
     lat = sc.build_lattice(4, 3, "torus")
     H = assemble(lat, 1.0, sc.field_mask(lat, {"type": "all"},
                                          (0.15, 0, 0.15)))
+    monkeypatch.setattr(spectra, "LOBPCG_MAXITER", 2)
     with pytest.raises(SpectraError,
                        match="not reaching the requested tolerance"):
-        lowest_eigs(H, 3, tol=1e-10, maxiter=2)
+        lowest_eigs(H, 3, tol=1e-10)
