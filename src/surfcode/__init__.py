@@ -21,8 +21,7 @@ from .spectra import (DispersionParams, SpectraError, Spectrum,
 from .effective import (AdiabaticSchedule, ChainTemplate, EffectiveChain,
                         EffectiveError, GateSchedule, PseudoSpinState,
                         adiabatic_init, build_chain, evolve, hadamard_gate,
-                        pair_couplings, pi8_gate, rotation_gate,
-                        rotation_unitary, single_qubit_fields)
+                        pi8_gate, rotation_gate, rotation_unitary)
 from .measure import (EntangledState, InterferencePaths, MeasureError,
                       MeasurementPlan, fermion_readout, forward_readouts,
                       interference_amplitude, parameter_error, reconstruct,

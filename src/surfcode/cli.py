@@ -23,7 +23,7 @@ from . import measure as meas
 from . import pauli
 from . import spectra
 from .lattice import (HoledLattice, LatticeError, field_mask,
-                      lattice_from_config, load_config, path_metrics)
+                      lattice_from_config, load_config, region_sites)
 
 
 def _config_hash(path) -> str:
@@ -129,18 +129,15 @@ def cmd_compare_splitting(args) -> None:
     lat, _ = _load(args)
     if len(lat.holes) != 1:
         raise LatticeError("compare-splitting expects a one-hole config")
-    metrics = path_metrics(lat)
     hs = [float(h) for h in args.h_values.split(",")]
+    y = args.axis == "y"
+    region = {"type": "corridor" if y else "annulus", "hole": 0}
+    length = len(region_sites(lat, region))
+    splitting = eff.fermion_splitting if y else eff.vortex_splitting
     rows = []
     for h in hs:
-        if args.axis == "y":
-            mask = field_mask(lat, {"type": "corridor", "hole": 0}, (0, h, 0))
-            closed = abs(eff.fermion_splitting(args.g, h,
-                                               metrics.fermion_boundary[0]))
-        else:
-            mask = field_mask(lat, {"type": "annulus", "hole": 0}, (h, 0, 0))
-            closed = abs(eff.vortex_splitting(args.g, h,
-                                              metrics.vortex_loop[0]))
+        mask = field_mask(lat, region, (0, h, 0) if y else (h, 0, 0))
+        closed = abs(splitting(args.g, h, length))
         if closed == 0.0:
             raise ValueError(f"h value {h} gives a zero closed-form "
                              f"splitting, so the ratio is undefined; "
@@ -152,8 +149,7 @@ def cmd_compare_splitting(args) -> None:
                      "ratio": split / closed})
     _emit(args, {
         "axis": args.axis,
-        "path_length": (metrics.fermion_boundary[0] if args.axis == "y"
-                        else metrics.vortex_loop[0]),
+        "path_length": length,
         "table": rows,
         "fitted_constant": min(rows, key=lambda r: abs(r["h"]))["ratio"],
     })

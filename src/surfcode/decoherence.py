@@ -17,6 +17,13 @@ class DecoherenceError(ValueError):
     pass
 
 
+def _finite(**values: float) -> None:
+    """Reject NaN and infinite inputs, which every sign check passes."""
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise DecoherenceError(f"{name} must be finite, got {v}")
+
+
 @dataclass(frozen=True)
 class ThermalParams:
     g: float
@@ -26,6 +33,7 @@ class ThermalParams:
     L_p: float = 1.0   # tunneling-path length, lattice units
 
     def __post_init__(self):
+        _finite(g=self.g, T=self.T, hx=self.hx, hy=self.hy, L_p=self.L_p)
         if self.g <= 0:
             raise DecoherenceError("g must be positive")
         if self.T < 0:
@@ -38,6 +46,7 @@ class ThermalParams:
 
 def effective_mass(hx: float) -> float:
     """Vortex band mass 1/(2 hx); infinite (immobile) at zero field."""
+    _finite(hx=hx)
     if hx < 0:
         raise DecoherenceError("hx must be >= 0")
     if hx == 0.0:
@@ -47,6 +56,7 @@ def effective_mass(hx: float) -> float:
 
 def thermal_velocity(T: float, hx: float) -> float:
     """v* = sqrt(T / M_eff) = sqrt(2 T hx)."""
+    _finite(T=T, hx=hx)
     if T < 0 or hx < 0:
         raise DecoherenceError("T and hx must be >= 0")
     return math.sqrt(2.0 * T * hx)
@@ -73,6 +83,7 @@ def decoherence_time(params: ThermalParams) -> float:
 def tunneling_exponent(g: float, hx: float, hy: float, L_p: float) -> float:
     """B = max(L_p ln(4g/|hx|), L_p ln(8g/|hy|)), omitting zero-field
     terms; with no drive at all the exponent is undefined."""
+    _finite(g=g, hx=hx, hy=hy, L_p=L_p)
     if g <= 0 or L_p < 1:
         raise DecoherenceError("need g > 0 and L_p >= 1")
     terms = []
@@ -87,6 +98,7 @@ def tunneling_exponent(g: float, hx: float, hy: float, L_p: float) -> float:
 
 def crossover_temperature(g: float, B: float) -> float:
     """T* = 4g / B separating thermal activation from tunneling."""
+    _finite(g=g, B=B)
     if B <= 0:
         raise DecoherenceError("B must be positive")
     return 4.0 * g / B
@@ -105,6 +117,7 @@ class SafetyReport:
 def safe_to_operate(params: ThermalParams,
                     safety_factor: float = 10.0) -> SafetyReport:
     """True iff T <= T*/safety_factor; T = 0 is always safe."""
+    _finite(safety_factor=safety_factor)
     if safety_factor <= 0:
         raise DecoherenceError("safety factor must be positive")
     B = tunneling_exponent(params.g, params.hx, params.hy, params.L_p)
@@ -117,6 +130,7 @@ def safe_to_operate(params: ThermalParams,
 def crossover_sweep(g: float, hx_values, L_p: float, T: float = 0.0,
                     hy: float = 0.0):
     """Rows (hx, B, T*, t_de) for crossover-curve plots."""
+    _finite(T=T)
     rows = []
     for hx in hx_values:
         B = tunneling_exponent(g, hx, hy, L_p)

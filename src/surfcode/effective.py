@@ -9,7 +9,9 @@ Closed forms (hbar = 1 throughout; angles are field x duration):
     Jxx(l)     =   (hy)^Lff / (-8 g)^(Lff - 1)    fermion string, pair
     Jzz(l)     =   (hx)^Lvv / (-4 g)^(Lvv - 1)    vortex loop, pair
 
-with hole fields hx_tilde = delta_E/2, hz_tilde = eps/2.  These are the
+with hole fields hx_tilde = delta_E/2, hz_tilde = eps/2.  Each
+coefficient reads its own path's ``region_sites`` list: the field on
+those sites and the length L, the number of sites.  These are the
 printed perturbative results; exact diagonalization is the oracle that
 measures how far their constants sit from the microscopic model (see
 the splitting comparison pipeline, which reports the ratio).
@@ -33,8 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .lattice import (FieldMask, HoledLattice, PathMetrics, path_metrics,
-                      region_sites)
+from .lattice import FieldMask, HoledLattice, region_sites
 from .pauli import PauliString
 from .spectra import SpinHamiltonian, lowest_eigs, pauli_sum_matrix
 
@@ -70,28 +71,6 @@ def vortex_splitting(g: float, hx: float, length: int) -> float:
     if hx == 0.0:
         return 0.0
     return 2.0 * hx ** length / (-4.0 * g) ** (length - 1)
-
-
-def single_qubit_fields(g: float, hx: float, hy: float,
-                        metrics: PathMetrics, l: int) -> tuple[float, float]:
-    """(hx_tilde, hz_tilde) of hole ``l`` from the closed forms."""
-    if g <= 0:
-        raise EffectiveError("g must be positive")
-    lf = metrics.fermion_boundary[l]
-    lv = metrics.vortex_loop[l]
-    hx_t = 0.0 if lf is None else fermion_splitting(g, hy, lf) / 2.0
-    hz_t = vortex_splitting(g, hx, lv) / 2.0
-    return hx_t, hz_t
-
-
-def pair_couplings(g: float, hx: float, hy: float,
-                   metrics: PathMetrics, l: int) -> tuple[float, float]:
-    """(Jxx, Jzz) between holes l and l+1 from the closed forms."""
-    if g <= 0:
-        raise EffectiveError("g must be positive")
-    jxx = fermion_splitting(g, hy, metrics.fermion_pair[(l, l + 1)]) / 2.0
-    jzz = vortex_splitting(g, hx, metrics.vortex_pair[(l, l + 1)]) / 2.0
-    return jxx, jzz
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +153,14 @@ def _uniform_component(values: np.ndarray, sites: Sequence[int],
 def build_chain(lat: HoledLattice, g: float, mask: FieldMask) -> EffectiveChain:
     """Chain coefficients from the field mask, nearest neighbours only.
 
-    Each coupling reads the field component on its own tunneling path
-    (loop sites for vortex terms, string sites for fermion terms); a
-    region with zero field on any path site contributes a zero
-    coefficient.
+    Each coefficient is half the closed-form splitting of one tunneling
+    path, whose ``region_sites`` list gives both the field component the
+    path carries and its length: the vortex loop around hole l
+    (``annulus`` ``hole``) for hz_l, the fermion string from hole l to
+    the port (``corridor`` ``hole``) for hx_l, and the loop around and
+    the string between holes l and l+1 (``annulus`` and ``corridor``
+    ``from``/``to``) for Jzz_l and Jxx_l.  Zero field on any site of a
+    path gives a zero coefficient.
     """
     n = len(lat.holes)
     if n < 1:
@@ -188,27 +171,26 @@ def build_chain(lat: HoledLattice, g: float, mask: FieldMask) -> EffectiveChain:
                 "chain coefficients need domino holes (single-plaquette "
                 "holes have a charge-flavoured flip string)")
     values = mask.on(lat)
-    metrics = path_metrics(lat)
-    loops = [region_sites(lat, {"type": "annulus", "hole": l})
-             for l in range(n)]
-    hx_t, hz_t, jxx, jzz = [], [], [], []
-    for l in range(n):
-        string_sites = region_sites(lat, {"type": "corridor", "hole": l})
-        hx_loc = _uniform_component(values, loops[l], 0)
-        hy_loc = _uniform_component(values, string_sites, 1)
-        a, b = single_qubit_fields(g, hx_loc, hy_loc, metrics, l)
-        hx_t.append(a)
-        hz_t.append(b)
-    for l in range(n - 1):
-        pair_loop = sorted(set(loops[l]) | set(loops[l + 1]))
-        corridor = region_sites(lat, {"type": "corridor", "from": l,
-                                      "to": l + 1})
-        hx_loc = _uniform_component(values, pair_loop, 0)
-        hy_loc = _uniform_component(values, corridor, 1)
-        a, b = pair_couplings(g, hx_loc, hy_loc, metrics, l)
-        jxx.append(a)
-        jzz.append(b)
-    return EffectiveChain(n, tuple(jxx), tuple(jzz), tuple(hx_t), tuple(hz_t))
+    if g <= 0:
+        raise EffectiveError("g must be positive")
+
+    def half_splitting(splitting, comp: int, region: dict) -> float:
+        sites = region_sites(lat, region)
+        return splitting(g, _uniform_component(values, sites, comp),
+                         len(sites)) / 2.0
+
+    pairs = [{"from": l, "to": l + 1} for l in range(n - 1)]
+    holes = [{"hole": l} for l in range(n)]
+    return EffectiveChain(
+        n,
+        tuple(half_splitting(fermion_splitting, 1, {"type": "corridor", **e})
+              for e in pairs),
+        tuple(half_splitting(vortex_splitting, 0, {"type": "annulus", **e})
+              for e in pairs),
+        tuple(half_splitting(fermion_splitting, 1, {"type": "corridor", **e})
+              for e in holes),
+        tuple(half_splitting(vortex_splitting, 0, {"type": "annulus", **e})
+              for e in holes))
 
 
 # ---------------------------------------------------------------------------

@@ -412,66 +412,76 @@ def _hop_crosses_ray(c1: Cell, c2: Cell, origin: Cell) -> bool:
     return ymid > b0 + 0.5
 
 
-def _shortest_enclosing_loop(lat: HoledLattice, origins: Sequence[Cell]) -> int:
-    """Shortest closed walk on the vortex graph with odd winding around
-    every cell in ``origins`` (breadth-first search on sheeted copies,
-    where a hop across an origin's ray flips that origin's sheet bit).
+def _shortest_enclosing_loop(lat: HoledLattice,
+                             origins: Sequence[Cell]) -> list[int]:
+    """Sites of a shortest closed walk on the vortex graph with odd
+    winding around every cell in ``origins``, one per hop (the corner
+    the hop's two cells share), so a site crossed twice is listed twice.
 
-    Such a walk crosses the first origin's ray, so it passes through an
-    endpoint of a hop that does, and the searches start only there."""
-    from collections import deque
+    The searches run on sheeted copies, where a hop across an origin's
+    ray flips that origin's sheet bit.  Of the shortest walks they take
+    the one least in the summed squared distance of its sites from the
+    nearest origin centre, so two adjacent dominoes get their two
+    annuli.  The walk crosses every origin's ray, so the searches start
+    only at the west ends of the hops across the ray with fewest; one
+    that beats the best walk so far rebuilds it from parent links."""
+    import heapq
+
+    def hop(v: Cell, w: Cell) -> tuple:
+        x, y = max(v[0], w[0]), max(v[1], w[1])     # the shared corner
+        return (w, sum(1 << i for i, o in enumerate(origins)
+                       if _hop_crosses_ray(v, w, o)), lat.site(x, y),
+                min((2 * (x - a) - 1) ** 2 + (2 * (y - b) - 1) ** 2
+                    for a, b in origins))
 
     nodes, adj = _vortex_graph(lat)
-    hops = {v: [(w, sum(1 << i for i, o in enumerate(origins)
-                        if _hop_crosses_ray(v, w, o))) for w in adj[v]]
-            for v in nodes}
+    hops = {v: [hop(v, w) for w in adj[v]] for v in nodes}
     full = (1 << len(origins)) - 1
-    best = None
-    for start in [v for v in nodes if any(f & 1 for _, f in hops[v])]:
-        dist = {(start, 0): 0}
-        q = deque([(start, 0)])
-        while q and (start, full) not in dist:
-            v, sheet = q.popleft()
-            d = dist[(v, sheet)] + 1
-            if best is not None and d >= best:
+    ray_ends = [[v for v in nodes if any(f >> i & 1 and w[0] > v[0]
+                                         for w, f, *_ in hops[v])]
+                for i in range(len(origins))]
+    best, walk = (float("inf"),), None
+    for start in min(ray_ends, key=len):
+        parents: dict = {}          # settled node -> (parent node, site)
+        heap = [((0, 0), (start, 0), None)]
+        while heap and heap[0][0] < best:
+            (d, c), node, link = heapq.heappop(heap)
+            if node in parents:
+                continue
+            parents[node] = link
+            if node == (start, full):
+                best, walk = (d, c), []
+                while parents[node] is not None:
+                    node, site = parents[node]
+                    walk.append(site)
                 break
-            for w, f in hops[v]:
-                key = (w, sheet ^ f)
-                if key not in dist:
-                    dist[key] = d
-                    q.append(key)
-        d = dist.get((start, full))
-        if d is not None and (best is None or d < best):
-            best = d
-    if best is None:
+            for w, f, site, cost in hops[node[0]]:
+                key = (w, node[1] ^ f)
+                if key not in parents:
+                    heapq.heappush(heap, ((d + 1, c + cost), key,
+                                          (node, site)))
+    if walk is None:
         raise LatticeError("no enclosing vortex loop exists")
-    return best
+    return walk[::-1]
 
 
 def path_metrics(lat: HoledLattice) -> PathMetrics:
-    """Shortest-path lengths on the quasiparticle hopping graphs."""
+    """Shortest-path lengths on the quasiparticle hopping graphs: the
+    number of sites on each path's ``region_sites`` list."""
     if lat.boundary == TORUS or not lat.holes:
         raise LatticeError("path metrics need an open lattice with holes")
-    odd = [lat.hole_even_odd(l)[1] for l in range(len(lat.holes))]
-    vortex_loop = []
-    fermion_boundary: list[Optional[int]] = []
-    for l, h in enumerate(lat.holes):
-        vortex_loop.append(_shortest_enclosing_loop(lat, [odd[l]]))
-        if h.kind == "puncture":
-            fermion_boundary.append(None)
-        else:
-            fermion_boundary.append(len(lat._line_sites(-1, l)))
-    vortex_pair = {}
-    fermion_pair = {}
-    for l in range(len(lat.holes) - 1):
-        vortex_pair[(l, l + 1)] = _shortest_enclosing_loop(lat, odd[l:l + 2])
-        fermion_pair[(l, l + 1)] = len(lat._line_sites(l, l + 1))
-    m = PathMetrics(tuple(vortex_loop), tuple(fermion_boundary),
-                    vortex_pair, fermion_pair)
-    for (l, l2), v in vortex_pair.items():
-        if v < max(vortex_loop[l], vortex_loop[l2]):
-            raise LatticeError("pair loop shorter than single-hole loop")
-    return m
+    n = len(lat.holes)
+
+    def length(kind: str, **ends) -> int:
+        return len(region_sites(lat, {"type": kind, **ends}))
+
+    pairs = {(l, l + 1): {"from": l, "to": l + 1} for l in range(n - 1)}
+    return PathMetrics(
+        tuple(length("annulus", hole=l) for l in range(n)),
+        tuple(None if h.kind == "puncture" else length("corridor", hole=l)
+              for l, h in enumerate(lat.holes)),
+        {p: length("annulus", **e) for p, e in pairs.items()},
+        {p: length("corridor", **e) for p, e in pairs.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +532,8 @@ def region_sites(lat: HoledLattice, region) -> list[int]:
 
     Region specs (dicts, JSON friendly):
       {"type": "all"}
-      {"type": "annulus", "hole": l}          ring encircling hole l
+      {"type": "annulus", "hole": l}          vortex loop around hole l
+      {"type": "annulus", "from": l, "to": m} vortex loop around l and m
       {"type": "corridor", "hole": l}         fermion string, hole l to port
       {"type": "corridor", "from": l, "to": m}
       {"type": "sites", "sites": [...]}
@@ -532,8 +543,12 @@ def region_sites(lat: HoledLattice, region) -> list[int]:
     if kind == "all":
         return list(range(lat.n_sites))
     if kind == "annulus":
-        _, od = lat.hole_even_odd(_region_hole(lat, region["hole"]))
-        return sorted(lat.cell_sites(*od))
+        if "hole" in region:    # a shortest loop around one cell is its corners
+            _, od = lat.hole_even_odd(_region_hole(lat, region["hole"]))
+            return sorted(lat.cell_sites(*od))
+        return sorted(_shortest_enclosing_loop(
+            lat, [lat.hole_even_odd(_region_hole(lat, region[k]))[1]
+                  for k in ("from", "to")]))
     if kind == "corridor":
         if "hole" in region:
             return sorted(lat._line_sites(-1, _region_hole(lat, region["hole"])))

@@ -77,6 +77,7 @@ is solved.
 from __future__ import annotations
 
 import heapq
+import os
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -92,6 +93,11 @@ from .pauli import PauliString, commutes, eliminate, multiply
 DIMENSION_CAP = 24
 SECTOR_DENSE_CAP = 1 << 10    # largest sector diagonalized by dense eigh
 LOBPCG_MAXITER = 2000         # iteration cap of one above-cap LOBPCG solve
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory; a cgroup limit below it is not seen."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 class SpectraError(RuntimeError):
@@ -430,16 +436,30 @@ class _Sectors:
         (D - min D + w)^-1 of the module docstring (a diagonal H, w = 0,
         takes its norm bound instead, and H = 0 takes 1).  A column that
         fails the gate sends it back with 2, then 4 guard columns, the
-        first m kept; scipy's warnings go to ``notes``."""
-        A, dim = _Apply(H), H.dimension
+        first m kept; scipy's warnings go to ``notes``.  Each block is
+        refused before it starts when 17 blocks of its columns, the traced
+        peak of a LOBPCG solve, exceed the machine's physical memory (a
+        cgroup limit below it is not seen)."""
+        dim = H.dimension
         if dim <= SECTOR_DENSE_CAP:
+            A = _Apply(H)
             w, U = np.linalg.eigh(A(np.eye(dim, dtype=H.dtype)))
             w, U = w[:m], U[:, :m]
             return w, U, np.linalg.norm(A(U) - U * w, axis=0)
-        w = sum(abs(c) for c, p in H.terms if p.x) or H.norm_bound or 1.0
-        inv = np.broadcast_to(1.0 / (A.diag - A.diag.min() + w),
-                              (2,) * H.n).reshape(dim, 1)
+        memory = _physical_memory()
         for guard in (0, 2, 4):
+            need = 17 * (m + guard) * dim * np.dtype(H.dtype).itemsize
+            if need > memory:
+                raise SpectraError(
+                    f"LOBPCG on {m + guard} columns of {dim} states needs "
+                    f"~{need} bytes, more than the {memory} bytes of "
+                    f"physical memory")
+            if not guard:       # the operator, once the first block fits
+                A = _Apply(H)
+                w = (sum(abs(c) for c, p in H.terms if p.x) or H.norm_bound
+                     or 1.0)
+                inv = np.broadcast_to(1.0 / (A.diag - A.diag.min() + w),
+                                      (2,) * H.n).reshape(dim, 1)
             rng = np.random.default_rng(self.seed)
             X = rng.standard_normal((dim, m + guard))
             if H.dtype == np.complex128:

@@ -193,6 +193,24 @@ def test_spectrum_rejects_a_non_finite_g(tmp_path, capsys, g):
     assert f"g must be finite, got {g}" in err["message"]
 
 
+@pytest.mark.parametrize("args,name", [
+    (["--T", "nan", "--hx", "0.01"], "T"),
+    (["--Lp", "nan", "--hx", "0.01"], "L_p"),
+    (["--hx", "inf"], "hx"),
+    (["--sweep", "hx=0.01:nan:3"], "hx"),
+])
+def test_decoherence_rejects_non_finite_inputs(tmp_path, capsys, args, name):
+    """A NaN or infinite input exits 1 with the reason, where it printed
+    NaN, which is not JSON."""
+    out = tmp_path / "d.json"
+    rc = main(["decoherence", *args, "--output", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DecoherenceError"
+    assert f"{name} must be finite" in err["message"]
+
+
 def test_compare_splitting_cli(one_hole_config, tmp_path):
     text = run(["compare-splitting", "--config", one_hole_config,
                 "--axis", "y", "--h-values", "0.1", "--tol", "1e-9"],

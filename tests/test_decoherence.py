@@ -102,3 +102,24 @@ def test_crossover_sweep_monotone():
     assert all(a < b for a, b in zip(tstars, tstars[1:]))
     rows5 = crossover_sweep(1.0, np.linspace(0.001, 0.1, 12), 5.0)
     assert all(r5[2] > r10[2] for r5, r10 in zip(rows5, rows))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_are_rejected(bad):
+    """Every sign check passes NaN, so each input is checked finite."""
+    for kw in ("g", "T", "hx", "hy", "L_p"):
+        args = {**dict(g=1.0, T=0.1, hx=0.01, hy=0.0, L_p=10.0), kw: bad}
+        with pytest.raises(DecoherenceError, match=f"{kw} must be finite"):
+            ThermalParams(**args)
+        if kw != "T":
+            args.pop("T")
+            with pytest.raises(DecoherenceError, match="must be finite"):
+                tunneling_exponent(**args)
+    for call in (lambda: crossover_temperature(1.0, bad),
+                 lambda: crossover_temperature(bad, 10.0),
+                 lambda: effective_mass(bad),
+                 lambda: crossover_sweep(1.0, [0.01, bad], 10.0),
+                 lambda: crossover_sweep(1.0, [0.01], 10.0, T=bad),
+                 lambda: safe_to_operate(ThermalParams(1.0, 0.1, 0.01), bad)):
+        with pytest.raises(DecoherenceError, match="must be finite"):
+            call()

@@ -10,38 +10,65 @@ from surfcode.effective import (AdiabaticSchedule, ChainTemplate,
                                 EffectiveChain, EffectiveError,
                                 PseudoSpinState, _propagate, adiabatic_init,
                                 build_chain, evolve, fermion_splitting,
-                                hadamard_gate, pair_couplings, pi8_gate,
-                                rotation_gate, rotation_unitary,
-                                single_qubit_fields, vortex_splitting)
-from surfcode.lattice import PathMetrics
+                                hadamard_gate, pi8_gate, rotation_gate,
+                                rotation_unitary, vortex_splitting)
 
 
-def metrics(lv=4, lf=2, lvv=6, lff=2):
-    return PathMetrics((lv,), (lf,), {(0, 1): lvv}, {(0, 1): lff})
+def test_zero_field_zero_couplings(two_hole_lattice):
+    """An x field alone leaves the fermion terms zero, a y field alone
+    the vortex terms, and no field every term."""
+    lat = two_hole_lattice
+    for h, zero in (((0, 0, 0), ("jxx", "jzz", "hx", "hz")),
+                    ((0.3, 0, 0), ("jxx", "hx")),
+                    ((0, 0.3, 0), ("jzz", "hz"))):
+        chain = build_chain(lat, 1.0, sc.field_mask(lat, {"type": "all"}, h))
+        assert all(v == 0.0 for name in zero for v in getattr(chain, name))
+        assert all(v != 0.0 for name in {"jxx", "jzz", "hx", "hz"} - set(zero)
+                   for v in getattr(chain, name))
 
 
-def test_zero_field_zero_couplings():
-    m = metrics()
-    assert single_qubit_fields(1.0, 0.0, 0.0, m, 0) == (0.0, 0.0)
-    assert single_qubit_fields(1.0, 0.3, 0.0, m, 0)[0] == 0.0
-    assert single_qubit_fields(1.0, 0.0, 0.3, m, 0)[1] == 0.0
-
-
-def test_single_qubit_field_values():
+def test_single_qubit_field_values(one_hole_lattice):
+    lat = one_hole_lattice          # string of 2 sites to the port, 4-loop
     # hy = 0.1, fermion length 2: delta_E = 2*(0.01)/(-8) = -2.5e-3
-    hx_t, _ = single_qubit_fields(1.0, 0.0, 0.1, metrics(lf=2), 0)
-    assert hx_t == pytest.approx(-1.25e-3, rel=1e-12)
+    chain = build_chain(lat, 1.0, sc.field_mask(
+        lat, {"type": "corridor", "hole": 0}, (0, 0.1, 0)))
+    assert chain.hx[0] == pytest.approx(-1.25e-3, rel=1e-12)
     # hx = 0.1, loop length 4: eps = 2e-4/(-64) = -3.125e-6
-    _, hz_t = single_qubit_fields(1.0, 0.1, 0.0, metrics(lv=4), 0)
-    assert hz_t == pytest.approx(-1.5625e-6, rel=1e-12)
+    chain = build_chain(lat, 1.0, sc.field_mask(
+        lat, {"type": "annulus", "hole": 0}, (0.1, 0, 0)))
+    assert chain.hz[0] == pytest.approx(-1.5625e-6, rel=1e-12)
 
 
-def test_pair_coupling_values():
-    jxx, _ = pair_couplings(1.0, 0.0, 0.1, metrics(lff=2), 0)
-    assert jxx == pytest.approx(-1.25e-3, rel=1e-12)
-    _, jzz = pair_couplings(1.0, 0.1, 0.0, metrics(lvv=6), 0)
-    assert jzz == pytest.approx(-9.765625e-10, rel=1e-12)
-    assert pair_couplings(1.0, 0.3, 0.0, metrics(), 0)[0] == 0.0
+def test_pair_coupling_values(two_hole_lattice):
+    lat = two_hole_lattice          # pair string of 2 sites, pair 8-loop
+    chain = build_chain(lat, 1.0, sc.field_mask(
+        lat, {"type": "corridor", "from": 0, "to": 1}, (0, 0.1, 0)))
+    assert chain.jxx[0] == pytest.approx(-1.25e-3, rel=1e-12)
+    # hx = 0.1, loop length 8: Jzz = 1e-8/(-4)^7
+    chain = build_chain(lat, 1.0, sc.field_mask(
+        lat, {"type": "annulus", "from": 0, "to": 1}, (0.1, 0, 0)))
+    assert chain.jzz[0] == pytest.approx(-6.103515625e-13, rel=1e-12)
+    assert chain.jxx[0] == 0.0
+
+
+@pytest.mark.parametrize("w,h,holes", [
+    (4, 10, [(1, 1, 2, 1), (1, 5, 2, 5)]),
+    (9, 4, [(1, 1, 1, 2), (5, 1, 5, 2)]),
+])
+def test_separated_dominoes_read_the_field_on_their_whole_pair_loop(w, h,
+                                                                    holes):
+    """Dominoes 4 cells apart are enclosed by a 12-hop loop that leaves
+    their two annuli: hx on the annuli alone gives no Jzz, hx on every
+    site the 12-loop's closed form."""
+    lat = sc.build_lattice(w, h, "open", [sc.HoleSpec(*c) for c in holes])
+    annuli = sc.FieldMask.zeros(lat)
+    for l in range(2):
+        annuli = annuli + sc.field_mask(lat, {"type": "annulus", "hole": l},
+                                        (0.1, 0, 0))
+    assert build_chain(lat, 1.0, annuli).jzz == (0.0,)
+    chain = build_chain(lat, 1.0,
+                        sc.field_mask(lat, {"type": "all"}, (0.1, 0, 0)))
+    assert chain.jzz == (vortex_splitting(1.0, 0.1, 12) / 2,)
 
 
 def test_sign_alternates_with_length_parity():

@@ -232,13 +232,44 @@ def test_enclosing_loop_search_matches_exhaustive_search(
         odd = [lat.hole_even_odd(l)[1] for l in range(len(lat.holes))]
         subsets = [s for r in (1, 2, 3)
                    for s in itertools.combinations(odd, r)]
-        if lat is register:     # the singles and pairs path_metrics asks
+        if lat is register:     # the singles, and the pairs of a chain
             subsets = [s for s in subsets if len(s) == 1] + \
                 [(a, b) for a, b in zip(odd, odd[1:])]
         for origins in subsets:
             want = _exhaustive_enclosing_loop(lat, list(origins))
             assert want is not None
-            assert _shortest_enclosing_loop(lat, list(origins)) == want
+            assert len(_shortest_enclosing_loop(lat, list(origins))) == want
+
+
+def test_pair_loop_sites(two_hole_lattice):
+    """The pair annulus lists one site per hop of the shortest loop around
+    both holes.  Adjacent dominoes' 8-hop loop is the union of their
+    annuli; a longer one leaves it (12 hops 4 cells apart), and its sigma^x product (sites
+    crossed an odd number of times) commutes with every stabilizer, as a
+    closed vortex loop does."""
+    register = build_lattice(4, 17, "open", [sc.HoleSpec(1, y, 2, y)
+                                             for y in range(1, 16, 2)])
+    separated = build_lattice(4, 10, "open", [sc.HoleSpec(1, 1, 2, 1),
+                                              sc.HoleSpec(1, 5, 2, 5)])
+    for lat in [two_hole_lattice, register, separated,
+                *_random_holed_lattices(5, 12)]:
+        m = path_metrics(lat)
+        for l in range(len(lat.holes) - 1):
+            loop = region_sites(lat, {"type": "annulus", "from": l,
+                                      "to": l + 1})
+            assert len(loop) == m.vortex_pair[(l, l + 1)]
+            union = set().union(*(region_sites(lat, {"type": "annulus",
+                                                     "hole": j})
+                                  for j in (l, l + 1)))
+            if len(loop) == 8:
+                assert loop == sorted(union)
+            else:
+                assert not set(loop) <= union
+            odd = [s for s in set(loop) if loop.count(s) % 2]
+            x_loop = sc.PauliString.x_on(lat.n_sites, odd)
+            assert all(sc.commutes(x_loop, p) for p in lat.stabilizers())
+    assert len(region_sites(separated, {"type": "annulus", "from": 0,
+                                        "to": 1})) == 12
 
 
 def test_fermion_metrics(one_hole_lattice, two_hole_lattice):

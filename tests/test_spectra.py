@@ -88,6 +88,30 @@ def test_dimension_cap_refuses_a_large_sector_before_allocating():
     assert peak < 1 << 20
 
 
+def test_memory_check_refuses_lobpcg_before_it_starts(monkeypatch):
+    """With the dense cap below the 256-state sectors and a 1 kB machine,
+    the first LOBPCG block (a floor's, 17 x 1 x 256 x 8 bytes) is refused
+    before scipy is called, with a few kB traced."""
+    monkeypatch.setattr(spectra, "SECTOR_DENSE_CAP", 16)
+    monkeypatch.setattr(spectra, "_physical_memory", lambda: 1000)
+    calls = []
+    monkeypatch.setattr(spla, "lobpcg", lambda *a, **kw: calls.append(a))
+    fields = {site: (0.1, 0, 0.1) for site in (0, 1, 2, 4)}
+    _, lat, mask, _ = _example("torus 3x3", fields, 1)
+    H = assemble(lat, 1.0, mask)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpectraError, match=r"LOBPCG on 1 columns of 256 "
+                                               r"states needs ~34816 bytes, "
+                                               r"more than the 1000 bytes"):
+            lowest_eigs(H, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not calls
+    assert peak < 1 << 20
+
+
 def test_assemble_rejects_a_mask_of_another_lattice(one_hole_lattice,
                                                     two_hole_lattice):
     """A 20-row mask with fields on sites 17 and 18 on a 16-site lattice
