@@ -208,16 +208,20 @@ def cmd_tomography(args) -> None:
         if amps.size != 2 ** n:
             raise ValueError(f"state file {args.state} holds {amps.size} "
                              f"amplitudes, --n {n} needs {2 ** n}")
-    state = eff.PseudoSpinState(amps / np.linalg.norm(amps))
+    nrm = np.linalg.norm(amps)
+    if not (np.isfinite(nrm) and nrm > 0.0):
+        raise ValueError(f"state {args.state} has norm {nrm}; need finite "
+                         f"amplitudes, not all zero")
+    state = eff.PseudoSpinState(amps / nrm)
     if args.shots > 0:
         readouts = meas.sample_readouts(state, plan, args.shots, args.seed)
     else:
         readouts = meas.forward_readouts(state, plan)
     payload = {
-        "plan": [ob.key() for ob in plan.observables],
+        "plan": list(plan.keys),
         "parameter_count": plan.parameter_count,
         "complete": plan.complete,
-        "raw_probabilities": {k: float(v) for k, v in readouts.items()},
+        "raw_probabilities": readouts,
     }
     if n <= 2 and args.shots == 0:
         est = meas.reconstruct(readouts, n)

@@ -208,6 +208,8 @@ class PseudoSpinState:
         v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if v.size == 0 or v.size & (v.size - 1):
             raise EffectiveError("amplitude count must be a power of two")
+        if not np.all(np.isfinite(v)):
+            raise EffectiveError("state amplitudes must be finite")
         nrm = np.linalg.norm(v)
         if abs(nrm - 1.0) > 1e-12:
             raise EffectiveError(f"state norm {nrm} is not 1")

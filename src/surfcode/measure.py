@@ -11,18 +11,23 @@ quadrature (a product of cosines alone leaves sin-signs ambiguous).
 Every readout is one ``PauliString`` P with the quarter turns folded in
 (``Observable.pauli``); its +1 probability is 1/2 (1 + <v|P|v>), exact,
 and ``sample_readouts`` adds seeded shot noise that plays no role in
-acceptance.  Reconstruction fits the same strings.  Qubit l is
-``PauliString`` site n-1-l (``effective.qubit_mask``), so qubit 0 is the
-most significant bit of a basis index.
+acceptance.  A plan's strings are (x, z, k) arrays, and ``_expectations``
+evaluates them all at once: each distinct x is one Walsh-Hadamard
+transform, which gives <X^x Z^z> for every z.  Reconstruction fits the
+same strings.  Qubit l is ``PauliString`` site n-1-l
+(``effective.qubit_mask``), so qubit 0 is the most significant bit of a
+basis index.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import hadamard
 from scipy.optimize import least_squares
 
 from .effective import CHAIN_CAP, PseudoSpinState, qubit_mask, z_signs
@@ -76,15 +81,49 @@ def _check_subset(n: int, subset: Sequence[int]) -> tuple:
     return qs
 
 
-def _apply(v: np.ndarray, p: PauliString) -> np.ndarray:
-    """P|v> from P|t> = i^k (-1)^{z.t} |t XOR x>: component s of P|v>
-    takes its sign and amplitude at the source index t = s XOR x."""
-    src = np.arange(v.size) ^ p.x
-    return p.phase * z_signs(p.n, p.z)[src] * v[src]
+_BLOCK = 1 << 18                 # table entries per block of x rows
+_PHASES = np.array([1, 1j, -1, -1j])
 
 
-def _expect(v: np.ndarray, p: PauliString) -> float:
-    return float(np.vdot(v, _apply(v, p)).real)
+def _strings(paulis) -> tuple:
+    """Read-only (x, z, k) arrays of a sequence of ``PauliString``s."""
+    a = np.array([(p.x, p.z, p.k) for p in paulis], dtype=np.int64).T
+    a.flags.writeable = False
+    return tuple(a)
+
+
+@cache
+def _hadamard(m: int) -> np.ndarray:
+    h = hadamard(m, dtype=complex)
+    h.flags.writeable = False
+    return h
+
+
+def _expectations(v: np.ndarray, strings: tuple) -> np.ndarray:
+    """Re <v| i^k X^x Z^z |v> for arrays (x, z, k) of Pauli strings.
+
+    P|t> = i^k (-1)^{z.t} |t XOR x>, so <v|X^x Z^z|v> = sum_u f_x[u]
+    (-1)^{z.u} with f_x[u] = conj(v[u XOR x]) v[u]: entry z of the
+    Walsh-Hadamard transform of f_x, taken as H_a (x) H_b on the high a
+    and low b bits of u.  One row per distinct x, in blocks of at most
+    ``_BLOCK`` entries."""
+    x, z, k = strings
+    seen = np.zeros(v.size, dtype=bool)
+    seen[x] = True
+    xs, row = np.flatnonzero(seen), (np.cumsum(seen) - 1)[x]
+    u, vc = np.arange(v.size), v.conj()
+    a = (v.size.bit_length() - 1) // 2
+    ha, hb = _hadamard(1 << a), _hadamard(v.size >> a)
+    out = np.empty(x.size)
+    step = max(1, _BLOCK // v.size)
+    for lo in range(0, xs.size, step):
+        f = vc[u ^ xs[lo:lo + step, None]]
+        f *= v
+        f = ha @ (f.reshape(-1, hb.shape[0]) @ hb).reshape(len(f), 1 << a, -1)
+        f = f.reshape(-1, v.size)
+        sel = (row >= lo) & (row < lo + step)
+        out[sel] = (_PHASES[k[sel]] * f[row[sel] - lo, z[sel]]).real
+    return out
 
 
 def vortex_readout(state: PseudoSpinState, subset: Sequence[int]) -> float:
@@ -150,10 +189,20 @@ class MeasurementPlan:
     def size(self) -> int:
         return len(self.observables)
 
+    @cached_property
+    def keys(self) -> tuple[str, ...]:
+        return tuple(ob.key() for ob in self.observables)
 
+    @cached_property
+    def strings(self) -> tuple:
+        """(x, z, k) arrays of every observable's ``pauli(n)``."""
+        return _strings([ob.pauli(self.n) for ob in self.observables])
+
+
+@cache
 def tomography_plan(n: int) -> MeasurementPlan:
     """All z-subset and x-subset products plus quadrature repeats, on a
-    register of at most ``CHAIN_CAP`` qubits."""
+    register of at most ``CHAIN_CAP`` qubits; one plan per n."""
     if not 1 <= n <= CHAIN_CAP:
         raise MeasureError(f"need 1 <= n <= {CHAIN_CAP}, the register cap; "
                            f"got n = {n}")
@@ -170,7 +219,16 @@ def tomography_plan(n: int) -> MeasurementPlan:
 
 def measure_observable(state: PseudoSpinState, ob: Observable) -> float:
     """Probability of the +1 outcome: 1/2 (1 + <v|P|v>), P = ob.pauli(n)."""
-    return 0.5 * (1.0 + _expect(state.amplitudes, ob.pauli(state.n)))
+    e = _expectations(state.amplitudes, _strings([ob.pauli(state.n)]))
+    return 0.5 * (1.0 + float(e[0]))
+
+
+def _probabilities(state: PseudoSpinState,
+                   plan: MeasurementPlan) -> np.ndarray:
+    if plan.n != state.n:
+        raise MeasureError(f"plan for n = {plan.n} given a register of "
+                           f"n = {state.n}")
+    return 0.5 * (1.0 + _expectations(state.amplitudes, plan.strings))
 
 
 def forward_readouts(state: PseudoSpinState,
@@ -178,8 +236,7 @@ def forward_readouts(state: PseudoSpinState,
     """Exact probabilities for every observable of the plan."""
     if plan is None:
         plan = tomography_plan(state.n)
-    return {ob.key(): measure_observable(state, ob)
-            for ob in plan.observables}
+    return dict(zip(plan.keys, _probabilities(state, plan).tolist()))
 
 
 def sample_readouts(state: PseudoSpinState, plan: MeasurementPlan,
@@ -187,12 +244,9 @@ def sample_readouts(state: PseudoSpinState, plan: MeasurementPlan,
     """Binomial shot noise on top of the exact probabilities."""
     if shots < 1:
         raise MeasureError("shots must be >= 1")
-    rng = np.random.default_rng(seed)
-    out = {}
-    for ob in plan.observables:
-        p = measure_observable(state, ob)
-        out[ob.key()] = rng.binomial(shots, min(max(p, 0.0), 1.0)) / shots
-    return out
+    p = np.clip(_probabilities(state, plan), 0.0, 1.0)
+    counts = np.random.default_rng(seed).binomial(shots, p)
+    return dict(zip(plan.keys, (counts / shots).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +287,10 @@ class EntangledState:
         return PseudoSpinState(amps / np.linalg.norm(amps))
 
 
-def _z_probabilities(readouts: dict, plan: MeasurementPlan) -> np.ndarray:
-    """Joint z-basis distribution from the plan's z-subset expectations."""
-    n, dim = plan.n, 1 << plan.n
-    total = np.ones(dim)
-    for ob in plan.observables:
-        if ob.basis == "z":
-            e = 2.0 * readouts[ob.key()] - 1.0
-            total += e * z_signs(n, ob.pauli(n).z)
-    return np.clip(total / dim, 0.0, None)
+def _z_probabilities(e: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """Joint z-basis distribution from the expectations e of the z
+    strings z over every nonempty subset."""
+    return np.clip((1.0 + e @ z_signs(n, z[:, None])) / (1 << n), 0.0, None)
 
 
 def reconstruct(readouts: dict, n: int, tol: float = 1e-8) -> EntangledState:
@@ -257,29 +306,35 @@ def reconstruct(readouts: dict, n: int, tol: float = 1e-8) -> EntangledState:
     if n not in (1, 2):
         raise MeasureError("reconstruction is implemented for n <= 2")
     plan = tomography_plan(n)
-    for ob in plan.observables:
-        if ob.key() not in readouts:
-            raise MeasureError(f"readouts lack observable {ob.key()!r}")
-        if not np.isfinite(readouts[ob.key()]):
-            raise MeasureError(f"readout {ob.key()!r} is not finite: "
-                               f"{readouts[ob.key()]}")
-    alphas = np.sqrt(_z_probabilities(readouts, plan))
+    for key in plan.keys:
+        if key not in readouts:
+            raise MeasureError(f"readouts lack observable {key!r}")
+        if not np.isfinite(readouts[key]):
+            raise MeasureError(f"readout {key!r} is not finite: "
+                               f"{readouts[key]}")
+    r = np.array([readouts[key] for key in plan.keys], dtype=float)
+    e = 2.0 * r - 1.0
+    x, z, _ = plan.strings
+    alphas = np.sqrt(_z_probabilities(e[x == 0], z[x == 0], n))
     alphas /= np.linalg.norm(alphas)
-    fit = [(ob.pauli(n), 2.0 * readouts[ob.key()] - 1.0)
-           for ob in plan.observables if ob.basis == "x"]
+    fit = (tuple(a[x != 0] for a in plan.strings), e[x != 0])
 
     best = None
     for s0 in itertools.product((0.0, -2.1, 2.1), repeat=alphas.size - 1):
         sol = least_squares(_misfit, s0, jac=_misfit_jacobian,
                             method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                            args=(alphas, fit))
+                            args=(alphas, *fit))
         if best is None or sol.cost < best.cost:
             best = sol
         if best.cost < 1e-24:
             break
     est = EntangledState.from_state(
         PseudoSpinState(_amplitudes(alphas, best.x)))
-    _residual_check(est, readouts, tol)
+    resid = np.max(np.abs(_probabilities(est.to_state(), plan) - r))
+    if resid > tol:
+        raise MeasureError(
+            f"readouts inconsistent with a pure register state "
+            f"(residual {resid:.3e} > {tol:.1e})")
     return est
 
 
@@ -287,25 +342,21 @@ def _amplitudes(alphas: np.ndarray, phis) -> np.ndarray:
     return alphas * np.exp(1j * np.concatenate(([0.0], phis)))
 
 
-def _misfit(phis, alphas: np.ndarray, fit: list) -> list:
+def _misfit(phis, alphas: np.ndarray, strings: tuple,
+            e: np.ndarray) -> np.ndarray:
     # (E - e) / 2, not (1 + E) / 2 - r: rounding 1 + E drowns small terms
+    return 0.5 * (_expectations(_amplitudes(alphas, phis), strings) - e)
+
+
+def _misfit_jacobian(phis, alphas: np.ndarray, strings: tuple,
+                     e: np.ndarray) -> np.ndarray:
+    """Im(conj(v_s) (P v)_s), s >= 1: dv_s/dphi_s = i v_s, P Hermitian,
+    and (P v)_s = i^k (-1)^{z.t} v_t at t = s XOR x, one row per string."""
     v = _amplitudes(alphas, phis)
-    return [0.5 * (_expect(v, p) - e) for p, e in fit]
-
-
-def _misfit_jacobian(phis, alphas: np.ndarray, fit: list) -> list:
-    """Im(conj(v_s) (P v)_s), s >= 1: dv_s/dphi_s = i v_s, P Hermitian."""
-    v = _amplitudes(alphas, phis)
-    return [(v.conj() * _apply(v, p)).imag[1:] for p, _ in fit]
-
-
-def _residual_check(est: EntangledState, readouts: dict, tol: float) -> None:
-    sim = forward_readouts(est.to_state(), tomography_plan(est.n))
-    resid = max(abs(sim[k] - readouts[k]) for k in sim)
-    if resid > tol:
-        raise MeasureError(
-            f"readouts inconsistent with a pure register state "
-            f"(residual {resid:.3e} > {tol:.1e})")
+    x, z, k = (a[:, None] for a in strings)
+    t = np.arange(v.size) ^ x
+    pv = _PHASES[k] * (1.0 - 2.0 * (np.bitwise_count(z & t) & 1)) * v[t]
+    return (v.conj() * pv).imag[:, 1:]
 
 
 def parameter_error(a: EntangledState, b: EntangledState,

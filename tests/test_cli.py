@@ -29,9 +29,13 @@ def torus_config(tmp_path):
 
 
 def run(args, out_path):
+    """Report text of a run that exits 0; NaN is not JSON (the t_de
+    sentinel Infinity is let through)."""
     rc = main(args + ["--output", str(out_path)])
     assert rc == 0
-    return out_path.read_text()
+    text = out_path.read_text()
+    assert "NaN" not in text
+    return text
 
 
 def test_degeneracy_two_holes(two_hole_config, tmp_path):
@@ -108,6 +112,31 @@ def test_tomography_rejects_state_file_of_other_size(tmp_path, capsys, shots):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
     assert "holds 4 amplitudes, --n 1 needs 2" in err["message"]
+
+
+@pytest.mark.parametrize("n, amps, shots", [
+    (3, [[np.nan, 0.0]] + [[0.5, 0.0]] * 7, "0"),
+    (1, [[np.nan, 0.0], [1.0, 0.0]], "0"),
+    (1, [[np.nan, 0.0], [1.0, 0.0]], "10"),
+    (2, [[0.5, np.inf]] + [[0.5, 0.0]] * 3, "0"),
+    (2, [[0.0, 0.0]] * 4, "0"),
+    (2, [[0.0, 0.0]] * 4, "10"),
+])
+def test_tomography_rejects_a_state_file_without_a_finite_norm(
+        tmp_path, capsys, n, amps, shots):
+    """A NaN, infinite or all-zero state file exits 1 with the reason,
+    where it printed NaN readouts or divided by zero."""
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(amps))
+    out = tmp_path / "t.json"
+    rc = main(["tomography", "--n", str(n), "--state", str(state),
+               "--shots", shots, "--output", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert f"state {state} has norm" in err["message"]
+    assert "need finite amplitudes, not all zero" in err["message"]
 
 
 def test_tomography_rejects_register_above_the_cap(tmp_path, capsys):

@@ -364,6 +364,13 @@ def test_gate_durations_nonnegative_and_product_exact():
         assert np.max(np.abs(U @ U.conj().T - np.eye(2))) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_state_rejects_non_finite_amplitudes(bad):
+    """A NaN passed the norm check, since abs(nan - 1) > tol is False."""
+    with pytest.raises(EffectiveError, match="must be finite"):
+        PseudoSpinState(np.array([bad, 1.0]))
+
+
 def test_gate_zero_drive_rejected():
     with pytest.raises(EffectiveError):
         rotation_gate(0, 0.1, 0.0, 0.0, 1e-3, 0.0)

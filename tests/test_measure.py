@@ -1,6 +1,7 @@
 """Interference amplitudes, register readouts, tomography planning and
 round-trip reconstruction."""
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfcode import measure
 from surfcode.effective import CHAIN_CAP, PseudoSpinState
 from surfcode.measure import (EntangledState, InterferencePaths,
-                              MeasureError, Observable, _misfit,
-                              _misfit_jacobian, fermion_readout,
+                              MeasureError, Observable, _expectations,
+                              _misfit, _misfit_jacobian, fermion_readout,
                               forward_readouts, interference_amplitude,
                               measure_observable, parameter_error,
                               quarter_turn, reconstruct, sample_readouts,
@@ -121,6 +123,60 @@ def test_probabilities_in_unit_interval(n, seed):
         assert -1e-12 <= p <= 1 + 1e-12
 
 
+def dense_pauli(n, x, z, k):
+    """i^k X^x Z^z as a dense matrix; site j is bit j of a basis index."""
+    X, Z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    fx = [X if x >> j & 1 else np.eye(2) for j in reversed(range(n))]
+    fz = [Z if z >> j & 1 else np.eye(2) for j in reversed(range(n))]
+    return 1j ** k * reduce(np.kron, fx) @ reduce(np.kron, fz)
+
+
+@pytest.mark.parametrize("rows", [None, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_expectations_match_dense_pauli_matrices(n, rows, monkeypatch):
+    """Every plan string, the k = 3 quadratures included, and random
+    (x, z, k) strings, against <v|P|v> from dense matrices; also with
+    blocks of 2 rows, as at the register cap."""
+    if rows:
+        monkeypatch.setattr(measure, "_BLOCK", rows << n)
+    rng = np.random.default_rng(50 + n)
+    v = rand_state(rng, n).amplitudes
+    x, z, k = tomography_plan(n).strings
+    assert 3 in k
+    m = 40
+    rx, rz, rk = (rng.integers(0, 2 ** n, m), rng.integers(0, 2 ** n, m),
+                  rng.integers(0, 4, m))
+    x, z, k = (np.concatenate(p) for p in ((x, rx), (z, rz), (k, rk)))
+    got = _expectations(v, (x, z, k))
+    want = [np.vdot(v, dense_pauli(n, *s) @ v).real for s in zip(x, z, k)]
+    assert np.max(np.abs(got - want)) < 1e-14
+
+
+def test_readouts_at_the_cap_stay_small_in_memory():
+    """n = 12 takes its Walsh-Hadamard rows in blocks: a few MB traced."""
+    plan = tomography_plan(CHAIN_CAP)
+    assert len(plan.keys) == len(plan.strings[0])   # cached before tracing
+    s = rand_state(np.random.default_rng(12), CHAIN_CAP)
+    tracemalloc.start()
+    try:
+        got = forward_readouts(s, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) == plan.size()
+    assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("state_n, plan_n", [(3, 2), (2, 3)])
+def test_readouts_refuse_a_plan_of_another_register_size(state_n, plan_n):
+    s, plan = PseudoSpinState.all_up(state_n), tomography_plan(plan_n)
+    msg = f"plan for n = {plan_n} given a register of n = {state_n}"
+    with pytest.raises(MeasureError, match=msg):
+        forward_readouts(s, plan)
+    with pytest.raises(MeasureError, match=msg):
+        sample_readouts(s, plan, 10)
+
+
 def test_quarter_turn_advances_phase():
     st_ = PseudoSpinState(np.array([1, 1]) / np.sqrt(2))
     rot = quarter_turn(st_, 0)
@@ -225,6 +281,16 @@ def test_plan_rejects_registers_above_the_chain_cap():
         tomography_plan(0)
 
 
+def test_plan_is_built_once_per_size():
+    plan = tomography_plan(3)
+    assert tomography_plan(3) is plan
+    assert plan.keys == tuple(ob.key() for ob in plan.observables)
+    paulis = [ob.pauli(3) for ob in plan.observables]
+    assert ([tuple(row) for row in np.transpose(plan.strings)]
+            == [(p.x, p.z, p.k) for p in paulis])
+    assert not any(a.flags.writeable for a in plan.strings)
+
+
 def test_plan_covers_all_subsets():
     plan = tomography_plan(2)
     keys = {ob.key() for ob in plan.observables}
@@ -308,20 +374,20 @@ def test_reconstruct_inconsistent_rejected():
 @pytest.mark.parametrize("n", [1, 2])
 def test_misfit_jacobian_matches_central_differences(n):
     rng = np.random.default_rng(40 + n)
-    plan = tomography_plan(n)
+    x, z, k = tomography_plan(n).strings
+    fit = tuple(a[x != 0] for a in (x, z, k))       # the x readouts
     for _ in range(5):
         alphas = np.abs(rand_state(rng, n).amplitudes)
-        fit = [(ob.pauli(n), rng.uniform(-1.0, 1.0))
-               for ob in plan.observables if ob.basis == "x"]
+        target = rng.uniform(-1.0, 1.0, fit[0].size)
         phis = rng.uniform(-np.pi, np.pi, 2 ** n - 1)
-        jac = np.array(_misfit_jacobian(phis, alphas, fit))
-        assert jac.shape == (len(fit), 2 ** n - 1)
+        jac = _misfit_jacobian(phis, alphas, fit, target)
+        assert jac.shape == (fit[0].size, 2 ** n - 1)
         h = 1e-6
         for s in range(2 ** n - 1):
             e = np.zeros(2 ** n - 1)
             e[s] = h
-            fd = (np.array(_misfit(phis + e, alphas, fit))
-                  - np.array(_misfit(phis - e, alphas, fit))) / (2 * h)
+            fd = (_misfit(phis + e, alphas, fit, target)
+                  - _misfit(phis - e, alphas, fit, target)) / (2 * h)
             assert np.max(np.abs(jac[:, s] - fd)) < 1e-8
 
 
