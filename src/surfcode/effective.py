@@ -315,6 +315,8 @@ def rotation_gate(l: int, theta: float, phi: float, gamma: float,
     need hz_tilde != 0, the x pulse hx_tilde != 0, unless the angle is
     zero, in which case the pulse is dropped.
     """
+    if not np.isfinite((theta, phi, gamma, hx_tilde, hz_tilde)).all():
+        raise EffectiveError("rotation angles and drive fields must be finite")
     pulses = []
     for angle, axis in ((theta, "z"), (phi, "x"), (gamma, "z")):
         if angle == 0.0:
@@ -357,6 +359,8 @@ class AdiabaticSchedule:
     steps: int
 
     def __post_init__(self):
+        if not np.isfinite((self.h0, self.t0, self.T_total)).all():
+            raise EffectiveError("h0, t0 and T_total must be finite")
         if self.T_total <= 0 or self.steps < 1 or self.t0 < 0:
             raise EffectiveError("invalid adiabatic schedule")
 

@@ -43,8 +43,10 @@ shared-corner line.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -359,7 +361,7 @@ def build_lattice(width: int, height: int, boundary: str,
 class PathMetrics:
     """Hop counts of the shortest quasiparticle tunneling paths.
 
-    vortex_loop[l]      loop length around hole l on the vortex graph
+    vortex_loop[l]      loop length around hole l (``_shortest_enclosing_loop``)
     fermion_boundary[l] straight fermion string, hole l to the port
                         (None for single-plaquette holes, whose flip
                         string is charge-flavoured)
@@ -373,73 +375,41 @@ class PathMetrics:
     fermion_pair: dict
 
 
-def _vortex_graph(lat: HoledLattice):
-    """Even-cell diagonal hopping graph, including the virtual ring.
-
-    Nodes are even-parity cells (a, b) with a in [-1, width-1],
-    b in [-1, height-1]; a diagonal hop exists iff the shared corner
-    site lies in the lattice.
-    """
-    nodes = []
-    for a in range(-1, lat.width):
-        for b in range(-1, lat.height):
-            if cell_parity(a, b) == 0:
-                nodes.append((a, b))
-    nodeset = set(nodes)
-    adj = {v: [] for v in nodes}
-    for (a, b) in nodes:
-        for da, db in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            w = (a + da, b + db)
-            if w not in nodeset:
-                continue
-            # shared corner site of the diagonal pair
-            sx = max(a, w[0])
-            sy = max(b, w[1])
-            if 0 <= sx < lat.width and 0 <= sy < lat.height:
-                adj[(a, b)].append(w)
-    return nodes, adj
-
-
-def _hop_crosses_ray(c1: Cell, c2: Cell, origin: Cell) -> bool:
-    """Does the diagonal hop c1->c2 cross the upward ray from the centre
-    of ``origin``?  Cell centres sit at (a+0.5, b+0.5); the ray is the
-    vertical line x = a0+1 restricted to y > b0+0.5."""
-    a0, b0 = origin
-    west = c1 if c1[0] < c2[0] else c2
-    if west[0] != a0:
-        return False
-    ymid = (c1[1] + c2[1] + 1) / 2.0
-    return ymid > b0 + 0.5
-
-
 def _shortest_enclosing_loop(lat: HoledLattice,
                              origins: Sequence[Cell]) -> list[int]:
     """Sites of a shortest closed walk on the vortex graph with odd
     winding around every cell in ``origins``, one per hop (the corner
     the hop's two cells share), so a site crossed twice is listed twice.
 
-    The searches run on sheeted copies, where a hop across an origin's
-    ray flips that origin's sheet bit.  Of the shortest walks they take
-    the one least in the summed squared distance of its sites from the
-    nearest origin centre, so two adjacent dominoes get their two
+    The graph's nodes are the even cells, the virtual ring included; a
+    diagonal hop joins two iff their shared corner (x, y) = (max a,
+    max b) is a site, and it crosses the upward ray from origin (a0, b0)
+    iff x = a0 + 1 and y > b0.  The searches run on sheeted copies, where
+    such a hop flips that origin's sheet bit.  Of the shortest walks they
+    take the one least in the summed squared distance of its sites from
+    the nearest origin centre, so two adjacent dominoes get their two
     annuli.  The walk crosses every origin's ray, so the searches start
-    only at the west ends of the hops across the ray with fewest; one
-    that beats the best walk so far rebuilds it from parent links."""
-    import heapq
+    only at the west ends (a0, b >= b0) of the hops across the ray with
+    fewest; one that beats the best walk so far rebuilds it from parent
+    links.  A cell's hops are built when a search first reaches it."""
 
-    def hop(v: Cell, w: Cell) -> tuple:
-        x, y = max(v[0], w[0]), max(v[1], w[1])     # the shared corner
-        return (w, sum(1 << i for i, o in enumerate(origins)
-                       if _hop_crosses_ray(v, w, o)), lat.site(x, y),
-                min((2 * (x - a) - 1) ** 2 + (2 * (y - b) - 1) ** 2
-                    for a, b in origins))
+    @cache
+    def hops(v: Cell) -> list[tuple]:
+        """(neighbour, ray flips, corner site, distance cost) per hop."""
+        a, b = v
+        corners = [((a + da, b + db), max(a, a + da), max(b, b + db))
+                   for da, db in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+        return [(w, sum(1 << i for i, (a0, b0) in enumerate(origins)
+                        if x == a0 + 1 and y > b0),
+                 y * lat.width + x,
+                 min((2 * (x - a0) - 1) ** 2 + (2 * (y - b0) - 1) ** 2
+                     for a0, b0 in origins))
+                for w, x, y in corners
+                if 0 <= x < lat.width and 0 <= y < lat.height]
 
-    nodes, adj = _vortex_graph(lat)
-    hops = {v: [hop(v, w) for w in adj[v]] for v in nodes}
     full = (1 << len(origins)) - 1
-    ray_ends = [[v for v in nodes if any(f >> i & 1 and w[0] > v[0]
-                                         for w, f, *_ in hops[v])]
-                for i in range(len(origins))]
+    ray_ends = [[(a0, b) for b in range(b0 + (a0 + b0) % 2, lat.height, 2)]
+                for a0, b0 in origins]
     best, walk = (float("inf"),), None
     for start in min(ray_ends, key=len):
         parents: dict = {}          # settled node -> (parent node, site)
@@ -455,7 +425,7 @@ def _shortest_enclosing_loop(lat: HoledLattice,
                     node, site = parents[node]
                     walk.append(site)
                 break
-            for w, f, site, cost in hops[node[0]]:
+            for w, f, site, cost in hops(node[0]):
                 key = (w, node[1] ^ f)
                 if key not in parents:
                     heapq.heappush(heap, ((d + 1, c + cost), key,
@@ -555,12 +525,12 @@ def region_sites(lat: HoledLattice, region) -> list[int]:
         return lat._line_sites(*sorted(_region_hole(lat, region[k])
                                        for k in ("from", "to")))
     if kind == "sites":
-        out = []
         for s in region["sites"]:
+            if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+                raise LatticeError(f"site {s!r} is not an integer")
             if not 0 <= s < lat.n_sites:
                 raise LatticeError(f"site {s} outside lattice")
-            out.append(int(s))
-        return out
+        return [int(s) for s in region["sites"]]
     if kind == "complement":
         shadow = set()
         for r in region["rects"]:

@@ -266,6 +266,8 @@ class EntangledState:
     def __post_init__(self):
         if len(self.alphas) != 2 ** self.n or len(self.phis) != 2 ** self.n:
             raise MeasureError("parameter count must be 2^n")
+        if not np.isfinite((*self.alphas, *self.phis)).all() or min(self.alphas) < 0:
+            raise MeasureError("alphas must be finite and >= 0, phis finite")
         if abs(sum(a * a for a in self.alphas) - 1.0) > 1e-9:
             raise MeasureError("alphas are not normalized")
 

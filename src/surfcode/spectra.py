@@ -633,6 +633,10 @@ class DispersionParams:
     hx: float = 0.0
     hy: float = 0.0
 
+    def __post_init__(self):
+        if not np.isfinite((self.g, self.hx, self.hy)).all():
+            raise SpectraError(f"g, hx and hy must be finite, got {self}")
+
 
 def vortex_dispersion(params: DispersionParams, kx, ky):
     """Vortex band sqrt((xi + 2g)^2 - xi^2) with diagonal hopping

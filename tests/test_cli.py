@@ -358,6 +358,48 @@ def test_gates_custom_angles(tmp_path, capsys):
                    "message": "custom gate needs --angles theta,phi,gamma"}
 
 
+@pytest.mark.parametrize("args", [
+    ["--hx-tilde", "nan"],
+    ["--hz-tilde", "inf"],
+    ["--gate", "custom", "--angles", "nan,0,0"],
+    ["--gate", "custom", "--angles", "0,inf,0"],
+])
+def test_gates_rejects_non_finite_inputs(tmp_path, capsys, args):
+    """A NaN angle or drive, or an infinite one, exits 1 with the reason,
+    where it printed NaN, which is not JSON."""
+    out = tmp_path / "g.json"
+    rc = main(["gates", *args, "--output", str(out)])
+    assert rc == 1 and not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "EffectiveError", "message": "rotation angles "
+                   "and drive fields must be finite"}
+
+
+@pytest.mark.parametrize("field", ["--g", "--hx", "--hy"])
+def test_dispersion_rejects_non_finite_inputs(tmp_path, capsys, field):
+    """A NaN passed the gap check and wrote nan energies."""
+    out = tmp_path / "d.csv"
+    rc = main(["dispersion", field, "nan", "--npts", "8", "--sample", "2",
+               "--output", str(out)])
+    assert rc == 1 and not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SpectraError"
+    assert "g, hx and hy must be finite" in err["message"]
+
+
+@pytest.mark.parametrize("field", ["--T", "--t0", "--h0"])
+def test_init_rejects_a_non_finite_schedule(tmp_path, capsys, field):
+    """The schedule names its own fields, where a NaN failed later as a
+    chain coefficient."""
+    out = tmp_path / "i.csv"
+    rc = main(["init", "--n", "2", "--steps", "5", field, "nan",
+               "--output", str(out)])
+    assert rc == 1 and not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "EffectiveError",
+                   "message": "h0, t0 and T_total must be finite"}
+
+
 def test_decoherence_single_point(tmp_path):
     """Without --sweep one thermal report: T* does not depend on T, and
     safe holds while T <= T*/10."""

@@ -376,6 +376,17 @@ def test_gate_zero_drive_rejected():
         rotation_gate(0, 0.1, 0.0, 0.0, 1e-3, 0.0)
 
 
+@pytest.mark.parametrize("slot", range(5))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gate_rejects_non_finite_angles_and_drives(slot, bad):
+    """theta, phi, gamma, hx_tilde, hz_tilde: a NaN angle gave NaN
+    pulses, an infinite drive a zero-length pulse and a NaN error."""
+    args = [0.3, 0.2, 0.1, 1e-3, 1e-3]
+    args[slot] = bad
+    with pytest.raises(EffectiveError, match="must be finite"):
+        rotation_gate(0, *args)
+
+
 # -- adiabatic initialization ------------------------------------------------
 
 
@@ -425,6 +436,17 @@ def test_adiabatic_trivial_cases():
     st, fid = adiabatic_init(tmpl, sched,
                              start_state=PseudoSpinState.all_up(2))
     assert fid == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("slot", range(3))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adiabatic_schedule_rejects_non_finite_values(slot, bad):
+    """h0, t0, T_total: a NaN passed every sign check and failed later as
+    a chain coefficient."""
+    args = [0.5, 50.0, 600.0]
+    args[slot] = bad
+    with pytest.raises(EffectiveError, match="must be finite"):
+        AdiabaticSchedule(*args, 10)
 
 
 def test_adiabatic_schedule_shape():

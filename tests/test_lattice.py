@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 import surfcode as sc
-from surfcode.lattice import (LatticeError, _hop_crosses_ray,
-                              _shortest_enclosing_loop, _vortex_graph,
+from surfcode.lattice import (LatticeError, _shortest_enclosing_loop,
                               build_lattice, cell_parity, field_mask,
                               path_metrics, region_sites)
 
@@ -164,10 +163,18 @@ def test_pair_loop_matches_oracle(two_hole_lattice):
     assert m.vortex_pair[(0, 1)] >= max(m.vortex_loop)
 
 
+def _crosses_ray(v, w, origin):
+    """Does the straight hop between cell centres v and w cross the
+    vertical ray x = a0 + 1, y > b0 + 0.5 up from the centre of origin
+    (a0, b0)?  It crosses that line at the hop's midpoint."""
+    (a1, b1), (a2, b2), (a0, b0) = v, w, origin
+    return min(a1, a2) == a0 and (b1 + b2 + 1) / 2 > b0 + 0.5
+
+
 def _exhaustive_enclosing_loop(lat, origins):
     """The sheeted breadth-first search started from every node, with the
     ray crossings tested on every hop."""
-    nodes, adj = _vortex_graph(lat)
+    nodes, adj = _oracle_vortex_graph(lat)
     full = (1 << len(origins)) - 1
     best = None
     for start in nodes:
@@ -178,10 +185,10 @@ def _exhaustive_enclosing_loop(lat, origins):
             d = dist[(v, sheet)]
             if best is not None and d >= best:
                 continue
-            for w in adj[v]:
+            for w in adj.get(v, []):
                 ns = sheet
                 for i, o in enumerate(origins):
-                    if _hop_crosses_ray(v, w, o):
+                    if _crosses_ray(v, w, o):
                         ns ^= 1 << i
                 key = (w, ns)
                 if key not in dist:
@@ -270,6 +277,28 @@ def test_pair_loop_sites(two_hole_lattice):
             assert all(sc.commutes(x_loop, p) for p in lat.stabilizers())
     assert len(region_sites(separated, {"type": "annulus", "from": 0,
                                         "to": 1})) == 12
+
+
+def test_pair_annulus_sites_are_pinned(two_hole_lattice):
+    """The sorted pair-annulus lists, recorded before the hop table was
+    built lazily: the README two-hole lattice, a pair 4 cells apart (12
+    hops, sites 14 and 18 crossed twice) and the 8-qubit
+    register, whose every pair loop is the README one shifted by l rows
+    of 8 sites."""
+    def pair_loops(lat):
+        return [region_sites(lat, {"type": "annulus", "from": l, "to": l + 1})
+                for l in range(len(lat.holes) - 1)]
+
+    readme = [6, 7, 10, 11, 14, 15, 18, 19]
+    separated = build_lattice(4, 10, "open", [sc.HoleSpec(1, 1, 2, 1),
+                                              sc.HoleSpec(1, 5, 2, 5)])
+    register = build_lattice(4, 17, "open", [sc.HoleSpec(1, y, 2, y)
+                                             for y in range(1, 16, 2)])
+    assert pair_loops(two_hole_lattice) == [readme]
+    assert pair_loops(separated) == [[6, 7, 10, 11, 14, 14, 18, 18,
+                                      22, 23, 26, 27]]
+    assert pair_loops(register) == [[s + 8 * l for s in readme]
+                                    for l in range(7)]
 
 
 def test_fermion_metrics(one_hole_lattice, two_hole_lattice):
@@ -387,6 +416,19 @@ def test_sites_region_keeps_the_listed_sites(one_hole_lattice):
     for s in (-1, lat.n_sites):
         with pytest.raises(LatticeError, match=f"site {s} outside lattice"):
             region_sites(lat, {"type": "sites", "sites": [0, s]})
+
+
+@pytest.mark.parametrize("site", [1.7, 2.0, True, np.float64(3.0), "4", None])
+def test_sites_region_refuses_a_site_that_is_not_an_integer(
+        one_hole_lattice, site):
+    """A float was truncated (1.7 put the field on site 1) and True read
+    as site 1; both are refused by name."""
+    with pytest.raises(LatticeError, match="is not an integer"):
+        region_sites(one_hole_lattice, {"type": "sites", "sites": [0, site]})
+    cfg = {**one_hole_lattice.to_config(), "fields": [
+        {"region": {"type": "sites", "sites": [site]}, "hz": 0.1}]}
+    with pytest.raises(LatticeError, match="is not an integer"):
+        sc.lattice_from_config(cfg)
 
 
 def test_config_round_trip(two_hole_lattice):

@@ -418,3 +418,18 @@ def test_sampled_readouts_seeded():
 def test_entangled_state_normalization_guard():
     with pytest.raises(MeasureError):
         EntangledState(1, (1.0, 1.0), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("alphas, phis", [
+    ((np.nan, np.nan), (0.0, 0.0)),
+    ((1.0, 0.0), (0.0, np.nan)),
+    ((1.0, 0.0), (np.inf, 0.0)),
+    ((-1.0, 0.0), (0.0, 0.0)),
+    ((0.6, -0.8), (0.0, 0.0)),
+])
+def test_entangled_state_rejects_non_finite_or_negative_parameters(alphas,
+                                                                  phis):
+    """NaN alphas passed the normalization check, since
+    abs(nan - 1) > 1e-9 is False; alphas are magnitudes, so >= 0."""
+    with pytest.raises(MeasureError, match="must be finite and >= 0"):
+        EntangledState(1, alphas, phis)

@@ -273,6 +273,15 @@ def test_gap_closing_flagged():
             fermion_gap(DispersionParams(1.0, hy=h))
 
 
+@pytest.mark.parametrize("field", ["g", "hx", "hy"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dispersion_params_reject_non_finite_values(field, bad):
+    """A NaN passed the gap checks (4*|hx| >= g is False for NaN) and
+    gave NaN energies."""
+    with pytest.raises(SpectraError, match="must be finite"):
+        DispersionParams(**{"g": 1.0, field: bad})
+
+
 # -- splitting ratio convergence -------------------------------------------
 
 
