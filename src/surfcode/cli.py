@@ -109,6 +109,10 @@ def cmd_spectrum(args) -> None:
 
 
 def cmd_dispersion(args) -> None:
+    for name in ("npts", "sample"):
+        if getattr(args, name) < 1:
+            raise ValueError(f"--{name} must be at least 1, got "
+                             f"{getattr(args, name)}")
     params = spectra.DispersionParams(args.g, args.hx, args.hy)
     KX, KY, E = spectra.dispersion_grid(params, args.kind, args.npts,
                                         args.branch)

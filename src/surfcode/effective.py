@@ -311,20 +311,26 @@ def rotation_gate(l: int, theta: float, phi: float, gamma: float,
                   ) -> tuple[GateSchedule, np.ndarray]:
     """Three-pulse schedule realizing the rotation on qubit ``l``.
 
-    Pulse durations are angle / effective field (hbar = 1): the z pulses
-    need hz_tilde != 0, the x pulse hx_tilde != 0, unless the angle is
-    zero, in which case the pulse is dropped.
+    Pulse durations are angle / effective field (hbar = 1), with each
+    angle taken mod 2 pi into [0, 2 pi), and less 2 pi under a negative
+    field, so that no duration is negative; exp(-i 2 pi sigma) = 1, so the
+    rotation is the same.  The z pulses need hz_tilde != 0, the x pulse
+    hx_tilde != 0, unless the angle is 0 mod 2 pi, in which case the pulse
+    is dropped.
     """
     if not np.isfinite((theta, phi, gamma, hx_tilde, hz_tilde)).all():
         raise EffectiveError("rotation angles and drive fields must be finite")
     pulses = []
     for angle, axis in ((theta, "z"), (phi, "x"), (gamma, "z")):
-        if angle == 0.0:
+        angle %= 2 * math.pi      # 2 pi itself when rounded up from below 0
+        if angle in (0.0, 2 * math.pi):
             continue
         drive = hz_tilde if axis == "z" else hx_tilde
         if drive == 0.0:
             raise EffectiveError(
                 f"nonzero {axis} rotation requested with zero drive field")
+        if drive < 0:
+            angle -= 2 * math.pi
         pulses.append(Pulse(axis, drive, angle / drive))
     sched = GateSchedule(l, tuple(pulses))
     return sched, rotation_unitary(theta, phi, gamma)

@@ -41,15 +41,17 @@ diagonalized densely from its application to the identity block, a
 larger one by seeded LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517
 (2001)) on block calls.  Its block holds exactly the k random columns
 asked for, which resolves a k-fold exact degeneracy, as a single-vector
-Lanczos cannot.  It is preconditioned by the inverse of the sector's
-diagonal shifted to be positive definite (after Davidson, J. Comput.
-Phys. 17, 87 (1975)): D - min D + w, w the summed |c| of the
-off-diagonal terms, so min D - w is a Gershgorin bound below the
-spectrum.  Where level k cuts through a degenerate cluster a column can
-stall above the residual gate 50 tol ||H||; only then is the sector
-solved again with 2, then 4 guard columns, the first k kept.  One
-``_Sectors`` per call is the solve context that holds ``tol``, ``seed``,
-the gate and LOBPCG's warnings.
+Lanczos cannot.  It is preconditioned by T = (H_F - E_min + w)^-1
+(``_FamilyInverse``): H_F sums F, the largest commuting family of the
+terms taken by decreasing |c|, which holds the stabilizers, the
+largest terms; w is the largest |c| left out.  F's X parts, eliminated
+like the generators, give a basis where H_F is diagonal, reached by a
+gather, a phase and a Walsh-Hadamard transform over their a pivot bits,
+so T costs O(a 2^n) a column.  Where level k cuts through a degenerate
+cluster a column can stall above the residual gate 50 tol ||H||; only
+then is the sector solved again with 2, then 4 guard columns, the first
+k kept.  One ``_Sectors`` per call is the solve context that holds
+``tol``, ``seed``, the gate and LOBPCG's warnings.
 
 Levels stay in sector coordinates: a ``Spectrum`` keeps each level's
 sector and its column of 2^(n - r) coefficients.  A logical operator
@@ -229,6 +231,84 @@ class _Apply:
         return out.reshape(v.shape)
 
 
+class _FamilyInverse:
+    """T = (H_F - E_min + w)^-1, the LOBPCG preconditioner.
+
+    F takes the terms by decreasing |c|, ties in term order, each one
+    that commutes with every member so far; w is the largest |c| left
+    out (the norm bound if none is, 1 if H = 0).  The x masks of F's
+    members in reduced row echelon form give a rows g_i with pivot
+    sites q_i.  Basis vector u = (alpha, c) is 2^(-a/2) sum_beta
+    (-1)^(alpha.beta) g^beta |rep_c>: a common eigenvector of the g_i,
+    and so of every member of F, from the representative rep_c, whose
+    pivot bits are 0 and whose other bits are c.  The top a bits of u
+    hold alpha, so U^+, the map to that basis, is a gather by ``index``
+    with g^beta |rep_c> = phase[(beta, c)] |index[(beta, c)]>, the
+    conjugate phase and a Walsh-Hadamard transform over those bits, and
+    U the same steps back, the gather by ``inverse``.  H_F's energies E
+    are U^+ H_F U applied to a vector of ones, and T = U diag(1 / (E -
+    E_min + w)) U^+.  With no x in F, U is the identity and T a shifted
+    diagonal inverse."""
+
+    def __init__(self, H: SpinHamiltonian):
+        n, dim = H.n, H.dimension
+        self.family, out = [], []
+        for c, p in sorted(H.terms, key=lambda t: -abs(t[0])):
+            inside = all(commutes(p, q) for _, q in self.family)
+            (self.family if inside else out).append((c, p))
+        w = max((abs(c) for c, _ in out), default=0.0) or H.norm_bound or 1.0
+        rows, _ = eliminate([[p.x, p] for _, p in self.family if p.x], n)
+        self.a = len(rows)
+        pivots = sum(1 << q for q, _ in rows)
+        u = np.arange(dim, dtype=np.uint64)
+        index = _deposit(u, [j for j in range(n) if not pivots >> j & 1])
+        k = np.zeros(dim, dtype=np.int64)
+        for i, (_, (_, g)) in enumerate(rows):   # g^beta |rep_c>
+            on = u >> np.uint64(n - self.a + i) & np.uint64(1)
+            k += on.astype(np.int64) * (g.k + 2 * _count(index, g.z))
+            index ^= on * np.uint64(g.x)
+        self.index = index.astype(np.intp)
+        self.inverse = np.empty_like(self.index)
+        self.inverse[self.index] = np.arange(dim)
+        self.phase = _PHASES[k & 3]
+        if H.dtype == np.float64:
+            self.phase = self.phase.real
+        HF = _Apply(replace(H, terms=tuple(self.family)))
+        ones = np.ones((dim, 1), self.phase.dtype)
+        E = self._to_basis(HF(self._from_basis(ones))).real[:, 0]
+        E /= 1 << self.a
+        self.shift = w - E.min()    # T^-1 = H_F + shift
+        self.scale = 1.0 / ((E + self.shift) * (1 << self.a))
+
+    def _transform(self, y: np.ndarray) -> np.ndarray:
+        """Unnormalized Walsh-Hadamard transform of the C-contiguous
+        (2^n, m) block y over the top a bits of the row index, in place
+        by one butterfly per bit."""
+        for j in range(self.a):
+            t = y.reshape(1 << self.a - 1 - j, 2, -1)
+            lo, hi = t[:, 0], t[:, 1]
+            lo += hi            # (lo + hi, lo - hi) without a temporary
+            hi *= -2
+            hi += lo
+        return y
+
+    def _to_basis(self, v: np.ndarray) -> np.ndarray:      # 2^(a/2) U^+ v
+        y = np.take(v, self.index, axis=0).astype(
+            np.result_type(v, self.phase), copy=False)
+        y *= self.phase.conj()[:, None]
+        return self._transform(y)
+
+    def _from_basis(self, y: np.ndarray) -> np.ndarray:    # 2^(a/2) U y
+        y = self._transform(y)
+        y *= self.phase[:, None]
+        return np.take(y, self.inverse, axis=0)
+
+    def __call__(self, R: np.ndarray) -> np.ndarray:    # T R, R (2^n, m)
+        y = self._to_basis(R)
+        y *= self.scale[:, None]
+        return self._from_basis(y)
+
+
 def apply_pauli(p: PauliString, v: np.ndarray) -> np.ndarray:
     """P|v> for a single Pauli string on (2^n,) states or (2^n, k) blocks."""
     v = np.asarray(v)
@@ -294,6 +374,14 @@ _PHASES = np.array([1, 1j, -1, -1j])
 
 def _parity(v: int) -> int:
     return bin(v).count("1") & 1
+
+
+def _deposit(w: np.ndarray, sites) -> np.ndarray:
+    """Bit i of each entry of w moved to bit sites[i], the other bits 0."""
+    b = np.zeros_like(w)
+    for i, site in enumerate(sites):
+        b |= (w >> np.uint64(i) & np.uint64(1)) << np.uint64(site)
+    return b
 
 
 def _count(a: np.ndarray, mask: int) -> np.ndarray:
@@ -396,10 +484,7 @@ class _Sectors:
         return comb, PauliString(len(self.sites), *reduced, k)
 
     def representatives(self, t: int) -> np.ndarray:
-        w = np.arange(self.dim, dtype=np.uint64)
-        b = np.zeros_like(w)
-        for i, site in enumerate(self.sites):
-            b |= (w >> np.uint64(i) & np.uint64(1)) << np.uint64(site)
+        b = _deposit(np.arange(self.dim, dtype=np.uint64), self.sites)
         for q, m, c, k in self.parities:
             par = (_count(b, m) + (_parity(c & t) ^ k)) & 1
             b |= par.astype(np.uint64) << np.uint64(q)
@@ -432,41 +517,37 @@ class _Sectors:
     def solve(self, H: SpinHamiltonian, m: int):
         """Lowest m levels of H, a sector's or a floor's, with their columns
         and residual norms: dense eigh up to ``SECTOR_DENSE_CAP`` states,
-        above it LOBPCG on m seeded random columns preconditioned by the
-        (D - min D + w)^-1 of the module docstring (a diagonal H, w = 0,
-        takes its norm bound instead, and H = 0 takes 1).  A column that
-        fails the gate sends it back with 2, then 4 guard columns, the
-        first m kept; scipy's warnings go to ``notes``.  Each block is
-        refused before it starts when 17 blocks of its columns, the traced
-        peak of a LOBPCG solve, exceed the machine's physical memory (a
-        cgroup limit below it is not seen)."""
+        above it LOBPCG on m seeded random columns preconditioned by
+        ``_FamilyInverse``, built once per call and kept for the retries.
+        A column that fails the gate sends it back with 2, then 4 guard
+        columns, the first m kept; scipy's warnings go to ``notes``.  Each
+        block is refused before it starts when 17 blocks of its columns,
+        the traced peak of a LOBPCG solve, plus the preconditioner's four
+        arrays of one entry a state exceed the machine's physical memory
+        (a cgroup limit below it is not seen)."""
         dim = H.dimension
         if dim <= SECTOR_DENSE_CAP:
             A = _Apply(H)
             w, U = np.linalg.eigh(A(np.eye(dim, dtype=H.dtype)))
             w, U = w[:m], U[:, :m]
             return w, U, np.linalg.norm(A(U) - U * w, axis=0)
-        memory = _physical_memory()
+        memory, size = _physical_memory(), np.dtype(H.dtype).itemsize
         for guard in (0, 2, 4):
-            need = 17 * (m + guard) * dim * np.dtype(H.dtype).itemsize
+            need = (17 * (m + guard) * size + 24 + size) * dim
             if need > memory:
                 raise SpectraError(
                     f"LOBPCG on {m + guard} columns of {dim} states needs "
                     f"~{need} bytes, more than the {memory} bytes of "
                     f"physical memory")
-            if not guard:       # the operator, once the first block fits
-                A = _Apply(H)
-                w = (sum(abs(c) for c, p in H.terms if p.x) or H.norm_bound
-                     or 1.0)
-                inv = np.broadcast_to(1.0 / (A.diag - A.diag.min() + w),
-                                      (2,) * H.n).reshape(dim, 1)
+            if not guard:       # operator and preconditioner, once it fits
+                A, T = _Apply(H), _FamilyInverse(H)
             rng = np.random.default_rng(self.seed)
             X = rng.standard_normal((dim, m + guard))
             if H.dtype == np.complex128:
                 X = X + 1j * rng.standard_normal(X.shape)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                w, U = spla.lobpcg(A, X, M=lambda R: inv * R, largest=False,
+                w, U = spla.lobpcg(A, X, M=T, largest=False,
                                    tol=self.tol * H.norm_bound,
                                    maxiter=LOBPCG_MAXITER)
             self.notes += [str(note.message) for note in caught]

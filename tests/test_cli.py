@@ -387,6 +387,23 @@ def test_dispersion_rejects_non_finite_inputs(tmp_path, capsys, field):
     assert "g, hx and hy must be finite" in err["message"]
 
 
+@pytest.mark.parametrize("option, value", [("--npts", "0"), ("--npts", "-3"),
+                                           ("--sample", "0"),
+                                           ("--sample", "-1")])
+def test_dispersion_rejects_a_grid_below_one_point(tmp_path, capsys, option,
+                                                   value):
+    """--sample 0 failed with ZeroDivisionError and --npts 0 wrote a CSV
+    of no rows."""
+    out = tmp_path / "d.csv"
+    args = {"--npts": "8", "--sample": "2", option: value}
+    rc = main(["dispersion", *[a for kv in args.items() for a in kv],
+               "--output", str(out)])
+    assert rc == 1 and not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError",
+                   "message": f"{option} must be at least 1, got {value}"}
+
+
 @pytest.mark.parametrize("field", ["--T", "--t0", "--h0"])
 def test_init_rejects_a_non_finite_schedule(tmp_path, capsys, field):
     """The schedule names its own fields, where a NaN failed later as a

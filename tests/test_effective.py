@@ -355,13 +355,28 @@ def test_hadamard_class_gate():
 
 
 def test_gate_durations_nonnegative_and_product_exact():
+    """Angles in [0, 2 pi) with positive drives keep angle / drive; angles
+    in (-4 pi, 4 pi) and drives of either sign give durations >= 0 and the
+    same unitary (a negative angle gave a negative duration)."""
     rng = np.random.default_rng(77)
     for _ in range(50):
         th, ph, ga = rng.uniform(0, 2 * np.pi, 3)
         sched, U = rotation_gate(0, th, ph, ga, 1.3e-3, 0.9e-3)
-        assert all(p.duration >= 0 for p in sched.pulses)
+        assert [p.duration for p in sched.pulses] == [
+            th / 0.9e-3, ph / 1.3e-3, ga / 0.9e-3]
         assert np.max(np.abs(sched.unitary() - U)) < 1e-12
         assert np.max(np.abs(U @ U.conj().T - np.eye(2))) < 1e-12
+    for _ in range(200):
+        angles = rng.uniform(-4 * np.pi, 4 * np.pi, 3)
+        drives = rng.choice([-1, 1], 2) * rng.uniform(5e-4, 2e-3, 2)
+        sched, U = rotation_gate(0, *angles, *drives)
+        assert len(sched.pulses) == 3
+        assert all(p.duration >= 0 for p in sched.pulses)
+        assert np.max(np.abs(sched.unitary() - U)) < 1e-12
+    for angle in (-0.3, -2 * np.pi, 2 * np.pi, -1e-300):
+        sched, _ = rotation_gate(0, angle, 0.0, 0.0, -1e-3, -1e-3)
+        assert all(p.duration >= 0 for p in sched.pulses)
+        assert len(sched.pulses) == (angle == -0.3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -19,7 +19,8 @@ from surfcode.lattice import HoledLattice, Plaquette, cell_parity
 from surfcode.pauli import PauliString, commutes
 from surfcode import spectra
 from surfcode.spectra import (SECTOR_DENSE_CAP, DispersionParams, SpectraError,
-                              SpinHamiltonian, _Apply, _conjugate_by_s,
+                              SpinHamiltonian, _Apply, _FamilyInverse,
+                              _conjugate_by_s,
                               _conserved_generators, _Sectors,
                               apply_pauli, assemble, dispersion_grid,
                               fermion_dispersion, fermion_gap, flux_basis,
@@ -90,8 +91,10 @@ def test_dimension_cap_refuses_a_large_sector_before_allocating():
 
 def test_memory_check_refuses_lobpcg_before_it_starts(monkeypatch):
     """With the dense cap below the 256-state sectors and a 1 kB machine,
-    the first LOBPCG block (a floor's, 17 x 1 x 256 x 8 bytes) is refused
-    before scipy is called, with a few kB traced."""
+    the first LOBPCG block (a floor's, 17 x 1 x 256 x 8 bytes, plus 32
+    bytes a state for the preconditioner's index, inverse, phase and
+    scale) is refused before the preconditioner is built or scipy is
+    called, with a few kB traced."""
     monkeypatch.setattr(spectra, "SECTOR_DENSE_CAP", 16)
     monkeypatch.setattr(spectra, "_physical_memory", lambda: 1000)
     calls = []
@@ -102,7 +105,7 @@ def test_memory_check_refuses_lobpcg_before_it_starts(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(SpectraError, match=r"LOBPCG on 1 columns of 256 "
-                                               r"states needs ~34816 bytes, "
+                                               r"states needs ~43008 bytes, "
                                                r"more than the 1000 bytes"):
             lowest_eigs(H, 4)
         _, peak = tracemalloc.get_traced_memory()
@@ -664,9 +667,10 @@ def test_lobpcg_floors_above_the_cap(monkeypatch):
 
 def test_guard_columns_after_a_failed_gate(monkeypatch):
     """Uniform hy = 0.1 on the 3x3 torus with the cap below its sectors
-    of 128 states: level 8 lies in a 15-fold cluster at E0 + 3.8158, and
-    a block of 8 columns stalls above the gate.  The sector is solved
-    again with guard columns, and the levels equal dense eigh."""
+    of 128 states: level 8 lies in a 15-fold cluster at E0 + 3.8158.  The
+    first block of 8 columns of each sector is stopped after one
+    iteration, so it fails the gate; the sector is solved again with 2
+    guard columns, and the levels equal dense eigh."""
     _, lat, mask, _ = _example("torus 3x3", {s: (0, 0.1, 0)
                                              for s in range(9)}, 8)
     H = assemble(lat, 1.0, mask)
@@ -674,18 +678,107 @@ def test_guard_columns_after_a_failed_gate(monkeypatch):
     assert np.sum(np.abs(want - want[7]) < 1e-9) == 15
     assert abs(want[7] - want[0] - 3.8158) < 1e-4
     monkeypatch.setattr(spectra, "SECTOR_DENSE_CAP", 16)
-    widths, call = [], _Apply.__call__
+    widths, call, lobpcg = [], _Apply.__call__, spla.lobpcg
 
     def counted(op, v):
         widths.append(np.shape(v)[1] if np.ndim(v) > 1 else 1)
         return call(op, v)
 
+    def stop_first_block(A, X, **kw):
+        return lobpcg(A, X, **{**kw, "maxiter": 1 if X.shape[1] == 8
+                                 else kw["maxiter"]})
+
     monkeypatch.setattr(_Apply, "__call__", counted)
+    monkeypatch.setattr(spla, "lobpcg", stop_first_block)
     spec = lowest_eigs(H, 8, tol=1e-10)
     assert spec.method == "lobpcg" and set(spec.sector_dims) == {128}
     assert max(widths) == 10                 # 8 columns and 2 guards
     assert np.max(np.abs(spec.eigenvalues - want[:8])) <= 1e-10 * H.norm_bound
     assert np.all(spec.residual_norms <= 50 * 1e-10 * H.norm_bound)
+
+
+def _diagonal_only():
+    n, rng = 8, np.random.default_rng(5)
+    terms = [(float(rng.normal()), PauliString.sz(n, j)) for j in range(n)]
+    terms += [(float(rng.normal()), PauliString(n, 0, 3 << j, 0))
+              for j in range(n - 1)]
+    return SpinHamiltonian(n, tuple(terms), "plain", 0)
+
+
+def _assembled(name, fields):
+    _, lat, mask, _ = _example(name, fields, 1)
+    return assemble(lat, 1.0, mask)
+
+
+def _sector(name, fields, t):
+    H = _assembled(name, fields)
+    return _Sectors(H, _conserved_generators(H), 1e-10, 0).hamiltonian(t)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _assembled("torus 3x3", _ALL_SITES),
+    lambda: _assembled("torus 3x3", {s: (0.1, 0.1, 0) for s in range(9)}),
+    lambda: _assembled("torus 3x3", {s: (0, 0.1, 0) for s in range(9)}),
+    lambda: _sector("open 4x3 puncture", _OPEN_FIELDS, 1),
+    _diagonal_only,
+], ids=["torus-xz", "complex-xy", "y-only", "sector", "diagonal"])
+def test_family_inverse_against_dense_matrices(build):
+    """T = (H_F - E_min + w)^-1 against dense matrices: its inverse is
+    the family's matrix plus the shift, it is Hermitian positive
+    definite, its smallest inverse eigenvalue is w, the largest |c| left
+    out of F, and F commutes pairwise.  Cases: the corner-form 3x3 torus
+    (Y factors and phases), a complex x+y field, a y-only field (S-gate
+    frame), a tapered sector and a diagonal H, whose F is all of H."""
+    H = build()
+    T = _FamilyInverse(H)
+    eye = np.eye(H.dimension, dtype=H.dtype)
+    Tm = T(eye)
+    A = pauli_sum_matrix(T.family, H.n).toarray() + T.shift * eye
+    assert np.allclose(A @ Tm, eye, rtol=0, atol=1e-12)
+    assert np.allclose(Tm, Tm.conj().T, rtol=0, atol=1e-12)
+    assert np.linalg.eigvalsh(Tm).min() > 0
+    out = [abs(c) for c, p in H.terms if (c, p) not in T.family]
+    w = max(out) if out else H.norm_bound
+    assert abs(np.linalg.eigvalsh(A)[0] - w) <= 1e-12 * H.norm_bound
+    assert all(commutes(p, q) for _, p in T.family for _, q in T.family)
+    if build is _diagonal_only:
+        assert len(T.family) == len(H.terms) and T.a == 0
+
+
+def _global_field(h):
+    return assemble(_EDGE, 1.0, sc.field_mask(_EDGE, {"type": "all"},
+                                              (h, 0, h)))
+
+
+def test_family_of_the_global_problem():
+    """hx = hz = 0.15 on every site of the 16-spin lattice: F is the 15
+    stabilizers and hz on the 4 sites that no X part touches."""
+    H = _global_field(0.15)
+    T = _FamilyInverse(H)
+    stabs = list(H.terms[:H.n_stabilizer_terms])
+    touched = 0
+    for _, p in stabs:
+        touched |= p.x
+    assert len(stabs) == 15 and T.family[:15] == stabs
+    assert [p for _, p in T.family[15:]] == [
+        PauliString.sz(16, j) for j in range(16) if not touched >> j & 1]
+    assert len(T.family) == 19
+
+
+def test_global_problem_takes_few_applications(monkeypatch):
+    """The 16-spin problem with hx = hz = 0.15 on every site, k = 3:
+    LOBPCG preconditioned by T needs at most 80 applications of H, one
+    of them for H_F's energies (106 with the shifted diagonal)."""
+    calls, call = [], _Apply.__call__
+
+    def counted(op, v):
+        calls.append(np.shape(v))
+        return call(op, v)
+
+    monkeypatch.setattr(_Apply, "__call__", counted)
+    spec = lowest_eigs(_global_field(0.15), 3, tol=1e-8)
+    assert spec.method == "lobpcg" and spec.sector_dims == (1 << 16,)
+    assert len(calls) <= 80
 
 
 def _scattered_two_hole():
