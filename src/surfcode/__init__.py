@@ -29,4 +29,4 @@ from .measure import (EntangledState, InterferencePaths, MeasureError,
 from .decoherence import (DecoherenceError, SafetyReport, ThermalParams,
                           crossover_sweep, crossover_temperature,
                           decoherence_time, effective_mass, safe_to_operate,
-                          thermal_rate, tunneling_exponent)
+                          tunneling_exponent)

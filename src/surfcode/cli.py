@@ -197,6 +197,8 @@ def cmd_init(args) -> None:
 
 def cmd_tomography(args) -> None:
     n = args.n
+    if args.shots < 0:
+        raise ValueError(f"--shots must be at least 0, got {args.shots}")
     plan = meas.tomography_plan(n)
     if args.state == "plus":
         amps = np.ones(2 ** n)
@@ -242,6 +244,8 @@ def cmd_decoherence(args) -> None:
         if name != "hx":
             raise ValueError("only hx sweeps are supported")
         a, b, npts = spec_.split(":")
+        if int(npts) < 1:
+            raise ValueError(f"--sweep needs at least 1 point, got {npts}")
         hxs = np.linspace(float(a), float(b), int(npts))
         rows = deco.crossover_sweep(args.g, hxs, args.Lp, args.T, args.hy)
         _emit_csv(args, ["hx", "B", "T_star", "t_de"], rows)

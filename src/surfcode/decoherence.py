@@ -62,12 +62,6 @@ def thermal_velocity(T: float, hx: float) -> float:
     return math.sqrt(2.0 * T * hx)
 
 
-def thermal_rate(params: ThermalParams) -> float:
-    """Arrhenius rate t0^-1 exp(-4g/T) of thermal vortex stretching."""
-    t = decoherence_time(params)
-    return 0.0 if math.isinf(t) else 1.0 / t
-
-
 def decoherence_time(params: ThermalParams) -> float:
     """t_de = (L_p / v*) exp(4g/T); infinite-time sentinel at T = 0 or
     hx = 0 where the estimate breaks down (frozen vortices)."""

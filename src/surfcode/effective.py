@@ -120,9 +120,6 @@ class EffectiveChain:
         """Dense H, the sparse Pauli-sum matrix filled in."""
         return pauli_sum_matrix(self.terms(), self.n).toarray()
 
-    def spectrum(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix())
-
 
 def qubit_mask(n: int, qubits: Sequence[int]) -> int:
     """Basis-index bit mask of ``qubits``: qubit l is ``PauliString`` site

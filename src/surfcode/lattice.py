@@ -200,17 +200,6 @@ class HoledLattice:
         return [self.site(*_xy(flip, u, across + 1))
                 for u in range(lo + 1, _band(self.holes[q])[1] + 1)]
 
-    # -- config round trip -------------------------------------------------
-
-    def to_config(self) -> dict:
-        return {
-            "width": self.width,
-            "height": self.height,
-            "boundary": self.boundary,
-            "holes": [{"x0": h.x0, "y0": h.y0, "x1": h.x1, "y1": h.y1}
-                      for h in self.holes],
-        }
-
 
 def _corner_form_string(lat: HoledLattice, cell: Cell) -> PauliString:
     """Commuting plaquette operator for tori that admit no checkerboard:
@@ -486,9 +475,6 @@ class FieldMask:
             raise LatticeError(f"field mask has {len(self.values)} rows; "
                                f"the lattice has {lat.n_sites} sites")
         return self.values
-
-    def nonzero_sites(self) -> list[int]:
-        return [int(i) for i in np.nonzero(np.any(self.values != 0, axis=1))[0]]
 
 
 def _region_hole(lat: HoledLattice, l: int) -> int:

@@ -32,6 +32,7 @@ from scipy.optimize import least_squares
 
 from .effective import CHAIN_CAP, PseudoSpinState, qubit_mask, z_signs
 from .pauli import PauliString
+from .spectra import _PHASES
 
 
 class MeasureError(ValueError):
@@ -82,7 +83,6 @@ def _check_subset(n: int, subset: Sequence[int]) -> tuple:
 
 
 _BLOCK = 1 << 18                 # table entries per block of x rows
-_PHASES = np.array([1, 1j, -1, -1j])
 
 
 def _strings(paulis) -> tuple:
@@ -185,9 +185,6 @@ class MeasurementPlan:
     observables: tuple[Observable, ...]
     parameter_count: int
     complete: bool               # no known scheme determines n > 3
-
-    def size(self) -> int:
-        return len(self.observables)
 
     @cached_property
     def keys(self) -> tuple[str, ...]:

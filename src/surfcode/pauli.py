@@ -27,10 +27,6 @@ class PauliError(ValueError):
     pass
 
 
-def _popcount(v: int) -> int:
-    return bin(v).count("1")
-
-
 def _mask(sites: Iterable[int]) -> int:
     return sum(1 << s for s in set(sites))
 
@@ -79,7 +75,7 @@ class PauliString:
     @staticmethod
     def y_on(n: int, sites: Iterable[int]) -> "PauliString":
         m = _mask(sites)
-        return PauliString(n, m, m, _popcount(m))
+        return PauliString(n, m, m, m.bit_count())
 
     # -- properties ---------------------------------------------------
 
@@ -89,7 +85,7 @@ class PauliString:
 
     @property
     def weight(self) -> int:
-        return _popcount(self.x | self.z)
+        return (self.x | self.z).bit_count()
 
     @property
     def is_identity_mask(self) -> bool:
@@ -97,7 +93,7 @@ class PauliString:
 
     def is_hermitian(self) -> bool:
         # P+ = i^{-k} (-1)^{x.z} X^x Z^z ; hermitian iff k + popcount(x&z) even
-        return (self.k + _popcount(self.x & self.z)) % 2 == 0
+        return (self.k + (self.x & self.z).bit_count()) % 2 == 0
 
     def site_label(self, j: int) -> str:
         xb = (self.x >> j) & 1
@@ -115,7 +111,7 @@ def multiply(p: PauliString, q: PauliString) -> PauliString:
     if p.n != q.n:
         raise PauliError(f"mask lengths differ: {p.n} != {q.n}")
     # move Z^{z_p} past X^{x_q}: one (-1) per overlapping site
-    k = p.k + q.k + 2 * _popcount(p.z & q.x)
+    k = p.k + q.k + 2 * (p.z & q.x).bit_count()
     return PauliString(p.n, p.x ^ q.x, p.z ^ q.z, k % 4)
 
 
@@ -123,7 +119,7 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     """True iff the symplectic form <p,q> = x_p.z_q + z_p.x_q is even."""
     if p.n != q.n:
         raise PauliError(f"mask lengths differ: {p.n} != {q.n}")
-    return (_popcount(p.x & q.z) + _popcount(p.z & q.x)) % 2 == 0
+    return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2 == 0
 
 
 def eliminate(rows: list[list], nbits: int):
@@ -164,11 +160,6 @@ def _in_span(pivots: list[tuple[int, list]], p: PauliString) -> bool:
 def rank_gf2(strings: Sequence[PauliString]) -> int:
     """GF(2) row rank of the symplectic (x|z) representation."""
     return len(_pivots(strings))
-
-
-def in_span_gf2(strings: Sequence[PauliString], p: PauliString) -> bool:
-    """True iff ``p``'s masks lie in the GF(2) span of ``strings``."""
-    return _in_span(_pivots(strings), p)
 
 
 def ground_degeneracy(lat) -> int:

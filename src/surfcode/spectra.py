@@ -26,10 +26,10 @@ Gambetta, Mezzacapo and Temme, arXiv:1701.08213).  GF(2) elimination
 (``pauli.eliminate``) on the anticommutation pattern of the stabilizer
 terms with all terms gives independent generators of the products of
 stabilizer terms that commute with every term; H is block diagonal in
-their common eigenspaces.  Each sector gets a symmetry-adapted basis (orbit
-representatives under the generators' X parts, with the pure-Z
-generators' parities imposed), labelled by the bits of its n - r free
-sites for r generators.  Every term is tapered once to a Pauli string
+their common eigenspaces.  Each sector gets a symmetry-adapted basis,
+the ``_orbit`` of representatives under the generators' X parts with
+the pure-Z generators' parities imposed, labelled by the bits of its n - r
+free sites for r generators.  Every term is tapered once to a Pauli string
 on those sites times a character of the sector, so a sector is itself
 a ``SpinHamiltonian`` on n - r sites; with no generator (a field on
 every site) the one sector is the full space.  Sectors are visited best
@@ -45,9 +45,9 @@ Lanczos cannot.  It is preconditioned by T = (H_F - E_min + w)^-1
 (``_FamilyInverse``): H_F sums F, the largest commuting family of the
 terms taken by decreasing |c|, which holds the stabilizers, the
 largest terms; w is the largest |c| left out.  F's X parts, eliminated
-like the generators, give a basis where H_F is diagonal, reached by a
-gather, a phase and a Walsh-Hadamard transform over their a pivot bits,
-so T costs O(a 2^n) a column.  Where level k cuts through a degenerate
+like the generators, give a basis where H_F is diagonal: their
+``_orbit``, then a Walsh-Hadamard transform over their a pivot bits, so
+T costs O(a 2^n) a column.  Where level k cuts through a degenerate
 cluster a column can stall above the residual gate 50 tol ||H||; only
 then is the sector solved again with 2, then 4 guard columns, the first
 k kept.  One ``_Sectors`` per call is the solve context that holds
@@ -95,11 +95,18 @@ from .pauli import PauliString, commutes, eliminate, multiply
 DIMENSION_CAP = 24
 SECTOR_DENSE_CAP = 1 << 10    # largest sector diagonalized by dense eigh
 LOBPCG_MAXITER = 2000         # iteration cap of one above-cap LOBPCG solve
+CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"   # cgroup v2 memory limit
 
 
 def _physical_memory() -> int:
-    """Bytes of physical memory; a cgroup limit below it is not seen."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    """Bytes of physical memory, or the cgroup limit in
+    ``CGROUP_MEMORY_MAX`` where that file holds a lower number."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
+        with open(CGROUP_MEMORY_MAX) as f:
+            return min(memory, int(f.read()))
+    except (OSError, ValueError):       # no such file, or "max"
+        return memory
 
 
 class SpectraError(RuntimeError):
@@ -111,7 +118,7 @@ class SpectraError(RuntimeError):
 def _conjugate_by_s(p: PauliString) -> PauliString:
     """Conjugate by the product of single-site phase gates: X -> iXZ,
     Z -> Z, so sigma^y -> -sigma^x."""
-    k = (p.k + bin(p.x).count("1")) % 4
+    k = (p.k + p.x.bit_count()) % 4
     return PauliString(p.n, p.x, p.z ^ p.x, k)
 
 
@@ -142,31 +149,19 @@ class SpinHamiltonian:
 
 def assemble(lat: HoledLattice, g: float,
              mask: Optional[FieldMask] = None) -> SpinHamiltonian:
-    """Hamiltonian term list: -g per stabilizer plus per-site field terms."""
+    """Hamiltonian term list: -g per stabilizer plus per-site field
+    terms, site by site in x, y, z order."""
     n = lat.n_sites
     if not np.isfinite(g):
         raise SpectraError(f"g must be finite, got {g}")
-    raw: list[tuple[float, PauliString]] = []
-    for s in lat.stabilizers():
-        raw.append((-g, s))
+    raw = [(-g, s) for s in lat.stabilizers()]
     n_stab = len(raw)
-    has = [False, False, False]
-    if mask is not None:
-        vals = mask.on(lat)
-        for site in range(n):
-            hx, hy, hz = vals[site]
-            if hx:
-                raw.append((float(hx), PauliString.sx(n, site)))
-                has[0] = True
-            if hy:
-                raw.append((float(hy), PauliString.sy(n, site)))
-                has[1] = True
-            if hz:
-                raw.append((float(hz), PauliString.sz(n, site)))
-                has[2] = True
-
+    vals = np.zeros((n, 3)) if mask is None else mask.on(lat)
+    for site, axis in zip(*np.nonzero(vals)):
+        make = (PauliString.sx, PauliString.sy, PauliString.sz)[axis]
+        raw.append((float(vals[site, axis]), make(n, int(site))))
     frame = "plain"
-    if has[1] and not has[0]:
+    if vals[:, 1].any() and not vals[:, 0].any():
         frame = "sgate"
         raw = [(c, _conjugate_by_s(p)) for c, p in raw]
     return SpinHamiltonian(n, tuple(raw), frame, n_stab)
@@ -243,12 +238,11 @@ class _FamilyInverse:
     and so of every member of F, from the representative rep_c, whose
     pivot bits are 0 and whose other bits are c.  The top a bits of u
     hold alpha, so U^+, the map to that basis, is a gather by ``index``
-    with g^beta |rep_c> = phase[(beta, c)] |index[(beta, c)]>, the
-    conjugate phase and a Walsh-Hadamard transform over those bits, and
-    U the same steps back, the gather by ``inverse``.  H_F's energies E
-    are U^+ H_F U applied to a vector of ones, and T = U diag(1 / (E -
-    E_min + w)) U^+.  With no x in F, U is the identity and T a shifted
-    diagonal inverse."""
+    and the conjugate ``phase`` of g^beta |rep_c> from ``_orbit``, then a
+    Walsh-Hadamard transform over those bits, and U the same steps back,
+    the gather by ``inverse``.  H_F's energies E are U^+ H_F U applied to
+    a vector of ones, and T = U diag(1 / (E - E_min + w)) U^+.  With no x
+    in F, U is the identity and T a shifted diagonal inverse."""
 
     def __init__(self, H: SpinHamiltonian):
         n, dim = H.n, H.dimension
@@ -260,19 +254,14 @@ class _FamilyInverse:
         rows, _ = eliminate([[p.x, p] for _, p in self.family if p.x], n)
         self.a = len(rows)
         pivots = sum(1 << q for q, _ in rows)
-        u = np.arange(dim, dtype=np.uint64)
-        index = _deposit(u, [j for j in range(n) if not pivots >> j & 1])
-        k = np.zeros(dim, dtype=np.int64)
-        for i, (_, (_, g)) in enumerate(rows):   # g^beta |rep_c>
-            on = u >> np.uint64(n - self.a + i) & np.uint64(1)
-            k += on.astype(np.int64) * (g.k + 2 * _count(index, g.z))
-            index ^= on * np.uint64(g.x)
+        reps = _deposit(np.arange(dim >> self.a, dtype=np.uint64),
+                        [j for j in range(n) if not pivots >> j & 1])
+        index, k = _orbit(reps, [g for _, (_, g) in rows])
         self.index = index.astype(np.intp)
         self.inverse = np.empty_like(self.index)
         self.inverse[self.index] = np.arange(dim)
-        self.phase = _PHASES[k & 3]
-        if H.dtype == np.float64:
-            self.phase = self.phase.real
+        self.phase = (_PHASES.real if H.dtype == np.float64
+                      else _PHASES)[k & 3]
         HF = _Apply(replace(H, terms=tuple(self.family)))
         ones = np.ones((dim, 1), self.phase.dtype)
         E = self._to_basis(HF(self._from_basis(ones))).real[:, 0]
@@ -373,7 +362,7 @@ _PHASES = np.array([1, 1j, -1, -1j])
 
 
 def _parity(v: int) -> int:
-    return bin(v).count("1") & 1
+    return v.bit_count() & 1
 
 
 def _deposit(w: np.ndarray, sites) -> np.ndarray:
@@ -387,6 +376,20 @@ def _deposit(w: np.ndarray, sites) -> np.ndarray:
 def _count(a: np.ndarray, mask: int) -> np.ndarray:
     """popcount(a & mask) per entry, as int64."""
     return np.bitwise_count(a & np.uint64(mask)).astype(np.int64)
+
+
+def _orbit(b: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """g^beta |b_c> = i^k |index> for the uint64 states b and the strings
+    g_i of ``rows``, g_0 applied first: entry (beta, c) sits at beta
+    len(b) + c, row i on the bit just above those of c.  Each row doubles
+    the filled part, in place."""
+    index = np.tile(b, 1 << len(rows))      # all but b are overwritten
+    k = np.zeros(len(index), dtype=np.int64)
+    for i, g in enumerate(rows):
+        s = len(b) << i
+        index[s:2 * s] = index[:s] ^ np.uint64(g.x)
+        k[s:2 * s] = k[:s] + g.k + 2 * _count(index[:s], g.z)
+    return index, k
 
 
 def _conserved_generators(H: SpinHamiltonian) -> list[PauliString]:
@@ -483,13 +486,6 @@ class _Sectors:
                    for v in (p.x, z)]
         return comb, PauliString(len(self.sites), *reduced, k)
 
-    def representatives(self, t: int) -> np.ndarray:
-        b = _deposit(np.arange(self.dim, dtype=np.uint64), self.sites)
-        for q, m, c, k in self.parities:
-            par = (_count(b, m) + (_parity(c & t) ^ k)) & 1
-            b |= par.astype(np.uint64) << np.uint64(q)
-        return b
-
     def hamiltonian(self, t: int) -> SpinHamiltonian:
         """H on sector t: the tapered terms with their characters at t."""
         return replace(
@@ -524,7 +520,7 @@ class _Sectors:
         block is refused before it starts when 17 blocks of its columns,
         the traced peak of a LOBPCG solve, plus the preconditioner's four
         arrays of one entry a state exceed the machine's physical memory
-        (a cgroup limit below it is not seen)."""
+        or a lower cgroup limit (``_physical_memory``)."""
         dim = H.dimension
         if dim <= SECTOR_DENSE_CAP:
             A = _Apply(H)
@@ -537,8 +533,8 @@ class _Sectors:
             if need > memory:
                 raise SpectraError(
                     f"LOBPCG on {m + guard} columns of {dim} states needs "
-                    f"~{need} bytes, more than the {memory} bytes of "
-                    f"physical memory")
+                    f"~{need} bytes, more than the {memory} bytes "
+                    f"available")
             if not guard:       # operator and preconditioner, once it fits
                 A, T = _Apply(H), _FamilyInverse(H)
             rng = np.random.default_rng(self.seed)
@@ -558,21 +554,23 @@ class _Sectors:
         return w, U, res
 
     def embed(self, t: int, coeffs: np.ndarray) -> np.ndarray:
-        """Full-space columns of the sector-t coefficient columns; with
-        no generator (r = 0) the sector basis is the full one."""
+        """Full-space columns of the sector-t coefficient columns over
+        the ``_orbit`` of the representatives b (pure-Z rows' parities
+        imposed), chi_t(g) in each row's phase; with no generator (r = 0)
+        the basis is the full one."""
         if not self.r:
             return coeffs
-        idx = self.representatives(t)
-        amp = coeffs / np.sqrt(2.0 ** len(self.orbit))
-        for _, g, comb in self.orbit:
-            ph = _PHASES[(g.k + 2 * _count(idx, g.z) + 2 * _parity(comb & t))
-                         & 3]
-            if self.H.dtype == np.float64:
-                ph = ph.real
-            idx = np.concatenate([idx, idx ^ np.uint64(g.x)])
-            amp = np.concatenate([amp, ph[:, None] * amp])
+        b = _deposit(np.arange(self.dim, dtype=np.uint64), self.sites)
+        for q, m, c, sign in self.parities:
+            par = (_count(b, m) + (_parity(c & t) ^ sign)) & 1
+            b |= par.astype(np.uint64) << np.uint64(q)
+        index, k = _orbit(b, [replace(g, k=g.k + 2 * _parity(comb & t))
+                              for _, g, comb in self.orbit])
+        ph = (_PHASES.real if self.H.dtype == np.float64 else _PHASES)[k & 3]
+        amp = (ph.reshape(1 << len(self.orbit), -1, 1)
+               * (coeffs / np.sqrt(2.0 ** len(self.orbit))))
         out = np.zeros((self.H.dimension, coeffs.shape[1]), dtype=amp.dtype)
-        out[idx.astype(np.intp)] = amp
+        out[index.astype(np.intp)] = amp.reshape(len(index), -1)
         return out
 
 
@@ -691,16 +689,6 @@ def logical_expectation(spectrum: Spectrum, logical: PauliString,
                      for a in ts])
     C = spectrum.columns[:, :subspace_dim]
     return sign * (C.conj().T @ apply_pauli(P, C))
-
-
-def flux_basis(spectrum: Spectrum, tau_z: PauliString,
-               subspace_dim: int) -> np.ndarray:
-    """Rotation that diagonalizes tau_z on the degenerate subspace,
-    labelling ground states by flux.  Returns the unitary R so that an
-    operator matrix M on the raw eigenvectors becomes R^+ M R."""
-    M = logical_expectation(spectrum, tau_z, subspace_dim)
-    _, R = np.linalg.eigh((M + M.conj().T) / 2)
-    return R
 
 
 # ---------------------------------------------------------------------------

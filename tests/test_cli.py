@@ -404,6 +404,27 @@ def test_dispersion_rejects_a_grid_below_one_point(tmp_path, capsys, option,
                    "message": f"{option} must be at least 1, got {value}"}
 
 
+@pytest.mark.parametrize("args, message", [
+    (["tomography", "--n", "1", "--shots", "-5"],
+     "--shots must be at least 0, got -5"),
+    (["tomography", "--n", "2", "--shots", "-1"],
+     "--shots must be at least 0, got -1"),
+    (["decoherence", "--sweep", "hx=0.1:0.2:0"],
+     "--sweep needs at least 1 point, got 0"),
+    (["decoherence", "--sweep", "hx=0.1:0.2:-2"],
+     "--sweep needs at least 1 point, got -2"),
+])
+def test_cli_rejects_negative_shots_and_empty_sweeps(tmp_path, capsys, args,
+                                                     message):
+    """--shots -5 printed the exact readouts and skipped reconstruction,
+    and a sweep of 0 points wrote an empty table; both exited 0."""
+    out = tmp_path / "out"
+    rc = main([*args, "--output", str(out)])
+    assert rc == 1 and not out.exists()
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": message}
+
+
 @pytest.mark.parametrize("field", ["--T", "--t0", "--h0"])
 def test_init_rejects_a_non_finite_schedule(tmp_path, capsys, field):
     """The schedule names its own fields, where a NaN failed later as a

@@ -8,8 +8,7 @@ import pytest
 from surfcode.decoherence import (DecoherenceError, ThermalParams,
                                   crossover_sweep, crossover_temperature,
                                   decoherence_time, effective_mass,
-                                  safe_to_operate, thermal_rate,
-                                  tunneling_exponent)
+                                  safe_to_operate, tunneling_exponent)
 
 
 def test_effective_mass_values():
@@ -39,12 +38,6 @@ def test_decoherence_time_decreasing_in_T():
     ts = [decoherence_time(ThermalParams(1.0, T, 0.1, L_p=10))
           for T in np.linspace(0.2, 3.9, 12)]
     assert all(a > b for a, b in zip(ts, ts[1:]))
-
-
-def test_thermal_rate_reciprocal():
-    p = ThermalParams(1.0, 0.5, 0.1, L_p=10)
-    assert thermal_rate(p) == pytest.approx(1.0 / decoherence_time(p))
-    assert thermal_rate(ThermalParams(1.0, 0.0, 0.1, L_p=5)) == 0.0
 
 
 def test_tunneling_exponent_value():

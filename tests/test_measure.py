@@ -163,7 +163,7 @@ def test_readouts_at_the_cap_stay_small_in_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(got) == plan.size()
+    assert len(got) == len(plan.observables)
     assert peak < 32 * 2 ** 20
 
 
@@ -200,7 +200,7 @@ def test_readouts_match_kronecker_parities():
     for _ in range(5):
         s = rand_state(rng, n)
         got = forward_readouts(s, plan)
-        assert len(got) == plan.size()
+        assert len(got) == len(plan.observables)
         for ob in plan.observables:
             v = s.amplitudes
             for q in ob.rotations:

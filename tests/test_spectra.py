@@ -3,6 +3,7 @@ labelling, dispersions, convergence of the splitting ratio, and the
 symmetry-sector solver against dense eigh and LOBPCG."""
 
 import dataclasses
+import os
 import tracemalloc
 import warnings
 
@@ -16,14 +17,14 @@ from hypothesis import strategies as st
 import surfcode as sc
 from surfcode import effective as eff
 from surfcode.lattice import HoledLattice, Plaquette, cell_parity
-from surfcode.pauli import PauliString, commutes
+from surfcode.pauli import PauliString, commutes, multiply
 from surfcode import spectra
 from surfcode.spectra import (SECTOR_DENSE_CAP, DispersionParams, SpectraError,
                               SpinHamiltonian, _Apply, _FamilyInverse,
                               _conjugate_by_s,
                               _conserved_generators, _Sectors,
                               apply_pauli, assemble, dispersion_grid,
-                              fermion_dispersion, fermion_gap, flux_basis,
+                              fermion_dispersion, fermion_gap,
                               ground_splitting, logical_expectation,
                               lowest_eigs, pauli_sum_matrix,
                               vortex_dispersion, vortex_gap)
@@ -113,6 +114,34 @@ def test_memory_check_refuses_lobpcg_before_it_starts(monkeypatch):
         tracemalloc.stop()
     assert not calls
     assert peak < 1 << 20
+
+
+def test_memory_check_reads_a_cgroup_limit(monkeypatch, tmp_path):
+    """A cgroup v2 limit below physical memory is the one the refusal
+    compares against."""
+    limit = tmp_path / "memory.max"
+    limit.write_text("4096\n")
+    monkeypatch.setattr(spectra, "CGROUP_MEMORY_MAX", str(limit))
+    monkeypatch.setattr(spectra, "SECTOR_DENSE_CAP", 16)
+    fields = {site: (0.1, 0, 0.1) for site in (0, 1, 2, 4)}
+    _, lat, mask, _ = _example("torus 3x3", fields, 1)
+    with pytest.raises(SpectraError, match=r"LOBPCG on 1 columns of 256 "
+                                           r"states needs ~43008 bytes, "
+                                           r"more than the 4096 bytes"):
+        lowest_eigs(assemble(lat, 1.0, mask), 4)
+
+
+@pytest.mark.parametrize("content", ["max\n", None], ids=["max", "absent"])
+def test_memory_check_without_a_cgroup_limit(monkeypatch, tmp_path,
+                                             content):
+    """A cgroup file that says "max", or none at all, leaves physical
+    memory as the limit."""
+    limit = tmp_path / "memory.max"
+    if content is not None:
+        limit.write_text(content)
+    monkeypatch.setattr(spectra, "CGROUP_MEMORY_MAX", str(limit))
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    assert spectra._physical_memory() == physical
 
 
 def test_assemble_rejects_a_mask_of_another_lattice(one_hole_lattice,
@@ -207,8 +236,9 @@ def test_logical_expectation_labels(ground_spectrum_one_hole,
                                     one_hole_lattice):
     spec = ground_spectrum_one_hole
     pair = sc.logical_pair(one_hole_lattice, 0)
-    R = flux_basis(spec, pair.tau_z, 2)
-    mz = R.conj().T @ logical_expectation(spec, pair.tau_z, 2) @ R
+    mz = logical_expectation(spec, pair.tau_z, 2)
+    _, R = np.linalg.eigh(mz)
+    mz = R.conj().T @ mz @ R
     mx = R.conj().T @ logical_expectation(spec, pair.tau_x, 2) @ R
     assert np.allclose(sorted(np.diag(mz).real), [-1.0, 1.0], atol=1e-7)
     assert abs(mz[0, 1]) < 1e-7
@@ -299,7 +329,7 @@ def test_chain_matches_ed_on_exact_geometry():
                              (0, hy, 0))
         spec = lowest_eigs(assemble(lat, 1.0, mask), 3, tol=1e-9)
         ed = spec.eigenvalues[1] - spec.eigenvalues[0]
-        cs = eff.build_chain(lat, 1.0, mask).spectrum()
+        cs = np.linalg.eigvalsh(eff.build_chain(lat, 1.0, mask).matrix())
         errs.append(abs(ed - (cs[1] - cs[0])) / (cs[1] - cs[0]))
     assert errs[0] <= 0.25 and errs[1] <= 0.25
     assert errs[1] <= errs[0] + 1e-12
@@ -695,6 +725,27 @@ def test_guard_columns_after_a_failed_gate(monkeypatch):
     assert max(widths) == 10                 # 8 columns and 2 guards
     assert np.max(np.abs(spec.eigenvalues - want[:8])) <= 1e-10 * H.norm_bound
     assert np.all(spec.residual_norms <= 50 * 1e-10 * H.norm_bound)
+
+
+def test_orbit_against_pauli_products():
+    """Entry (beta, c) of ``_orbit`` is g^beta |b_c>, the product of the
+    rows set in beta with row 0 applied first, acting on a basis state
+    as i^k (-1)^(z.b) |b XOR x>."""
+    rng = np.random.default_rng(3)
+    n = 6
+    b = rng.choice(1 << n, 5, replace=False).astype(np.uint64)
+    rows = [PauliString(n, *map(int, rng.integers(0, 1 << n, 2)),
+                        int(rng.integers(4))) for _ in range(3)]
+    index, k = spectra._orbit(b, rows)
+    for beta in range(1 << len(rows)):
+        P = PauliString.identity(n)
+        for i, g in enumerate(rows):
+            if beta >> i & 1:
+                P = multiply(g, P)
+        for c, bc in enumerate(b.tolist()):
+            at = beta * len(b) + c
+            assert int(index[at]) == bc ^ P.x
+            assert (k[at] - P.k - 2 * (P.z & bc).bit_count()) % 4 == 0
 
 
 def _diagonal_only():
