@@ -2,9 +2,9 @@
 reports.
 
 Every report embeds the artifact version, the sha256 of the lattice
-config (when one is used) and the seed, and is written with sorted keys
-so identical inputs give identical bytes.  Units: g = 1 unless set,
-hbar = k_B = 1.
+config (when one is used) and the seed (where one is used), and is
+written with sorted keys so identical inputs give identical bytes.
+Units: g = 1 unless set, hbar = k_B = 1.
 """
 
 from __future__ import annotations
@@ -34,10 +34,11 @@ def _config_hash(path) -> str:
 
 
 def _report(args, payload: dict) -> dict:
+    seed = {"seed": args.seed} if hasattr(args, "seed") else {}
     return {
         "artifact_version": __version__,
         "config_hash": _config_hash(getattr(args, "config", None)),
-        "seed": getattr(args, "seed", 0),
+        **seed,
         **payload,
     }
 
@@ -220,9 +221,9 @@ def cmd_tomography(args) -> None:
                          f"amplitudes, not all zero")
     state = eff.PseudoSpinState(amps / nrm)
     if args.shots > 0:
-        readouts = meas.sample_readouts(state, plan, args.shots, args.seed)
+        readouts = meas.sample_readouts(state, args.shots, args.seed)
     else:
-        readouts = meas.forward_readouts(state, plan)
+        readouts = meas.forward_readouts(state)
     payload = {
         "plan": list(plan.keys),
         "parameter_count": plan.parameter_count,
@@ -240,14 +241,19 @@ def cmd_tomography(args) -> None:
 
 def cmd_decoherence(args) -> None:
     if args.sweep:
-        name, spec_ = args.sweep.split("=")
+        name, _, span = args.sweep.partition("=")
         if name != "hx":
             raise ValueError("only hx sweeps are supported")
-        a, b, npts = spec_.split(":")
-        if int(npts) < 1:
+        try:
+            a, b, npts = span.split(":")
+            a, b, npts = float(a), float(b), int(npts)
+        except ValueError:
+            raise ValueError(f"--sweep takes hx=a:b:n with n a positive "
+                             f"integer, got {args.sweep!r}") from None
+        if npts < 1:
             raise ValueError(f"--sweep needs at least 1 point, got {npts}")
-        hxs = np.linspace(float(a), float(b), int(npts))
-        rows = deco.crossover_sweep(args.g, hxs, args.Lp, args.T, args.hy)
+        rows = deco.crossover_sweep(args.g, np.linspace(a, b, npts), args.Lp,
+                                    args.T, args.hy)
         _emit_csv(args, ["hx", "B", "T_star", "t_de"], rows)
         return
     params = deco.ThermalParams(args.g, args.T, args.hx, args.hy, args.Lp)
@@ -270,9 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config=True):
+    def common(sp, config=True, seed=False):
         sp.add_argument("--output", default=None, help="report file")
-        sp.add_argument("--seed", type=int, default=2024)
+        if seed:
+            sp.add_argument("--seed", type=int, default=2024)
         if config:
             sp.add_argument("--config", required=True,
                             help="lattice JSON config")
@@ -282,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_degeneracy)
 
     sp = sub.add_parser("spectrum", help="lowest eigenpairs and splittings")
-    common(sp)
+    common(sp, seed=True)
     sp.add_argument("--g", type=float, default=1.0)
     sp.add_argument("--k-count", dest="k_count", type=int, default=4)
     sp.add_argument("--tol", type=float, default=1e-10)
@@ -303,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("compare-splitting",
                         help="ED vs perturbative closed form")
-    common(sp)
+    common(sp, seed=True)
     sp.add_argument("--g", type=float, default=1.0)
     sp.add_argument("--axis", choices=["x", "y"], default="y")
     sp.add_argument("--h-values", dest="h_values", default="0.1,0.05,0.02")
@@ -337,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_init)
 
     sp = sub.add_parser("tomography", help="plan, readouts, reconstruction")
-    common(sp, config=False)
+    common(sp, config=False, seed=True)
     sp.add_argument("--n", type=int, default=1)
     sp.add_argument("--state", default="random",
                     help="'up', 'plus', 'random' or an amplitude JSON file")

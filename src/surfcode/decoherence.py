@@ -108,17 +108,16 @@ class SafetyReport:
     safety_factor: float
 
 
-def safe_to_operate(params: ThermalParams,
-                    safety_factor: float = 10.0) -> SafetyReport:
-    """True iff T <= T*/safety_factor; T = 0 is always safe."""
-    _finite(safety_factor=safety_factor)
-    if safety_factor <= 0:
-        raise DecoherenceError("safety factor must be positive")
+SAFETY_FACTOR = 10.0     # operate at most at T*/SAFETY_FACTOR
+
+
+def safe_to_operate(params: ThermalParams) -> SafetyReport:
+    """True iff T <= T*/SAFETY_FACTOR; T = 0 is always safe."""
     B = tunneling_exponent(params.g, params.hx, params.hy, params.L_p)
     T_star = crossover_temperature(params.g, B)
     t_de = decoherence_time(params)
-    safe = params.T <= T_star / safety_factor
-    return SafetyReport(bool(safe), params.T, T_star, B, t_de, safety_factor)
+    safe = params.T <= T_star / SAFETY_FACTOR
+    return SafetyReport(bool(safe), params.T, T_star, B, t_de, SAFETY_FACTOR)
 
 
 def crossover_sweep(g: float, hx_values, L_p: float, T: float = 0.0,

@@ -338,12 +338,12 @@ GATE_ANGLES = {"pi8": (0.0, np.pi / 8, np.pi / 8),
                "hadamard": (7 * np.pi / 4, np.pi / 4, np.pi / 4)}
 
 
-def pi8_gate(hx_tilde: float, hz_tilde: float, l: int = 0):
-    return rotation_gate(l, *GATE_ANGLES["pi8"], hx_tilde, hz_tilde)
+def pi8_gate(hx_tilde: float, hz_tilde: float):
+    return rotation_gate(0, *GATE_ANGLES["pi8"], hx_tilde, hz_tilde)
 
 
-def hadamard_gate(hx_tilde: float, hz_tilde: float, l: int = 0):
-    return rotation_gate(l, *GATE_ANGLES["hadamard"], hx_tilde, hz_tilde)
+def hadamard_gate(hx_tilde: float, hz_tilde: float):
+    return rotation_gate(0, *GATE_ANGLES["hadamard"], hx_tilde, hz_tilde)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import hadamard
@@ -83,6 +83,9 @@ def _check_subset(n: int, subset: Sequence[int]) -> tuple:
 
 
 _BLOCK = 1 << 18                 # table entries per block of x rows
+PHASE_CUTOFF = 1e-12             # amplitudes below this carry no phase
+RESIDUAL_TOL = 1e-8              # readout misfit a reconstruction may keep
+AMP_TOL = 1e-7                   # parameter_error skips smaller amplitudes
 
 
 def _strings(paulis) -> tuple:
@@ -220,30 +223,27 @@ def measure_observable(state: PseudoSpinState, ob: Observable) -> float:
     return 0.5 * (1.0 + float(e[0]))
 
 
-def _probabilities(state: PseudoSpinState,
-                   plan: MeasurementPlan) -> np.ndarray:
-    if plan.n != state.n:
-        raise MeasureError(f"plan for n = {plan.n} given a register of "
-                           f"n = {state.n}")
-    return 0.5 * (1.0 + _expectations(state.amplitudes, plan.strings))
+def _probabilities(state: PseudoSpinState) -> np.ndarray:
+    """+1 probabilities of every readout of ``tomography_plan(state.n)``."""
+    strings = tomography_plan(state.n).strings
+    return 0.5 * (1.0 + _expectations(state.amplitudes, strings))
 
 
-def forward_readouts(state: PseudoSpinState,
-                     plan: Optional[MeasurementPlan] = None) -> dict:
-    """Exact probabilities for every observable of the plan."""
-    if plan is None:
-        plan = tomography_plan(state.n)
-    return dict(zip(plan.keys, _probabilities(state, plan).tolist()))
+def forward_readouts(state: PseudoSpinState) -> dict:
+    """Exact probabilities for every observable of the register's plan."""
+    keys = tomography_plan(state.n).keys
+    return dict(zip(keys, _probabilities(state).tolist()))
 
 
-def sample_readouts(state: PseudoSpinState, plan: MeasurementPlan,
-                    shots: int, seed: int = 0) -> dict:
+def sample_readouts(state: PseudoSpinState, shots: int,
+                    seed: int = 0) -> dict:
     """Binomial shot noise on top of the exact probabilities."""
     if shots < 1:
         raise MeasureError("shots must be >= 1")
-    p = np.clip(_probabilities(state, plan), 0.0, 1.0)
+    p = np.clip(_probabilities(state), 0.0, 1.0)
     counts = np.random.default_rng(seed).binomial(shots, p)
-    return dict(zip(plan.keys, (counts / shots).tolist()))
+    keys = tomography_plan(state.n).keys
+    return dict(zip(keys, (counts / shots).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +269,12 @@ class EntangledState:
             raise MeasureError("alphas are not normalized")
 
     @staticmethod
-    def from_state(state: PseudoSpinState, tol: float = 1e-12) -> "EntangledState":
-        amps = state.amplitudes.copy()
-        first = next((i for i, c in enumerate(amps) if abs(c) > tol), None)
-        if first is not None:
-            amps = amps * np.exp(-1j * np.angle(amps[first]))
+    def from_state(state: PseudoSpinState) -> "EntangledState":
+        amps = state.amplitudes     # a unit vector: some |c| > PHASE_CUTOFF
+        first = np.argmax(np.abs(amps) > PHASE_CUTOFF)
+        amps = amps * np.exp(-1j * np.angle(amps[first]))
         alphas = np.abs(amps)
-        phis = np.where(alphas > tol, np.angle(amps), 0.0)
+        phis = np.where(alphas > PHASE_CUTOFF, np.angle(amps), 0.0)
         phis = np.where(phis <= -np.pi + 1e-15, np.pi, phis)
         return EntangledState(state.n, tuple(float(a) for a in alphas),
                               tuple(float(p) for p in phis))
@@ -292,15 +291,15 @@ def _z_probabilities(e: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
     return np.clip((1.0 + e @ z_signs(n, z[:, None])) / (1 << n), 0.0, None)
 
 
-def reconstruct(readouts: dict, n: int, tol: float = 1e-8) -> EntangledState:
+def reconstruct(readouts: dict, n: int) -> EntangledState:
     """Recover the state parameters from exact readout probabilities.
 
     Supported for n <= 2: amplitudes from the z readouts, phases by a
     multi-start Levenberg-Marquardt fit to the plan's x readouts (exact
     inputs land at machine precision from the best grid start).
     Missing or non-finite readouts and inconsistent inputs
-    (probabilities that no state reproduces within ``tol``) are rejected,
-    the latter with the residual.
+    (probabilities that no state reproduces within ``RESIDUAL_TOL``) are
+    rejected, the latter with the residual.
     """
     if n not in (1, 2):
         raise MeasureError("reconstruction is implemented for n <= 2")
@@ -329,11 +328,11 @@ def reconstruct(readouts: dict, n: int, tol: float = 1e-8) -> EntangledState:
             break
     est = EntangledState.from_state(
         PseudoSpinState(_amplitudes(alphas, best.x)))
-    resid = np.max(np.abs(_probabilities(est.to_state(), plan) - r))
-    if resid > tol:
+    resid = np.max(np.abs(_probabilities(est.to_state()) - r))
+    if resid > RESIDUAL_TOL:
         raise MeasureError(
             f"readouts inconsistent with a pure register state "
-            f"(residual {resid:.3e} > {tol:.1e})")
+            f"(residual {resid:.3e} > {RESIDUAL_TOL:.1e})")
     return est
 
 
@@ -358,8 +357,7 @@ def _misfit_jacobian(phis, alphas: np.ndarray, strings: tuple,
     return (v.conj() * pv).imag[:, 1:]
 
 
-def parameter_error(a: EntangledState, b: EntangledState,
-                    amp_tol: float = 1e-7) -> float:
+def parameter_error(a: EntangledState, b: EntangledState) -> float:
     """Max deviation over amplitudes and (relevant) wrapped phases, the
     phases taken relative to a's largest amplitude: a gauge fixed on a
     later index, where amplitude 0 was too small to resolve, agrees."""
@@ -368,7 +366,7 @@ def parameter_error(a: EntangledState, b: EntangledState,
     err = max(abs(x - y) for x, y in zip(a.alphas, b.alphas))
     ref = int(np.argmax(a.alphas))
     for aa, pa, pb in zip(a.alphas, a.phis, b.phis):
-        if aa > amp_tol:
+        if aa > AMP_TOL:
             d = (pa - a.phis[ref]) - (pb - b.phis[ref])
             err = max(err, abs((d + np.pi) % (2 * np.pi) - np.pi))
     return float(err)

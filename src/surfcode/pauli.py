@@ -177,7 +177,6 @@ def ground_degeneracy(lat) -> int:
 class LogicalPair:
     """Conjugate logical operators of one hole."""
 
-    hole: int
     tau_z: PauliString
     tau_x: PauliString
 
@@ -214,4 +213,4 @@ def logical_pair(lat, l: int) -> LogicalPair:
                 if not commutes(a, b):
                     raise PauliError(
                         f"logicals of holes {l} and {m} fail to commute")
-    return LogicalPair(l, tz, tx)
+    return LogicalPair(tz, tx)

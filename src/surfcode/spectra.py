@@ -110,9 +110,7 @@ def _physical_memory() -> int:
 
 
 class SpectraError(RuntimeError):
-    def __init__(self, msg, residuals=None):
-        super().__init__(msg)
-        self.residuals = residuals
+    pass
 
 
 def _conjugate_by_s(p: PauliString) -> PauliString:
@@ -624,7 +622,7 @@ def _sector_eigs(sec: _Sectors, k: int) -> Spectrum:
     if np.any(res > sec.gate):
         raise SpectraError(
             "; ".join([f"eigensolver did not converge: residuals {res}"]
-                      + sec.notes), residuals=res)
+                      + sec.notes))
     for arr in (vals, cols, res):
         arr.flags.writeable = False
     return Spectrum(vals, res, H, (sec.dim,) * len(solved), sec, labels, cols)
@@ -737,17 +735,13 @@ def fermion_dispersion(params: DispersionParams, kx, ky,
 
 
 def vortex_gap(params: DispersionParams) -> float:
-    g, hx = params.g, params.hx
-    if 4 * abs(hx) >= g:
-        raise SpectraError("vortex gap closes for 4*|hx| >= g")
-    return 2 * g * np.sqrt(1 - 4 * abs(hx) / g)
+    """The band at its minimum, xi = -4|hx|: k = (pi, 0) or (0, 0)."""
+    return vortex_dispersion(params, np.pi if params.hx >= 0 else 0.0, 0.0)
 
 
 def fermion_gap(params: DispersionParams) -> float:
-    g, hy = params.g, params.hy
-    if 2 * abs(hy) >= g:
-        raise SpectraError("fermion gap closes for 2*|hy| >= g")
-    return 4 * g * np.sqrt(1 - 2 * abs(hy) / g)
+    """The band at its minimum, xi = -4|hy|: kx = pi or 0."""
+    return fermion_dispersion(params, np.pi if params.hy >= 0 else 0.0, 0.0)
 
 
 def dispersion_grid(params: DispersionParams, kind: str, npts: int = 512,

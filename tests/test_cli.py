@@ -1,6 +1,8 @@
 """CLI subcommands: reports, determinism, schemas."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -413,11 +415,19 @@ def test_dispersion_rejects_a_grid_below_one_point(tmp_path, capsys, option,
      "--sweep needs at least 1 point, got 0"),
     (["decoherence", "--sweep", "hx=0.1:0.2:-2"],
      "--sweep needs at least 1 point, got -2"),
+    *[(["decoherence", "--sweep", s], "--sweep takes hx=a:b:n with n a "
+       f"positive integer, got {s!r}")
+      for s in ("hx=0.1", "hx=a:b:3", "hx=0.1:0.2:2.5", "hx",
+                "hx=0.1:0.2:3:4")],
+    (["decoherence", "--sweep", "hz=0.1:0.2:3"],
+     "only hx sweeps are supported"),
 ])
 def test_cli_rejects_negative_shots_and_empty_sweeps(tmp_path, capsys, args,
                                                      message):
     """--shots -5 printed the exact readouts and skipped reconstruction,
-    and a sweep of 0 points wrote an empty table; both exited 0."""
+    and a sweep of 0 points wrote an empty table; both exited 0.  A
+    malformed sweep failed with Python's own unpacking or conversion
+    message."""
     out = tmp_path / "out"
     rc = main([*args, "--output", str(out)])
     assert rc == 1 and not out.exists()
@@ -480,3 +490,51 @@ def test_error_exit_code(tmp_path):
     rc = main(["degeneracy", "--config", str(bad),
                "--output", str(tmp_path / "x.json")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("args", [["degeneracy", "--config", "lat.json"],
+                                  ["dispersion"], ["gates"], ["init"],
+                                  ["decoherence"]], ids=lambda a: a[0])
+def test_deterministic_subcommands_take_no_seed(args, capsys):
+    """Only spectrum, compare-splitting and tomography draw random
+    numbers; the others refuse --seed, and their reports carry none."""
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_reports_carry_the_seed_where_one_is_used(two_hole_config, tmp_path):
+    assert "seed" not in json.loads(run(["degeneracy", "--config",
+                                         two_hole_config], tmp_path / "d"))
+    assert "# seed=" not in run(["decoherence", "--sweep", "hx=0.01:0.02:2"],
+                                tmp_path / "c")
+    rep = json.loads(run(["tomography", "--seed", "7"], tmp_path / "t"))
+    assert rep["seed"] == 7
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+README_CONFIGS = dict(re.findall(r"`(\w+\.json)`[^`]*```json\n(.*?)```",
+                                 README, re.S))
+README_COMMANDS = re.findall(r"^surfcode +(.*)$", README, re.M)
+
+
+def test_readme_names_its_configs_and_commands():
+    assert set(README_CONFIGS) == {"lat.json", "hole.json"}
+    assert len(README_COMMANDS) == 8
+
+
+@pytest.mark.parametrize("i", range(len(README_COMMANDS)),
+                         ids=[c.split()[0] for c in README_COMMANDS])
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys, i):
+    """Every line of the README's CLI block exits 0 on the README's own
+    configs; the first writes its report to stdout."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in README_CONFIGS.items():
+        (tmp_path / name).write_text(text)
+    args = README_COMMANDS[i].split()
+    if i == 0:
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out)["Q"] == 4
+    else:
+        run(args, tmp_path / "report")

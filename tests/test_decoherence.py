@@ -1,6 +1,7 @@
 """Thermal-error model formulas and monotonicity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from surfcode.decoherence import (DecoherenceError, ThermalParams,
                                   crossover_sweep, crossover_temperature,
                                   decoherence_time, effective_mass,
-                                  safe_to_operate, tunneling_exponent)
+                                  safe_to_operate, thermal_velocity,
+                                  tunneling_exponent)
 
 
 def test_effective_mass_values():
@@ -112,7 +114,21 @@ def test_non_finite_inputs_are_rejected(bad):
                  lambda: crossover_temperature(bad, 10.0),
                  lambda: effective_mass(bad),
                  lambda: crossover_sweep(1.0, [0.01, bad], 10.0),
-                 lambda: crossover_sweep(1.0, [0.01], 10.0, T=bad),
-                 lambda: safe_to_operate(ThermalParams(1.0, 0.1, 0.01), bad)):
+                 lambda: crossover_sweep(1.0, [0.01], 10.0, T=bad)):
         with pytest.raises(DecoherenceError, match="must be finite"):
             call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ThermalParams(0.0, 0.1), "g must be positive"),
+    (lambda: ThermalParams(1.0, -0.1), "temperature must be >= 0"),
+    (lambda: ThermalParams(1.0, 0.1, L_p=0.5), "path length must be >= 1"),
+    (lambda: ThermalParams(1.0, 0.1, hy=-0.01),
+     "field magnitudes enter; use hx, hy >= 0"),
+    (lambda: thermal_velocity(-1.0, 0.1), "T and hx must be >= 0"),
+    (lambda: tunneling_exponent(0.0, 0.1, 0.0, 10.0),
+     "need g > 0 and L_p >= 1"),
+], ids=["g", "T", "L_p", "field", "velocity", "exponent"])
+def test_each_check_refuses_with_its_reason(call, message):
+    with pytest.raises(DecoherenceError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,12 +1,14 @@
 """Effective-layer closed forms, chain construction, evolution, gate
 synthesis and adiabatic initialization."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import surfcode as sc
-from surfcode.effective import (AdiabaticSchedule, ChainTemplate,
+from surfcode.effective import (CHAIN_CAP, AdiabaticSchedule, ChainTemplate,
                                 EffectiveChain, EffectiveError,
                                 PseudoSpinState, _propagate, adiabatic_init,
                                 build_chain, evolve, fermion_splitting,
@@ -480,3 +482,69 @@ def test_adiabatic_quench_vs_slow():
     assert fid_fast < 0.5
     assert fid_slow > 0.99
     assert fid_fast < fid_slow
+
+
+def _chain(n):
+    return EffectiveChain(n, (0.0,) * (n - 1), (0.0,) * (n - 1),
+                          (0.0,) * n, (0.0,) * n)
+
+
+def _uneven_corridor_field():
+    """hy = 0.1 on the corridor, 0.15 on its first site."""
+    lat = sc.build_lattice(4, 4, "open", [sc.HoleSpec(1, 1, 1, 2)])
+    corridor = sc.field_mask(lat, {"type": "corridor", "hole": 0},
+                             (0, 0.1, 0))
+    first = int(np.flatnonzero(corridor.values[:, 1])[0])
+    return build_chain(lat, 1.0, corridor + sc.field_mask(
+        lat, {"type": "sites", "sites": [first]}, (0, 0.05, 0)))
+
+
+def _one_hole(g):
+    lat = sc.build_lattice(4, 4, "open", [sc.HoleSpec(1, 1, 1, 2)])
+    return build_chain(lat, g, sc.FieldMask.zeros(lat))
+
+
+SCHEDULE = AdiabaticSchedule(0.5, 50.0, 100.0, 4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fermion_splitting(1.0, 0.1, 0), "path length must be >= 1"),
+    (lambda: vortex_splitting(1.0, 0.1, 0), "loop length must be >= 1"),
+    (lambda: _chain(0), "chain needs n >= 1"),
+    (lambda: EffectiveChain(2, (), (), (0.0,) * 2, (0.0,) * 2),
+     "need n-1 pair couplings"),
+    (lambda: EffectiveChain(2, (0.0,), (0.0,), (0.0,), (0.0,)),
+     "need n on-site fields"),
+    (lambda: EffectiveChain(1, (), (), (np.nan,), (0.0,)),
+     "chain coefficients must be finite"),
+    (_uneven_corridor_field, "field must be uniform along a tunneling path"),
+    (lambda: build_chain(sc.build_lattice(4, 4, "open"), 1.0,
+                         sc.FieldMask(np.zeros((16, 3)))),
+     "chain needs at least one hole"),
+    (lambda: _one_hole(0.0), "g must be positive"),
+    (lambda: PseudoSpinState(np.ones(3) / np.sqrt(3)),
+     "amplitude count must be a power of two"),
+    (lambda: PseudoSpinState(np.ones(2)),
+     f"state norm {np.sqrt(2)} is not 1"),
+    (lambda: evolve(_chain(CHAIN_CAP + 1), PseudoSpinState.all_up(1), 1.0),
+     f"chain size exceeds cap {CHAIN_CAP}"),
+    (lambda: evolve(_chain(2), PseudoSpinState.all_up(1), 1.0),
+     "state size does not match chain"),
+    (lambda: AdiabaticSchedule(0.5, 50.0, 0.0, 4),
+     "invalid adiabatic schedule"),
+    (lambda: adiabatic_init(_template(CHAIN_CAP + 1), SCHEDULE),
+     f"chain size exceeds cap {CHAIN_CAP}"),
+    (lambda: adiabatic_init(_template(2), SCHEDULE,
+                            PseudoSpinState.all_up(1)),
+     "start state size does not match template"),
+], ids=["fermion-length", "vortex-length", "chain-n", "pair-couplings",
+        "fields", "finite", "uniform", "no-hole", "g", "power-of-two", "norm",
+        "evolve-cap", "evolve-size", "schedule", "init-cap", "init-size"])
+def test_each_check_refuses_with_its_reason(call, message):
+    with pytest.raises(EffectiveError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_ramp_field_is_off_from_t_zero():
+    assert SCHEDULE.h(0.0) == SCHEDULE.h(5.0) == 0.0
+    assert 0.0 < SCHEDULE.h(-100.0) < 0.5

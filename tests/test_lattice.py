@@ -3,15 +3,17 @@ cycle-enumeration oracle) and field masks."""
 
 import itertools
 import math
+import re
 from collections import deque
 
 import numpy as np
 import pytest
 
 import surfcode as sc
-from surfcode.lattice import (LatticeError, _shortest_enclosing_loop,
-                              build_lattice, cell_parity, field_mask,
-                              path_metrics, region_sites)
+from surfcode.lattice import (FieldMask, LatticeError,
+                              _shortest_enclosing_loop, build_lattice,
+                              cell_parity, field_mask, path_metrics,
+                              region_sites)
 
 
 def test_torus_4x4_counts():
@@ -440,3 +442,27 @@ def test_config_round_trip(two_hole_lattice):
     lat2, mask = sc.lattice_from_config(cfg)
     assert lat2.holes == two_hole_lattice.holes
     assert np.allclose(mask.values, 0.0)
+
+
+def _open(holes=()):
+    return build_lattice(5, 5, "open", holes)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sc.HoleSpec(2, 1, 1, 1),
+     "empty hole rectangle HoleSpec(x0=2, y0=1, x1=1, y1=1)"),
+    (lambda: _open().site(5, 0), "site (5,0) outside lattice"),
+    (lambda: region_sites(_open([sc.HoleSpec(1, 2, 1, 2)]),
+                          {"type": "corridor", "hole": 0}),
+     "puncture holes carry no fermion string"),
+    (lambda: build_lattice(4, 4, "mobius"), "unknown boundary 'mobius'"),
+    (lambda: FieldMask(np.zeros((25, 2))),
+     "field mask must have shape (n_sites, 3)"),
+    (lambda: FieldMask(np.full((25, 3), np.inf)), "field mask must be finite"),
+    (lambda: region_sites(_open(), {"type": "disc"}),
+     "unknown region type 'disc'"),
+], ids=["empty-hole", "site", "puncture-string", "boundary", "mask-shape",
+        "mask-finite", "region-type"])
+def test_each_check_refuses_with_its_reason(call, message):
+    with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,6 +1,7 @@
 """Interference amplitudes, register readouts, tomography planning and
 round-trip reconstruction."""
 
+import re
 import tracemalloc
 from functools import reduce
 
@@ -118,8 +119,7 @@ def test_complement_sums_to_one():
 def test_probabilities_in_unit_interval(n, seed):
     rng = np.random.default_rng(seed)
     s = rand_state(rng, n)
-    plan = tomography_plan(n)
-    for key, p in forward_readouts(s, plan).items():
+    for key, p in forward_readouts(s).items():
         assert -1e-12 <= p <= 1 + 1e-12
 
 
@@ -159,22 +159,12 @@ def test_readouts_at_the_cap_stay_small_in_memory():
     s = rand_state(np.random.default_rng(12), CHAIN_CAP)
     tracemalloc.start()
     try:
-        got = forward_readouts(s, plan)
+        got = forward_readouts(s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(got) == len(plan.observables)
     assert peak < 32 * 2 ** 20
-
-
-@pytest.mark.parametrize("state_n, plan_n", [(3, 2), (2, 3)])
-def test_readouts_refuse_a_plan_of_another_register_size(state_n, plan_n):
-    s, plan = PseudoSpinState.all_up(state_n), tomography_plan(plan_n)
-    msg = f"plan for n = {plan_n} given a register of n = {state_n}"
-    with pytest.raises(MeasureError, match=msg):
-        forward_readouts(s, plan)
-    with pytest.raises(MeasureError, match=msg):
-        sample_readouts(s, plan, 10)
 
 
 def test_quarter_turn_advances_phase():
@@ -199,7 +189,7 @@ def test_readouts_match_kronecker_parities():
     plan = tomography_plan(n)
     for _ in range(5):
         s = rand_state(rng, n)
-        got = forward_readouts(s, plan)
+        got = forward_readouts(s)
         assert len(got) == len(plan.observables)
         for ob in plan.observables:
             v = s.amplitudes
@@ -407,9 +397,8 @@ def test_reconstruct_n3_unsupported():
 
 def test_sampled_readouts_seeded():
     s = PseudoSpinState(np.array([1, 1j]) / np.sqrt(2))
-    plan = tomography_plan(1)
-    a = sample_readouts(s, plan, 500, seed=9)
-    b = sample_readouts(s, plan, 500, seed=9)
+    a = sample_readouts(s, 500, seed=9)
+    b = sample_readouts(s, 500, seed=9)
     assert a == b
     for v in a.values():
         assert 0.0 <= v <= 1.0
@@ -433,3 +422,17 @@ def test_entangled_state_rejects_non_finite_or_negative_parameters(alphas,
     abs(nan - 1) > 1e-9 is False; alphas are magnitudes, so >= 0."""
     with pytest.raises(MeasureError, match="must be finite and >= 0"):
         EntangledState(1, alphas, phis)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sample_readouts(PseudoSpinState.all_up(1), 0),
+     "shots must be >= 1"),
+    (lambda: EntangledState(1, (1.0,), (0.0,)), "parameter count must be 2^n"),
+    (lambda: parameter_error(
+        EntangledState.from_state(PseudoSpinState.all_up(1)),
+        EntangledState.from_state(PseudoSpinState.all_up(2))),
+     "register sizes differ"),
+], ids=["shots", "parameter-count", "register-sizes"])
+def test_each_check_refuses_with_its_reason(call, message):
+    with pytest.raises(MeasureError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,6 +1,8 @@
 """Pauli algebra against an independent dense-matrix oracle, plus the
 stabilizer rank / degeneracy / logical-operator checks."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -240,3 +242,10 @@ def test_logical_pair_rejects_bad_logicals(two_hole_lattice, monkeypatch,
                         lambda self, l: bad.get(l) or real(self, l))
     with pytest.raises(PauliError, match=match):
         sc.logical_pair(lat, 0)
+
+
+@pytest.mark.parametrize("x, z", [(0b100, 0), (0, 0b1000)], ids=["x", "z"])
+def test_each_check_refuses_with_its_reason(x, z):
+    with pytest.raises(PauliError,
+                       match=f"^{re.escape('mask exceeds site count')}$"):
+        PauliString(2, x, z)

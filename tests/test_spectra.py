@@ -4,6 +4,7 @@ symmetry-sector solver against dense eigh and LOBPCG."""
 
 import dataclasses
 import os
+import re
 import tracemalloc
 import warnings
 
@@ -1154,3 +1155,22 @@ def test_lobpcg_warnings_reach_the_error(monkeypatch):
     with pytest.raises(SpectraError,
                        match="not reaching the requested tolerance"):
         lowest_eigs(H, 3, tol=1e-10)
+
+
+def _torus_levels(k):
+    lat = sc.build_lattice(4, 3, "torus")
+    return lowest_eigs(assemble(lat, 1.0, sc.FieldMask.zeros(lat)), k)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _torus_levels(0), "k_count 0 out of range for dimension 4096"),
+    (lambda: ground_splitting(_torus_levels(2), 1),
+     "need 3 converged eigenvalues, have 2"),
+    (lambda: fermion_dispersion(DispersionParams(1.0), 0.0, 0.0, "diagonal"),
+     "unknown fermion branch 'diagonal'"),
+    (lambda: dispersion_grid(DispersionParams(1.0), "phonon", 4),
+     "unknown dispersion kind 'phonon'"),
+], ids=["k-count", "splitting", "branch", "kind"])
+def test_each_check_refuses_with_its_reason(call, message):
+    with pytest.raises(SpectraError, match=f"^{re.escape(message)}$"):
+        call()
