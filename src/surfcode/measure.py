@@ -9,12 +9,16 @@ repeats after a fixed quarter turn about z that expose the phase
 quadrature (a product of cosines alone leaves sin-signs ambiguous).
 
 Every readout is one ``PauliString`` P with the quarter turns folded in
-(``Observable.pauli``); its +1 probability is 1/2 (1 + <v|P|v>), exact,
-and ``sample_readouts`` adds seeded shot noise that plays no role in
-acceptance.  A plan's strings are (x, z, k) arrays, and ``_expectations``
-evaluates them all at once: each distinct x is one Walsh-Hadamard
-transform, which gives <X^x Z^z> for every z.  Reconstruction fits the
-same strings.  Qubit l is ``PauliString`` site n-1-l
+(``_fold``, for one ``Observable.pauli`` or a whole plan at once); its +1
+probability is 1/2 (1 + <v|P|v>), exact, and ``sample_readouts`` adds
+seeded shot noise that plays no role in acceptance.  A plan's strings are
+(x, z, k) arrays, built from its subset masks by bit arithmetic, and
+``_expectations`` evaluates them all at once: each distinct x is one
+Walsh-Hadamard transform, which gives <X^x Z^z> for every z.
+Reconstruction (n <= 2) fits the same strings with a Levenberg-Marquardt
+loop of its own (``_levenberg_marquardt``, after Moré's MINPACK
+``lmder``) on normal equations of at most 7 unknowns, each row (P v)
+gathered directly.  Qubit l is ``PauliString`` site n-1-l
 (``effective.qubit_mask``), so qubit 0 is the most significant bit of a
 basis index.
 """
@@ -28,7 +32,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import hadamard
-from scipy.optimize import least_squares
 
 from .effective import CHAIN_CAP, PseudoSpinState, qubit_mask, z_signs
 from .pauli import PauliString
@@ -86,13 +89,6 @@ _BLOCK = 1 << 18                 # table entries per block of x rows
 PHASE_CUTOFF = 1e-12             # amplitudes below this carry no phase
 RESIDUAL_TOL = 1e-8              # readout misfit a reconstruction may keep
 AMP_TOL = 1e-7                   # parameter_error skips smaller amplitudes
-
-
-def _strings(paulis) -> tuple:
-    """Read-only (x, z, k) arrays of a sequence of ``PauliString``s."""
-    a = np.array([(p.x, p.z, p.k) for p in paulis], dtype=np.int64).T
-    a.flags.writeable = False
-    return tuple(a)
 
 
 @cache
@@ -166,20 +162,41 @@ class Observable:
         return f"{self.basis}:" + ",".join(str(q) for q in self.subset) + r
 
     def pauli(self, n: int) -> PauliString:
-        """The string this readout measures on an n-qubit register: Z or X
-        on the subset, each quarter turn on a subset qubit l folding X_l
-        into e^{i pi/4 Z_l} X_l e^{-i pi/4 Z_l} = -i X_l Z_l (k += 3).
-        Turns outside the subset commute with the string and drop out."""
+        """The string this readout measures on an n-qubit register
+        (``_fold``)."""
         if self.basis not in ("z", "x"):
             raise MeasureError(f"unknown readout basis {self.basis!r}")
         m = qubit_mask(n, _check_subset(n, self.subset))
-        r = k = 0
-        for l in self.rotations:
-            b = qubit_mask(n, _check_subset(n, (l,))) & m
-            r, k = r ^ b, k + 3 * (b != 0)
-        if self.basis == "z":
-            return PauliString(n, 0, m)
-        return PauliString(n, m, r, k)
+        turns = [qubit_mask(n, _check_subset(n, (l,))) for l in self.rotations]
+        x, z, k = _fold(np.array([self.basis == "x"]), np.array([m]),
+                        np.array([turns], dtype=np.int64))
+        return PauliString(n, int(x[0]), int(z[0]), int(k[0]))
+
+
+def _fold(x_basis: np.ndarray, m: np.ndarray, turns: np.ndarray) -> tuple:
+    """(x, z, k) arrays of readouts on subset masks m: Z^m, or X^m where
+    ``x_basis``, after the quarter turns in the rows of ``turns``
+    (single-qubit masks).  A turn on a subset qubit l folds X_l into
+    e^{i pi/4 Z_l} X_l e^{-i pi/4 Z_l} = -i X_l Z_l (z ^= bit, k += 3);
+    turns outside the subset commute with the string and drop out."""
+    b = turns & m[:, None]
+    x = np.where(x_basis, m, 0)
+    z = np.where(x_basis, np.bitwise_xor.reduce(b, axis=1), m)
+    k = np.where(x_basis, 3 * np.count_nonzero(b, axis=1) % 4, 0)
+    return x, z, k
+
+
+def _layout(n: int) -> tuple:
+    """Every nonempty qubit subset as a mask and as a tuple, by size and
+    then lexicographic in the qubits (by decreasing mask, since qubit 0 is
+    the top bit), and the (subset, qubit) of each quadrature readout:
+    every qubit of every subset, in increasing order."""
+    m = np.arange(1, 1 << n)
+    m = m[np.lexsort((-m, np.bitwise_count(m)))]
+    rows, qubits = np.nonzero(m[:, None] >> np.arange(n - 1, -1, -1) & 1)
+    q, ends = qubits.tolist(), np.cumsum(np.bitwise_count(m)).tolist()
+    subsets = [tuple(q[a:b]) for a, b in zip([0] + ends, ends)]
+    return m, subsets, rows, qubits
 
 
 @dataclass(frozen=True)
@@ -191,12 +208,25 @@ class MeasurementPlan:
 
     @cached_property
     def keys(self) -> tuple[str, ...]:
-        return tuple(ob.key() for ob in self.observables)
+        """Every observable's ``key()``, in ``_layout`` order."""
+        _, subsets, rows, qubits = _layout(self.n)
+        names = [",".join(map(str, s)) for s in subsets]
+        turned = [f"x:{names[i]};rot{l}"
+                  for i, l in zip(rows.tolist(), qubits.tolist())]
+        return tuple(["z:" + a for a in names] + ["x:" + a for a in names]
+                     + turned)
 
     @cached_property
     def strings(self) -> tuple:
-        """(x, z, k) arrays of every observable's ``pauli(n)``."""
-        return _strings([ob.pauli(self.n) for ob in self.observables])
+        """Read-only (x, z, k) arrays of every observable's ``pauli(n)``,
+        in ``_layout`` order."""
+        m, _, rows, qubits = _layout(self.n)
+        turns = np.zeros((2 * m.size + rows.size, 1), dtype=np.int64)
+        turns[2 * m.size:, 0] = 1 << (self.n - 1 - qubits)
+        a = np.array(_fold(np.arange(turns.shape[0]) >= m.size,
+                           np.concatenate((m, m, m[rows])), turns))
+        a.flags.writeable = False
+        return tuple(a)
 
 
 @cache
@@ -206,20 +236,19 @@ def tomography_plan(n: int) -> MeasurementPlan:
     if not 1 <= n <= CHAIN_CAP:
         raise MeasureError(f"need 1 <= n <= {CHAIN_CAP}, the register cap; "
                            f"got n = {n}")
-    subsets = []
-    for r in range(1, n + 1):
-        subsets.extend(itertools.combinations(range(n), r))
+    _, subsets, rows, qubits = _layout(n)
     obs = [Observable("z", s) for s in subsets]
     obs += [Observable("x", s) for s in subsets]
-    for s in subsets:
-        for l in s:
-            obs.append(Observable("x", s, (l,)))
+    obs += [Observable("x", subsets[i], (l,))
+            for i, l in zip(rows.tolist(), qubits.tolist())]
     return MeasurementPlan(n, tuple(obs), 2 * (2 ** n - 1), complete=n <= 3)
 
 
 def measure_observable(state: PseudoSpinState, ob: Observable) -> float:
     """Probability of the +1 outcome: 1/2 (1 + <v|P|v>), P = ob.pauli(n)."""
-    e = _expectations(state.amplitudes, _strings([ob.pauli(state.n)]))
+    p = ob.pauli(state.n)
+    e = _expectations(state.amplitudes,
+                      tuple(np.array([c]) for c in (p.x, p.z, p.k)))
     return 0.5 * (1.0 + float(e[0]))
 
 
@@ -294,12 +323,19 @@ def _z_probabilities(e: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
 def reconstruct(readouts: dict, n: int) -> EntangledState:
     """Recover the state parameters from exact readout probabilities.
 
-    Supported for n <= 2: amplitudes from the z readouts, phases by a
-    multi-start Levenberg-Marquardt fit to the plan's x readouts (exact
-    inputs land at machine precision from the best grid start).
-    Missing or non-finite readouts and inconsistent inputs
-    (probabilities that no state reproduces within ``RESIDUAL_TOL``) are
-    rejected, the latter with the residual.
+    Supported for n <= 2.  Amplitudes start from the z readouts; the
+    phases are fitted to all readouts by ``_levenberg_marquardt`` from a
+    grid of starts, stopping at the first that matches to machine
+    precision; then amplitudes and phases are refined together from the
+    best start.  The phase of the largest amplitude is the gauge, held at
+    0, so a small amplitude's phase is one column of the Jacobian rather
+    than a common shift of all the others.  The x readouts are linear in
+    a small amplitude where the z readouts are quadratic, so the
+    refinement resolves an empty level whose z probability rounds to
+    ~1e-16 (a ~1e-8 amplitude as its square root).  Missing or non-finite
+    readouts and inconsistent inputs (probabilities that no state
+    reproduces within ``RESIDUAL_TOL``) are rejected, the latter with the
+    residual.
     """
     if n not in (1, 2):
         raise MeasureError("reconstruction is implemented for n <= 2")
@@ -315,19 +351,23 @@ def reconstruct(readouts: dict, n: int) -> EntangledState:
     x, z, _ = plan.strings
     alphas = np.sqrt(_z_probabilities(e[x == 0], z[x == 0], n))
     alphas /= np.linalg.norm(alphas)
-    fit = (tuple(a[x != 0] for a in plan.strings), e[x != 0])
+    m = alphas.size
+    fit = (_gather(plan.strings, m), e)
+    free = np.arange(2 * m) != m + np.argmax(alphas)
+    phases = free & (np.arange(2 * m) >= m)
 
     best = None
-    for s0 in itertools.product((0.0, -2.1, 2.1), repeat=alphas.size - 1):
-        sol = least_squares(_misfit, s0, jac=_misfit_jacobian,
-                            method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                            args=(alphas, *fit))
-        if best is None or sol.cost < best.cost:
+    for s0 in itertools.product((0.0, -2.1, 2.1), repeat=m - 1):
+        q = np.concatenate((alphas, np.zeros(m)))
+        q[phases] = s0
+        sol = _levenberg_marquardt(q, phases, *fit)
+        if best is None or sol[1] < best[1]:
             best = sol
-        if best.cost < 1e-24:
+        if best[1] < 1e-24:
             break
-    est = EntangledState.from_state(
-        PseudoSpinState(_amplitudes(alphas, best.x)))
+    q, _ = _levenberg_marquardt(best[0], free, *fit)
+    v = _amplitudes(q)
+    est = EntangledState.from_state(PseudoSpinState(v / np.linalg.norm(v)))
     resid = np.max(np.abs(_probabilities(est.to_state()) - r))
     if resid > RESIDUAL_TOL:
         raise MeasureError(
@@ -336,25 +376,75 @@ def reconstruct(readouts: dict, n: int) -> EntangledState:
     return est
 
 
-def _amplitudes(alphas: np.ndarray, phis) -> np.ndarray:
-    return alphas * np.exp(1j * np.concatenate(([0.0], phis)))
+LM_STEPS = 100                   # trial steps one fit may take
+LM_TOL = 1e-15                   # relative step and decrease that end a fit
+LM_FLOOR = 1e-30                 # least column scale of the damping
 
 
-def _misfit(phis, alphas: np.ndarray, strings: tuple,
-            e: np.ndarray) -> np.ndarray:
-    # (E - e) / 2, not (1 + E) / 2 - r: rounding 1 + E drowns small terms
-    return 0.5 * (_expectations(_amplitudes(alphas, phis), strings) - e)
+def _levenberg_marquardt(q, free, rows, e) -> tuple:
+    """Minimize the cost |_misfit(q)|^2 / 2 over the entries ``free`` of
+    q; returns (q, cost).  Each step solves (J^T J + mu D) h = -J^T r on
+    the free columns, D the diagonal of J^T J floored at ``LM_FLOOR`` so
+    that a zero column (the phase of a zero amplitude) keeps the system
+    regular.  The damping mu starts at 1e-3 and follows the gain ratio
+    rho of actual to predicted decrease (Nielsen): x max(1/3,
+    1 - (2 rho - 1)^3) after an accepted step, x nu with nu doubling after
+    a rejected one.  A fit ends when a step or its predicted relative
+    decrease falls below ``LM_TOL``, or after ``LM_STEPS`` trial steps."""
+    res = _misfit(q, rows, e)
+    cost, mu, nu, J = 0.5 * (res @ res), 1e-3, 2.0, None
+    for _ in range(LM_STEPS):
+        if J is None:
+            J = _misfit_jacobian(q, rows)[:, free]
+            A, g = J.T @ J, J.T @ res
+            d = np.maximum(A.diagonal(), LM_FLOOR)
+        h = -np.linalg.solve(A + np.diag(mu * d), g)
+        pred = 0.5 * (h @ (mu * d * h - g))
+        if h @ h <= LM_TOL ** 2 * (q @ q) or pred <= LM_TOL * cost:
+            break
+        t = q.copy()
+        t[free] += h
+        res_t = _misfit(t, rows, e)
+        cost_t = 0.5 * (res_t @ res_t)
+        rho = (cost - cost_t) / pred
+        if rho > 0:
+            q, res, cost, J = t, res_t, cost_t, None
+            mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
+        else:
+            mu, nu = mu * nu, 2.0 * nu
+    return q, cost
 
 
-def _misfit_jacobian(phis, alphas: np.ndarray, strings: tuple,
-                     e: np.ndarray) -> np.ndarray:
-    """Im(conj(v_s) (P v)_s), s >= 1: dv_s/dphi_s = i v_s, P Hermitian,
-    and (P v)_s = i^k (-1)^{z.t} v_t at t = s XOR x, one row per string."""
-    v = _amplitudes(alphas, phis)
+def _amplitudes(q: np.ndarray) -> np.ndarray:
+    """v_s = alpha_s e^{i phi_s} from q = (alphas, phis)."""
+    m = q.size // 2
+    return q[:m] * np.exp(1j * q[m:])
+
+
+def _gather(strings: tuple, m: int) -> tuple:
+    """Indices t and factors c, one row per string P = i^k X^x Z^z on m
+    basis states, with (P v)_s = c_s v[t_s]: t = s XOR x and
+    c = i^k (-1)^{z.t}."""
     x, z, k = (a[:, None] for a in strings)
-    t = np.arange(v.size) ^ x
-    pv = _PHASES[k] * (1.0 - 2.0 * (np.bitwise_count(z & t) & 1)) * v[t]
-    return (v.conj() * pv).imag[:, 1:]
+    t = np.arange(m) ^ x
+    return t, _PHASES[k] * (1.0 - 2.0 * (np.bitwise_count(z & t) & 1))
+
+
+def _misfit(q, rows: tuple, e: np.ndarray) -> np.ndarray:
+    """(E - e) / 2 with E = Re <v|P|v> for the strings of ``_gather`` rows,
+    not (1 + E) / 2 - r: rounding 1 + E drowns small terms."""
+    v, (t, c) = _amplitudes(q), rows
+    return 0.5 * ((v.conj() * c * v[t]).real.sum(axis=1) - e)
+
+
+def _misfit_jacobian(q, rows: tuple) -> np.ndarray:
+    """Columns Re(conj(w_s) (P v)_s) for alpha_s and alpha_s Im(conj(w_s)
+    (P v)_s) for phi_s: dv_s/dalpha_s = w_s = e^{i phi_s}, dv_s/dphi_s =
+    i v_s and P is Hermitian."""
+    m = q.size // 2
+    w, (t, c) = np.exp(1j * q[m:]), rows
+    g = w.conj() * c * (q[:m] * w)[t]
+    return np.concatenate((g.real, q[:m] * g.imag), axis=1)
 
 
 def parameter_error(a: EntangledState, b: EntangledState) -> float:

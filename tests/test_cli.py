@@ -1,7 +1,10 @@
 """CLI subcommands: reports, determinism, schemas."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -481,6 +484,18 @@ def test_compare_splitting_rejects_zero_field(one_hole_config, tmp_path,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
     assert "h values must be nonzero" in err["message"]
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """Loading scipy.optimize adds ~17 MB of resident memory and ~0.2 s
+    to a cold import, ED-only runs included; no module needs it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, surfcode, surfcode.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
 
 
 def test_error_exit_code(tmp_path):

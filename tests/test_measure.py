@@ -14,7 +14,8 @@ from surfcode import measure
 from surfcode.effective import CHAIN_CAP, PseudoSpinState
 from surfcode.measure import (EntangledState, InterferencePaths,
                               MeasureError, Observable, _expectations,
-                              _misfit, _misfit_jacobian, fermion_readout,
+                              _gather, _misfit, _misfit_jacobian,
+                              fermion_readout,
                               forward_readouts, interference_amplitude,
                               measure_observable, parameter_error,
                               quarter_turn, reconstruct, sample_readouts,
@@ -272,13 +273,14 @@ def test_plan_rejects_registers_above_the_chain_cap():
 
 
 def test_plan_is_built_once_per_size():
-    plan = tomography_plan(3)
-    assert tomography_plan(3) is plan
-    assert plan.keys == tuple(ob.key() for ob in plan.observables)
-    paulis = [ob.pauli(3) for ob in plan.observables]
-    assert ([tuple(row) for row in np.transpose(plan.strings)]
-            == [(p.x, p.z, p.k) for p in paulis])
-    assert not any(a.flags.writeable for a in plan.strings)
+    for n in (1, 2, 3, 6):
+        plan = tomography_plan(n)
+        assert tomography_plan(n) is plan
+        assert plan.keys == tuple(ob.key() for ob in plan.observables)
+        paulis = [ob.pauli(n) for ob in plan.observables]
+        assert ([tuple(row) for row in np.transpose(plan.strings)]
+                == [(p.x, p.z, p.k) for p in paulis])
+        assert not any(a.flags.writeable for a in plan.strings)
 
 
 def test_plan_covers_all_subsets():
@@ -307,9 +309,21 @@ def test_reconstruct_quarter_phase():
 @pytest.mark.parametrize("n,count,seed", [(1, 25, 101), (2, 25, 202)])
 def test_roundtrip_random_states(n, count, seed):
     rng = np.random.default_rng(seed)
+    amps = [rand_state(rng, n).amplitudes for _ in range(2 * count)]
+    for a in amps[count:]:
+        # an empty level: its z probability rounds to ~1e-16, so its
+        # square root alone would read as a ~1e-8 amplitude
+        a[rng.integers(a.size)] = 0.0
+    for small in (1e-5, 1e-6, 1e-7, 5e-8, 2e-8, 1e-8, 1e-9):
+        for _ in range(4):
+            a = rand_state(rng, n).amplitudes
+            a[rng.integers(a.size)] = small * np.exp(2j * np.pi * rng.random())
+            amps.append(a)
+    if n == 1:     # a basis state with a complex phase
+        amps.append(np.array([0.0, 0.4532 + 0.8914j]))
     worst = 0.0
-    for _ in range(count):
-        s = rand_state(rng, n)
+    for a in amps:
+        s = PseudoSpinState(a / np.linalg.norm(a))
         est = reconstruct(forward_readouts(s), n)
         truth = EntangledState.from_state(s)
         worst = max(worst, parameter_error(truth, est))
@@ -364,20 +378,24 @@ def test_reconstruct_inconsistent_rejected():
 @pytest.mark.parametrize("n", [1, 2])
 def test_misfit_jacobian_matches_central_differences(n):
     rng = np.random.default_rng(40 + n)
-    x, z, k = tomography_plan(n).strings
-    fit = tuple(a[x != 0] for a in (x, z, k))       # the x readouts
+    strings = tomography_plan(n).strings
+    fit = _gather(strings, 2 ** n)
     for _ in range(5):
         alphas = np.abs(rand_state(rng, n).amplitudes)
-        target = rng.uniform(-1.0, 1.0, fit[0].size)
-        phis = rng.uniform(-np.pi, np.pi, 2 ** n - 1)
-        jac = _misfit_jacobian(phis, alphas, fit, target)
-        assert jac.shape == (fit[0].size, 2 ** n - 1)
+        target = rng.uniform(-1.0, 1.0, strings[0].size)
+        q = np.concatenate((alphas, rng.uniform(-np.pi, np.pi, 2 ** n)))
+        v = alphas * np.exp(1j * q[2 ** n:])
+        assert np.allclose(_misfit(q, fit, target),
+                           0.5 * (_expectations(v, strings) - target),
+                           rtol=0, atol=1e-15)
+        jac = _misfit_jacobian(q, fit)
+        assert jac.shape == (strings[0].size, 2 ** (n + 1))
         h = 1e-6
-        for s in range(2 ** n - 1):
-            e = np.zeros(2 ** n - 1)
+        for s in range(2 ** (n + 1)):
+            e = np.zeros(2 ** (n + 1))
             e[s] = h
-            fd = (_misfit(phis + e, alphas, fit, target)
-                  - _misfit(phis - e, alphas, fit, target)) / (2 * h)
+            fd = (_misfit(q + e, fit, target)
+                  - _misfit(q - e, fit, target)) / (2 * h)
             assert np.max(np.abs(jac[:, s] - fd)) < 1e-8
 
 
