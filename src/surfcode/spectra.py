@@ -38,10 +38,16 @@ the lowest bound left reaches the k-th lowest level found, so the
 lowest k levels are exact across sectors.  Each visited sector gets one
 ``_Apply``: a sector of at most ``SECTOR_DENSE_CAP`` states is
 diagonalized densely from its application to the identity block, a
-larger one by seeded LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517
-(2001)) on block calls.  Its block holds exactly the k random columns
-asked for, which resolves a k-fold exact degeneracy, as a single-vector
-Lanczos cannot.  It is preconditioned by T = (H_F - E_min + w)^-1
+larger one by the module's seeded block LOBPCG, ``_lobpcg`` (Knyazev,
+SIAM J. Sci. Comput. 23, 517 (2001)), on an orthonormal basis
+(Hetmaniuk and Lehoucq, J. Comput. Phys. 218, 324 (2006)).  Its block
+holds exactly the k random columns asked for, which resolves a k-fold
+exact degeneracy, as a single-vector Lanczos cannot; a column whose
+residual reaches tol ||H|| is locked, and the others iterate in its
+complement.  A block is a (2^n, k) array whose columns are states;
+the solver's blocks are in Fortran order, each state contiguous, and
+``_Apply`` and the preconditioner read and return them as rows without
+a copy.  It is preconditioned by T = (H_F - E_min + w)^-1
 (``_FamilyInverse``): H_F sums F, the largest commuting family of the
 terms taken by decreasing |c|, which holds the stabilizers, the
 largest terms; w is the largest |c| left out.  F's X parts, eliminated
@@ -49,9 +55,10 @@ like the generators, give a basis where H_F is diagonal: their
 ``_orbit``, then a Walsh-Hadamard transform over their a pivot bits, so
 T costs O(a 2^n) a column.  Where level k cuts through a degenerate
 cluster a column can stall above the residual gate 50 tol ||H||; only
-then is the sector solved again with 2, then 4 guard columns, the first
-k kept.  One ``_Sectors`` per call is the solve context that holds
-``tol``, ``seed``, the gate and LOBPCG's warnings.
+then is the sector solved again from the failed block's k columns and
+2, then 4 seeded guard columns, the first k kept.  One ``_Sectors`` per
+call is the solve context that holds ``tol``, ``seed``, the gate and
+the solver's notes.
 
 Levels stay in sector coordinates: a ``Spectrum`` keeps each level's
 sector and its column of 2^(n - r) coefficients.  A logical operator
@@ -80,13 +87,11 @@ from __future__ import annotations
 
 import heapq
 import os
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.sparse.linalg as spla
 from scipy.sparse import csr_array
 
 from .lattice import FieldMask, HoledLattice
@@ -202,7 +207,9 @@ def _groups(n: int, terms) -> list[tuple[int, np.ndarray]]:
 
 class _Apply:
     """Matrix-free application of a term list to (2^n,) states or
-    (2^n, k) blocks: the x = 0 group is the diagonal ``diag``, and
+    (2^n, k) blocks, whose columns it reads as the rows of the transpose:
+    a Fortran-order block, each state contiguous, is read and returned
+    without a copy.  The x = 0 group is the diagonal ``diag``, and
     ``prepped`` holds one (flip axes, ``_z_sum``) entry per other group."""
 
     def __init__(self, H: SpinHamiltonian):
@@ -213,15 +220,16 @@ class _Apply:
 
     def __call__(self, v):
         v = np.asarray(v)
-        t = v.reshape((2,) * self.H.n + v.shape[1:])
-        tail = (...,) + (None,) * (v.ndim - 1)      # over a block's columns
-        out = np.multiply(self.diag[tail], t,
+        rows = v.T.reshape(v.shape[:0:-1] + (2,) * self.H.n)
+        lead = v.ndim - 1                           # the axis of the rows
+        out = np.multiply(self.diag, rows,
                           dtype=np.result_type(v, self.dtype))
         tmp = np.empty_like(out)
         for axes, coeff in self.prepped:
-            np.multiply(coeff[tail], np.flip(t, axes), out=tmp)
+            np.multiply(coeff, np.flip(rows, tuple(a + lead for a in axes)),
+                        out=tmp)
             out += tmp
-        return out.reshape(v.shape)
+        return out.reshape(v.shape[::-1]).T
 
 
 class _FamilyInverse:
@@ -261,39 +269,123 @@ class _FamilyInverse:
         self.phase = (_PHASES.real if H.dtype == np.float64
                       else _PHASES)[k & 3]
         HF = _Apply(replace(H, terms=tuple(self.family)))
-        ones = np.ones((dim, 1), self.phase.dtype)
-        E = self._to_basis(HF(self._from_basis(ones))).real[:, 0]
+        ones = np.ones((1, dim), self.phase.dtype)
+        E = self._to_basis(HF(self._from_basis(ones).T).T).real[0]
         E /= 1 << self.a
         self.shift = w - E.min()    # T^-1 = H_F + shift
         self.scale = 1.0 / ((E + self.shift) * (1 << self.a))
 
     def _transform(self, y: np.ndarray) -> np.ndarray:
         """Unnormalized Walsh-Hadamard transform of the C-contiguous
-        (2^n, m) block y over the top a bits of the row index, in place
-        by one butterfly per bit."""
+        (m, 2^n) rows y over the top a bits of the index, in place by one
+        butterfly per bit."""
         for j in range(self.a):
-            t = y.reshape(1 << self.a - 1 - j, 2, -1)
-            lo, hi = t[:, 0], t[:, 1]
+            t = y.reshape(len(y), 1 << self.a - 1 - j, 2, -1)
+            lo, hi = t[:, :, 0], t[:, :, 1]
             lo += hi            # (lo + hi, lo - hi) without a temporary
             hi *= -2
             hi += lo
         return y
 
     def _to_basis(self, v: np.ndarray) -> np.ndarray:      # 2^(a/2) U^+ v
-        y = np.take(v, self.index, axis=0).astype(
+        y = np.take(v, self.index, axis=1).astype(
             np.result_type(v, self.phase), copy=False)
-        y *= self.phase.conj()[:, None]
+        y *= self.phase.conj()
         return self._transform(y)
 
     def _from_basis(self, y: np.ndarray) -> np.ndarray:    # 2^(a/2) U y
         y = self._transform(y)
-        y *= self.phase[:, None]
-        return np.take(y, self.inverse, axis=0)
+        y *= self.phase
+        return np.take(y, self.inverse, axis=1)
 
-    def __call__(self, R: np.ndarray) -> np.ndarray:    # T R, R (2^n, m)
-        y = self._to_basis(R)
-        y *= self.scale[:, None]
-        return self._from_basis(y)
+    def __call__(self, R: np.ndarray) -> np.ndarray:
+        """T R for a (2^n, m) block R, read and returned as ``_Apply``
+        reads and returns one: Fortran order costs no copy."""
+        y = self._to_basis(R.T)
+        y *= self.scale
+        return self._from_basis(y).T
+
+
+def _svqb(V: np.ndarray) -> np.ndarray:
+    """Columns K such that the rows of K^T V are orthonormal, from the
+    eigenvectors of the rows' Gram matrix (SVQB); directions below 1e-14
+    of its largest eigenvalue are dropped, so a rank-deficient V gives
+    fewer rows."""
+    s, C = np.linalg.eigh(V.conj() @ V.T)
+    keep = s > 1e-14 * s.max(initial=0.0)
+    return C[:, keep] / np.sqrt(s[keep])
+
+
+def _lobpcg(A, T, X: np.ndarray, tol: float, maxiter: int):
+    """Lowest m eigenpairs of the Hermitian A from the (2^n, m) start
+    block X by block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 517
+    (2001)), preconditioned by T, with hard locking.  The rows of one
+    buffer hold the basis [X, P, W], kept orthonormal (Hetmaniuk and
+    Lehoucq, J. Comput. Phys. 218, 324 (2006)), so each Rayleigh-Ritz
+    step is one eigh of at most 3m x 3m; a second buffer holds A applied
+    to each row, and scratch rows take each product before it is copied
+    back, so that beyond what A and T return, only a lock allocates rows
+    in the loop.  X's rows are the locked ones, then the active ones: a
+    row whose residual, out of the locked span, is at most ``tol`` is
+    locked, and the others iterate in its complement for at most
+    ``maxiter`` steps.  A last Rayleigh-Ritz step over all m rows gives
+    the ascending values and the vectors as a Fortran-order block."""
+    dim, m = X.shape
+    B = np.empty((3 * m, dim), X.dtype)    # rows: X (locked, active), P, W
+    AB = np.empty_like(B)                  # A applied to each row of B
+    tmp = np.empty((2 * m, dim), X.dtype)
+
+    def combine(C, lo, hi, bufs=(B, AB)):   # rows lo:hi -> C^T rows from lo
+        for buf in bufs:
+            out = np.matmul(C.T, buf[lo:hi], out=tmp[:C.shape[1]])
+            buf[lo:lo + len(out)] = out
+
+    def project(lo, hi, k):                 # rows lo:hi out of rows :k
+        if k:
+            V = B[lo:hi]
+            V -= np.matmul(V @ B[:k].conj().T, B[:k], out=tmp[:hi - lo])
+
+    B[:m] = np.linalg.qr(X)[0].T
+    AB[:m] = A(B[:m].T).T
+    lam, C = np.linalg.eigh(B[:m].conj() @ AB[:m].T)
+    combine(C, 0, m)
+    locked = p = 0
+    for _ in range(maxiter):
+        lo, hi = m + p, 2 * m + p - locked  # W's rows, the residuals first
+        R = B[lo:hi]
+        np.multiply(B[locked:m], lam[locked:, None], out=R)
+        np.subtract(AB[locked:m], R, out=R)
+        project(lo, hi, locked)
+        done = np.sqrt([np.vdot(r, r).real for r in R]) <= tol
+        if done.any():
+            order = locked + np.argsort(~done, kind="stable")
+            B[locked:m], AB[locked:m] = B[order], AB[order]
+            lam[locked:] = lam[order]
+            locked += int(done.sum())
+            hi = lo + m - locked
+            B[lo:hi] = R[~done]
+        if locked == m:
+            break
+        B[lo:hi] = T(B[lo:hi].T).T
+        for _ in range(2):                  # twice is enough
+            project(lo, hi, lo)
+            K = _svqb(B[lo:hi])
+            combine(K, lo, hi, (B,))
+            hi = lo + K.shape[1]
+        if hi == lo:
+            break
+        AB[lo:hi] = A(B[lo:hi].T).T
+        w, C = np.linalg.eigh(B[locked:hi].conj() @ AB[locked:hi].T)
+        q = m - locked
+        Y, Z = C[:, :q], C[:, :q].copy()
+        Z[:q] = 0                           # P: Y's W and P parts, out of Y
+        for _ in range(2):
+            Z -= Y @ (Y.conj().T @ Z)
+            Z = Z @ _svqb(Z.T)
+        combine(np.hstack([Y, Z]), locked, hi)
+        lam[locked:], p = w[:q], Z.shape[1]
+    lam, C = np.linalg.eigh(B[:m].conj() @ AB[:m].T)
+    return lam, (C.T @ B[:m]).T
 
 
 def apply_pauli(p: PauliString, v: np.ndarray) -> np.ndarray:
@@ -421,7 +513,8 @@ class _Sectors:
 
     It is also one ``lowest_eigs`` call's solve context: ``tol``,
     ``seed``, the residual ``gate`` that levels and above-cap floors must
-    pass, and ``notes``, the LOBPCG warnings.
+    pass, and ``notes``, one line per LOBPCG block that ended above its
+    stopping tolerance.
     """
 
     def __init__(self, H: SpinHamiltonian, gens: list[PauliString],
@@ -511,42 +604,47 @@ class _Sectors:
     def solve(self, H: SpinHamiltonian, m: int):
         """Lowest m levels of H, a sector's or a floor's, with their columns
         and residual norms: dense eigh up to ``SECTOR_DENSE_CAP`` states,
-        above it LOBPCG on m seeded random columns preconditioned by
-        ``_FamilyInverse``, built once per call and kept for the retries.
-        A column that fails the gate sends it back with 2, then 4 guard
-        columns, the first m kept; scipy's warnings go to ``notes``.  Each
-        block is refused before it starts when 17 blocks of its columns,
+        above it ``_lobpcg`` from m seeded random columns, preconditioned
+        by ``_FamilyInverse``, built once per call and kept for the
+        retries.  A column that fails the gate sends it back from the
+        failed block's m columns and 2, then 4 seeded guard columns, the
+        first m kept; a block that ends above the stopping tolerance
+        tol * norm_bound leaves a line in ``notes``.  Each block is
+        refused before it starts when 13 blocks of its columns,
         the traced peak of a LOBPCG solve, plus the preconditioner's four
         arrays of one entry a state exceed the machine's physical memory
         or a lower cgroup limit (``_physical_memory``)."""
         dim = H.dimension
         if dim <= SECTOR_DENSE_CAP:
             A = _Apply(H)
-            w, U = np.linalg.eigh(A(np.eye(dim, dtype=H.dtype)))
+            w, U = np.linalg.eigh(A(np.eye(dim, dtype=H.dtype, order="F")))
             w, U = w[:m], U[:, :m]
             return w, U, np.linalg.norm(A(U) - U * w, axis=0)
         memory, size = _physical_memory(), np.dtype(H.dtype).itemsize
+        stop = self.tol * H.norm_bound
         for guard in (0, 2, 4):
-            need = (17 * (m + guard) * size + 24 + size) * dim
+            need = (13 * (m + guard) * size + 24 + size) * dim
             if need > memory:
                 raise SpectraError(
                     f"LOBPCG on {m + guard} columns of {dim} states needs "
                     f"~{need} bytes, more than the {memory} bytes "
                     f"available")
-            if not guard:       # operator and preconditioner, once it fits
-                A, T = _Apply(H), _FamilyInverse(H)
             rng = np.random.default_rng(self.seed)
-            X = rng.standard_normal((dim, m + guard))
+            X = rng.standard_normal((m + guard, dim))
             if H.dtype == np.complex128:
                 X = X + 1j * rng.standard_normal(X.shape)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                w, U = spla.lobpcg(A, X, M=T, largest=False,
-                                   tol=self.tol * H.norm_bound,
-                                   maxiter=LOBPCG_MAXITER)
-            self.notes += [str(note.message) for note in caught]
+            if guard:           # the failed block's columns, then guards
+                X[:m] = U.T
+            else:               # operator and preconditioner, once it fits
+                A, T = _Apply(H), _FamilyInverse(H)
+            w, U = _lobpcg(A, T, X.T, stop, LOBPCG_MAXITER)
             w, U = w[:m], U[:, :m]
             res = np.linalg.norm(A(U) - U * w, axis=0)
+            if np.any(res > stop):
+                self.notes.append(
+                    f"LOBPCG on {m + guard} columns of {dim} states ended "
+                    f"with residuals {res}, not reaching the requested "
+                    f"tolerance {stop:.3g}")
             if np.all(res <= self.gate):
                 break
         return w, U, res
@@ -637,7 +735,7 @@ def lowest_eigs(H: SpinHamiltonian, k_count: int, tol: float = 1e-10,
     seeded random block of as many columns as levels asked of the
     sector, plus guard columns after a failed gate.  ``tol``, ``seed``,
     the gate 50 * tol * norm_bound on the full-space residuals and the
-    solver's warnings make up one solve context, ``Spectrum.sectors``.
+    solver's notes make up one solve context, ``Spectrum.sectors``.
     """
     dim = H.dimension
     k = int(k_count)

@@ -498,6 +498,18 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_scipy_sparse_linalg_unloaded():
+    """LOBPCG is the package's own (``spectra._lobpcg``), so no module
+    needs scipy.sparse.linalg, ED runs included."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, surfcode, surfcode.cli; "
+            "print('scipy.sparse.linalg' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
+
+
 def test_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"width": 2, "height": 2,

@@ -93,21 +93,21 @@ def test_dimension_cap_refuses_a_large_sector_before_allocating():
 
 def test_memory_check_refuses_lobpcg_before_it_starts(monkeypatch):
     """With the dense cap below the 256-state sectors and a 1 kB machine,
-    the first LOBPCG block (a floor's, 17 x 1 x 256 x 8 bytes, plus 32
+    the first LOBPCG block (a floor's, 13 x 1 x 256 x 8 bytes, plus 32
     bytes a state for the preconditioner's index, inverse, phase and
-    scale) is refused before the preconditioner is built or scipy is
-    called, with a few kB traced."""
+    scale) is refused before the preconditioner is built or the solver
+    is called, with a few kB traced."""
     monkeypatch.setattr(spectra, "SECTOR_DENSE_CAP", 16)
     monkeypatch.setattr(spectra, "_physical_memory", lambda: 1000)
     calls = []
-    monkeypatch.setattr(spla, "lobpcg", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(spectra, "_lobpcg", lambda *a, **kw: calls.append(a))
     fields = {site: (0.1, 0, 0.1) for site in (0, 1, 2, 4)}
     _, lat, mask, _ = _example("torus 3x3", fields, 1)
     H = assemble(lat, 1.0, mask)
     tracemalloc.start()
     try:
         with pytest.raises(SpectraError, match=r"LOBPCG on 1 columns of 256 "
-                                               r"states needs ~43008 bytes, "
+                                               r"states needs ~34816 bytes, "
                                                r"more than the 1000 bytes"):
             lowest_eigs(H, 4)
         _, peak = tracemalloc.get_traced_memory()
@@ -127,7 +127,7 @@ def test_memory_check_reads_a_cgroup_limit(monkeypatch, tmp_path):
     fields = {site: (0.1, 0, 0.1) for site in (0, 1, 2, 4)}
     _, lat, mask, _ = _example("torus 3x3", fields, 1)
     with pytest.raises(SpectraError, match=r"LOBPCG on 1 columns of 256 "
-                                           r"states needs ~43008 bytes, "
+                                           r"states needs ~34816 bytes, "
                                            r"more than the 4096 bytes"):
         lowest_eigs(assemble(lat, 1.0, mask), 4)
 
@@ -709,23 +709,39 @@ def test_guard_columns_after_a_failed_gate(monkeypatch):
     assert np.sum(np.abs(want - want[7]) < 1e-9) == 15
     assert abs(want[7] - want[0] - 3.8158) < 1e-4
     monkeypatch.setattr(spectra, "SECTOR_DENSE_CAP", 16)
-    widths, call, lobpcg = [], _Apply.__call__, spla.lobpcg
+    widths, call, lobpcg = [], _Apply.__call__, spectra._lobpcg
 
     def counted(op, v):
         widths.append(np.shape(v)[1] if np.ndim(v) > 1 else 1)
         return call(op, v)
 
-    def stop_first_block(A, X, **kw):
-        return lobpcg(A, X, **{**kw, "maxiter": 1 if X.shape[1] == 8
-                                 else kw["maxiter"]})
+    def stop_first_block(A, T, X, tol, maxiter):
+        return lobpcg(A, T, X, tol, 1 if X.shape[1] == 8 else maxiter)
 
     monkeypatch.setattr(_Apply, "__call__", counted)
-    monkeypatch.setattr(spla, "lobpcg", stop_first_block)
+    monkeypatch.setattr(spectra, "_lobpcg", stop_first_block)
     spec = lowest_eigs(H, 8, tol=1e-10)
     assert spec.method == "lobpcg" and set(spec.sector_dims) == {128}
     assert max(widths) == 10                 # 8 columns and 2 guards
     assert np.max(np.abs(spec.eigenvalues - want[:8])) <= 1e-10 * H.norm_bound
     assert np.all(spec.residual_norms <= 50 * 1e-10 * H.norm_bound)
+
+
+def test_lobpcg_from_a_rank_deficient_block():
+    """A start block whose first two columns are equal still gives 4
+    orthonormal vectors at the dense levels: the start is made
+    orthonormal by a Householder QR, which keeps every column."""
+    _, lat, mask, _ = _example("torus 3x3", _ALL_SITES, 4)
+    H = assemble(lat, 1.0, mask)
+    X = np.random.default_rng(5).standard_normal((H.dimension, 4))
+    X[:, 1] = X[:, 0]
+    w, U = spectra._lobpcg(_Apply(H), _FamilyInverse(H), X,
+                           1e-10 * H.norm_bound, spectra.LOBPCG_MAXITER)
+    want = np.linalg.eigvalsh(_kron_matrix(H))[:4]
+    assert np.max(np.abs(w - want)) <= 1e-10 * H.norm_bound
+    assert np.allclose(U.T @ U, np.eye(4), rtol=0, atol=1e-12)
+    res = np.linalg.norm(_Apply(H)(U) - U * w, axis=0)
+    assert np.all(res <= 50 * 1e-10 * H.norm_bound)
 
 
 def test_orbit_against_pauli_products():
