@@ -11,7 +11,10 @@ sends |t> to i^k (-1)^{z.t} |t XOR x>, and on the state viewed as a
 per x mask (``_groups``) are the one encoding of a Pauli sum: the x = 0
 group is a diagonal, each other one costs one strided pass with a
 coefficient over only its z bits, on a vector or a block of columns,
-and ``pauli_sum_matrix`` is the sparse matrix of the same groups.
+and ``pauli_sum_matrix`` is the sparse matrix of the same groups.  Above
+the dense cap, the groups that act on sites 0-2 alone, up to a flip of
+higher sites, are summed per higher flip into an 8 x 8 matrix, one
+matmul on the (2^(n-3), 8) view; long states are applied one at a time.
 
 Because sigma^y carries imaginary entries, a term list containing only
 {stabilizers, sigma^x} or only {stabilizers, sigma^y} fields is mapped
@@ -40,7 +43,9 @@ lowest k levels are exact across sectors.  Each visited sector gets one
 diagonalized densely from its application to the identity block, a
 larger one by the module's seeded block LOBPCG, ``_lobpcg`` (Knyazev,
 SIAM J. Sci. Comput. 23, 517 (2001)), on an orthonormal basis
-(Hetmaniuk and Lehoucq, J. Comput. Phys. 218, 324 (2006)).  Its block
+(Hetmaniuk and Lehoucq, J. Comput. Phys. 218, 324 (2006)) that each new
+block joins by two passes of one Gram product each (Duersch, Shao, Yang
+and Gu, SIAM J. Sci. Comput. 40, C655 (2018)).  Its block
 holds exactly the k random columns asked for, which resolves a k-fold
 exact degeneracy, as a single-vector Lanczos cannot; a column whose
 residual reaches tol ||H|| is locked, and the others iterate in its
@@ -100,6 +105,7 @@ from .pauli import PauliString, commutes, eliminate, multiply
 DIMENSION_CAP = 24
 SECTOR_DENSE_CAP = 1 << 10    # largest sector diagonalized by dense eigh
 LOBPCG_MAXITER = 2000         # iteration cap of one above-cap LOBPCG solve
+APPLY_PER_STATE = 1 << 15     # states this long are applied one at a time
 CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"   # cgroup v2 memory limit
 
 
@@ -210,26 +216,66 @@ class _Apply:
     (2^n, k) blocks, whose columns it reads as the rows of the transpose:
     a Fortran-order block, each state contiguous, is read and returned
     without a copy.  The x = 0 group is the diagonal ``diag``, and
-    ``prepped`` holds one (flip axes, ``_z_sum``) entry per other group."""
+    ``prepped`` holds one (flip axes, ``_z_sum``) entry per other group,
+    applied by flip and multiply, after ``low`` (flip axes, 8 x 8 matrix)
+    entries.  Flips and signs of sites 0-2, the last axes, leave numpy
+    loops of 2-8 elements, so above ``SECTOR_DENSE_CAP`` states the
+    groups that flip or sign sites 0-2 and whose coefficient has no
+    factor on a higher site are summed per higher x part into a matrix,
+    one matmul on the (2^(n-3), 8) view and the higher flip as a view.
+    Dense sectors keep flip and multiply: their matrix is the kernel
+    applied to the identity block, where a matmul's sums would write
+    +0.0 for the -0.0 that the products leave, and eigh reads the sign
+    of a zero.  States of at least ``APPLY_PER_STATE`` amplitudes are
+    applied one at a time, so that a state's arrays stay in cache."""
 
     def __init__(self, H: SpinHamiltonian):
+        n = H.n
         self.H = H
-        (_, self.diag), *rest = _groups(H.n, H.terms)
-        self.prepped = [(_axes(H.n, x), coeff) for x, coeff in rest]
+        (_, self.diag), *rest = _groups(n, H.terms)
         self.dtype = np.result_type(self.diag, *(c for _, c in rest))
+        low: dict[int, np.ndarray] = {}
+        other, idx = [], np.arange(8)
+        merge = n > 4 and H.dimension > SECTOR_DENSE_CAP
+        for x, coeff in rest:
+            if (merge and all(s == 1 for s in coeff.shape[:-3])
+                    and (x & 7 or coeff.size > 1)):
+                c = np.broadcast_to(coeff.reshape(coeff.shape[-3:]), (2,) * 3)
+                M = low.setdefault(x & ~7, np.zeros((8, 8), self.dtype))
+                # then (v M)[t], flipped by x & ~7, adds c[t & 7] v[t ^ x]
+                M[idx ^ (x & 7), idx] += c.ravel()
+            else:
+                other.append((_axes(n, x), coeff))
+        self.prepped = [(_axes(n, high), M) for high, M in low.items()]
+        self.low = len(self.prepped)
+        self.prepped += other
 
     def __call__(self, v):
         v = np.asarray(v)
         rows = v.T.reshape(v.shape[:0:-1] + (2,) * self.H.n)
-        lead = v.ndim - 1                           # the axis of the rows
-        out = np.multiply(self.diag, rows,
-                          dtype=np.result_type(v, self.dtype))
-        tmp = np.empty_like(out)
-        for axes, coeff in self.prepped:
-            np.multiply(coeff, np.flip(rows, tuple(a + lead for a in axes)),
-                        out=tmp)
-            out += tmp
+        out = np.empty(rows.shape, np.result_type(v, self.dtype))
+        if v.ndim > 1 and len(v) >= APPLY_PER_STATE:
+            for row, state in zip(rows, out):
+                self._apply(row, state)
+        else:
+            self._apply(rows, out)
         return out.reshape(v.shape[::-1]).T
+
+    def _apply(self, rows, out):
+        """H applied to the rows tensor, a state or a block, into out."""
+        lead = rows.ndim - self.H.n                 # the axis of the rows
+        np.multiply(self.diag, rows, out=out)
+        tmp = np.empty_like(out)
+        if self.low:
+            rows8, tmp8 = rows.reshape(-1, 8), tmp.reshape(-1, 8)
+        for i, (axes, coeff) in enumerate(self.prepped):
+            axes = tuple(a + lead for a in axes)
+            if i < self.low:
+                np.matmul(rows8, coeff, out=tmp8)
+                out += np.flip(tmp, axes)
+            else:
+                np.multiply(coeff, np.flip(rows, axes), out=tmp)
+                out += tmp
 
 
 class _FamilyInverse:
@@ -306,14 +352,14 @@ class _FamilyInverse:
         return self._from_basis(y).T
 
 
-def _svqb(V: np.ndarray) -> np.ndarray:
+def _svqb(G: np.ndarray) -> np.ndarray:
     """Columns K such that the rows of K^T V are orthonormal, from the
-    eigenvectors of the rows' Gram matrix (SVQB); directions below 1e-14
-    of its largest eigenvalue are dropped, so a rank-deficient V gives
-    fewer rows."""
-    s, C = np.linalg.eigh(V.conj() @ V.T)
+    eigenvectors of G = V V^H, the rows' Gram matrix (SVQB); directions
+    below 1e-14 of its largest eigenvalue are dropped, so a rank-deficient
+    V gives fewer rows."""
+    s, C = np.linalg.eigh(G)
     keep = s > 1e-14 * s.max(initial=0.0)
-    return C[:, keep] / np.sqrt(s[keep])
+    return C[:, keep].conj() / np.sqrt(s[keep])
 
 
 def _lobpcg(A, T, X: np.ndarray, tol: float, maxiter: int):
@@ -328,34 +374,37 @@ def _lobpcg(A, T, X: np.ndarray, tol: float, maxiter: int):
     in the loop.  X's rows are the locked ones, then the active ones: a
     row whose residual, out of the locked span, is at most ``tol`` is
     locked, and the others iterate in its complement for at most
-    ``maxiter`` steps.  A last Rayleigh-Ritz step over all m rows gives
-    the ascending values and the vectors as a Fortran-order block."""
+    ``maxiter`` steps.  W, the preconditioned residuals, is taken out of
+    span [X, P] and orthonormalized in two passes, each from one Gram
+    product G = W [X P W]^H (Duersch, Shao, Yang and Gu, SIAM J. Sci.
+    Comput. 40, C655 (2018)): with C = G's [X P] columns, W - C [X P]
+    has the Gram matrix G_WW - C C^H, whose SVQB K gives the new rows
+    K^T (W - C [X P]) as one combination.  A last Rayleigh-Ritz step
+    over all m rows gives the ascending values and the vectors as a
+    Fortran-order block."""
     dim, m = X.shape
     B = np.empty((3 * m, dim), X.dtype)    # rows: X (locked, active), P, W
     AB = np.empty_like(B)                  # A applied to each row of B
     tmp = np.empty((2 * m, dim), X.dtype)
 
-    def combine(C, lo, hi, bufs=(B, AB)):   # rows lo:hi -> C^T rows from lo
+    def combine(C, lo, hi, at, bufs=(B, AB)):   # C^T rows lo:hi, from at
         for buf in bufs:
             out = np.matmul(C.T, buf[lo:hi], out=tmp[:C.shape[1]])
-            buf[lo:lo + len(out)] = out
-
-    def project(lo, hi, k):                 # rows lo:hi out of rows :k
-        if k:
-            V = B[lo:hi]
-            V -= np.matmul(V @ B[:k].conj().T, B[:k], out=tmp[:hi - lo])
+            buf[at:at + len(out)] = out
 
     B[:m] = np.linalg.qr(X)[0].T
     AB[:m] = A(B[:m].T).T
     lam, C = np.linalg.eigh(B[:m].conj() @ AB[:m].T)
-    combine(C, 0, m)
+    combine(C, 0, m, 0)
     locked = p = 0
     for _ in range(maxiter):
         lo, hi = m + p, 2 * m + p - locked  # W's rows, the residuals first
         R = B[lo:hi]
         np.multiply(B[locked:m], lam[locked:, None], out=R)
         np.subtract(AB[locked:m], R, out=R)
-        project(lo, hi, locked)
+        if locked:                          # out of the locked rows
+            R -= np.matmul(R @ B[:locked].conj().T, B[:locked],
+                           out=tmp[:len(R)])
         done = np.sqrt([np.vdot(r, r).real for r in R]) <= tol
         if done.any():
             order = locked + np.argsort(~done, kind="stable")
@@ -368,9 +417,10 @@ def _lobpcg(A, T, X: np.ndarray, tol: float, maxiter: int):
             break
         B[lo:hi] = T(B[lo:hi].T).T
         for _ in range(2):                  # twice is enough
-            project(lo, hi, lo)
-            K = _svqb(B[lo:hi])
-            combine(K, lo, hi, (B,))
+            G = (B[lo:hi].conj() @ B[:hi].T).conj()
+            C = G[:, :lo]
+            K = _svqb(G[:, lo:] - C @ C.conj().T)
+            combine(np.vstack([-C.T @ K, K]), 0, hi, lo, (B,))
             hi = lo + K.shape[1]
         if hi == lo:
             break
@@ -381,8 +431,8 @@ def _lobpcg(A, T, X: np.ndarray, tol: float, maxiter: int):
         Z[:q] = 0                           # P: Y's W and P parts, out of Y
         for _ in range(2):
             Z -= Y @ (Y.conj().T @ Z)
-            Z = Z @ _svqb(Z.T)
-        combine(np.hstack([Y, Z]), locked, hi)
+            Z = Z @ _svqb(Z.T @ Z.conj())
+        combine(np.hstack([Y, Z]), locked, hi, locked)
         lam[locked:], p = w[:q], Z.shape[1]
     lam, C = np.linalg.eigh(B[:m].conj() @ AB[:m].T)
     return lam, (C.T @ B[:m]).T
@@ -610,10 +660,12 @@ class _Sectors:
         failed block's m columns and 2, then 4 seeded guard columns, the
         first m kept; a block that ends above the stopping tolerance
         tol * norm_bound leaves a line in ``notes``.  Each block is
-        refused before it starts when 13 blocks of its columns,
-        the traced peak of a LOBPCG solve, plus the preconditioner's four
-        arrays of one entry a state exceed the machine's physical memory
-        or a lower cgroup limit (``_physical_memory``)."""
+        refused before it starts when 13 blocks of its columns plus the
+        preconditioner's four arrays of one entry a state exceed the
+        machine's physical memory or a lower cgroup limit
+        (``_physical_memory``).  Less those arrays, the traced peak of a
+        solve on 16 and 20 spins, real or complex, of 1, 3 or 5 columns
+        is 11.2-12.6 blocks."""
         dim = H.dimension
         if dim <= SECTOR_DENSE_CAP:
             A = _Apply(H)

@@ -664,6 +664,7 @@ def test_complex_lobpcg_above_the_cap(monkeypatch):
     assert np.all(full <= 50 * 1e-10 * H.norm_bound)
     assert np.allclose(spec.residual_norms, full, rtol=0,
                        atol=1e-12 * H.norm_bound)
+    assert np.max(np.abs(V.conj().T @ V - np.eye(4))) <= 1e-12
 
 
 def test_lobpcg_floors_above_the_cap(monkeypatch):
@@ -847,6 +848,8 @@ def test_global_problem_takes_few_applications(monkeypatch):
     spec = lowest_eigs(_global_field(0.15), 3, tol=1e-8)
     assert spec.method == "lobpcg" and spec.sector_dims == (1 << 16,)
     assert len(calls) <= 80
+    U = spec.columns
+    assert np.max(np.abs(U.conj().T @ U - np.eye(3))) <= 1e-12
 
 
 def _scattered_two_hole():
@@ -1121,12 +1124,30 @@ def test_pauli_sum_matrix_against_kronecker():
                            rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 4, 7, 10])
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 7, 10])
 @pytest.mark.parametrize("frame", ["plain", "sgate"])
 @pytest.mark.parametrize("real", [True, False])
-def test_kernel_matches_kronecker_random_terms(n, frame, real):
+def test_kernel_matches_kronecker_random_terms(n, frame, real, monkeypatch):
+    """From n = 3 on, three terms join the random ones: an x on site 1,
+    and an x on sites 2 and n - 1 with a z on site 0, act on sites 0-2
+    up to a higher flip, so above n = 4 (the dense cap set to 16) they
+    become low-site matrices, the second only in the plain frame, where
+    it has no z on site n - 1; an x on site 0 with a z on site n - 1
+    keeps flip and multiply.  At n = 7 blocks go one state at a time."""
     rng = np.random.default_rng(100 * n + 10 * real + (frame == "sgate"))
-    H = _ham(n, _random_terms(rng, n, 12, real), frame)
+    terms = _random_terms(rng, n, 12, real)
+    if n >= 3:
+        terms += [(0.3, PauliString.sx(n, 1)),
+                  (0.2, PauliString(n, 1 << n - 1 | 4, 1, 0)),
+                  (0.4, PauliString(n, 1, 1 << n - 1, 0))]
+    H = _ham(n, terms, frame)
+    monkeypatch.setattr(spectra, "SECTOR_DENSE_CAP", 16)
+    apply_h = _Apply(H)
+    assert apply_h.low == (n > 4) * (1 + (frame == "plain"))
+    if n >= 3:
+        assert any(n - 1 in axes for axes, _ in apply_h.prepped[apply_h.low:])
+    if n == 7:
+        monkeypatch.setattr(spectra, "APPLY_PER_STATE", 1 << n - 1)
     _check_kernel(H, rng)
 
 
@@ -1160,7 +1181,11 @@ def test_kernel_memory_on_all_site_field():
     assert current <= 2 * vector and peak <= 2 * vector
     arrays = [apply_h.diag] + [c for _, c in apply_h.prepped]
     assert all(a.dtype.kind == "f" for a in arrays)
-    assert len(apply_h.prepped) == len({p.x for _, p in H.terms if p.x})
+    # one entry per x mask, those that flip sites 0-2 merged into one
+    # matrix per x part on the other sites (no z there: X terms only)
+    xs = {p.x for _, p in H.terms if p.x}
+    assert len(apply_h.prepped) == (len({x >> 3 for x in xs if x & 7})
+                                    + sum(1 for x in xs if not x & 7))
 
 
 def test_lobpcg_warnings_reach_the_error(monkeypatch):
