@@ -128,8 +128,12 @@ def cmd_dispersion(args) -> None:
 def cmd_compare_splitting(args) -> None:
     """ED splitting vs the perturbative closed form on one geometry.
 
-    The ratio tables are the oracle check of the tunneling formulas;
-    a persistent constant factor is reported as fitted_constant.
+    The ratio tables are the oracle check of the tunneling formulas.
+    Each row's error_bound is the two levels' residual norms summed,
+    plus 2 eps norm_bound for the rounding of each level at the scale
+    of ||H||, which no residual shows.  A splitting at or below its
+    bound is unresolved: its ratio is null.  fitted_constant is the
+    ratio of the smallest-|h| resolved row, null if none is.
     """
     lat, _ = _load(args)
     if len(lat.holes) != 1:
@@ -150,13 +154,18 @@ def cmd_compare_splitting(args) -> None:
         H = spectra.assemble(lat, args.g, mask)
         spec = spectra.lowest_eigs(H, 3, tol=args.tol, seed=args.seed)
         split = float(spec.eigenvalues[1] - spec.eigenvalues[0])
-        rows.append({"h": h, "ed_splitting": split, "closed_form": closed,
-                     "ratio": split / closed})
+        bound = float(spec.residual_norms[:2].sum()
+                      + 2 * np.finfo(float).eps * H.norm_bound)
+        rows.append({"h": h, "ed_splitting": split, "error_bound": bound,
+                     "closed_form": closed,
+                     "ratio": split / closed if split > bound else None})
+    resolved = [r for r in rows if r["ratio"] is not None]
     _emit(args, {
         "axis": args.axis,
         "path_length": length,
         "table": rows,
-        "fitted_constant": min(rows, key=lambda r: abs(r["h"]))["ratio"],
+        "fitted_constant": min(resolved, key=lambda r: abs(r["h"]),
+                               default={"ratio": None})["ratio"],
     })
 
 

@@ -204,7 +204,14 @@ class MeasurementPlan:
     n: int
     observables: tuple[Observable, ...]
     parameter_count: int
-    complete: bool               # no known scheme determines n > 3
+
+    @cached_property
+    def complete(self) -> bool:
+        """Whether ``strings`` hold every non-identity (x, z) pair, the
+        readouts that determine any state: at n = 1 only."""
+        x, z, _ = self.strings
+        pairs = set((x << self.n | z).tolist()) - {0}
+        return len(pairs) == 4 ** self.n - 1
 
     @cached_property
     def keys(self) -> tuple[str, ...]:
@@ -241,7 +248,7 @@ def tomography_plan(n: int) -> MeasurementPlan:
     obs += [Observable("x", s) for s in subsets]
     obs += [Observable("x", subsets[i], (l,))
             for i, l in zip(rows.tolist(), qubits.tolist())]
-    return MeasurementPlan(n, tuple(obs), 2 * (2 ** n - 1), complete=n <= 3)
+    return MeasurementPlan(n, tuple(obs), 2 * (2 ** n - 1))
 
 
 def measure_observable(state: PseudoSpinState, ob: Observable) -> float:

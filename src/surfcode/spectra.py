@@ -11,10 +11,11 @@ sends |t> to i^k (-1)^{z.t} |t XOR x>, and on the state viewed as a
 per x mask (``_groups``) are the one encoding of a Pauli sum: the x = 0
 group is a diagonal, each other one costs one strided pass with a
 coefficient over only its z bits, on a vector or a block of columns,
-and ``pauli_sum_matrix`` is the sparse matrix of the same groups.  Above
-the dense cap, the groups that act on sites 0-2 alone, up to a flip of
-higher sites, are summed per higher flip into an 8 x 8 matrix, one
-matmul on the (2^(n-3), 8) view; long states are applied one at a time.
+and ``pauli_sum_matrix`` writes the same groups once into the sparse
+matrix of dense sectors and of the pseudo-spin chain.  On more than 4
+sites, the groups that act on sites 0-2 alone, up to a flip of higher
+sites, are summed per higher flip into an 8 x 8 matrix, one matmul on
+the (2^(n-3), 8) view; long states are applied one at a time.
 
 Because sigma^y carries imaginary entries, a term list containing only
 {stabilizers, sigma^x} or only {stabilizers, sigma^y} fields is mapped
@@ -38,14 +39,14 @@ a ``SpinHamiltonian`` on n - r sites; with no generator (a field on
 every site) the one sector is the full space.  Sectors are visited best
 first by branch-and-bound on the sector bits, and the search stops once
 the lowest bound left reaches the k-th lowest level found, so the
-lowest k levels are exact across sectors.  Each visited sector gets one
-``_Apply``: a sector of at most ``SECTOR_DENSE_CAP`` states is
-diagonalized densely from its application to the identity block, a
-larger one by the module's seeded block LOBPCG, ``_lobpcg`` (Knyazev,
-SIAM J. Sci. Comput. 23, 517 (2001)), on an orthonormal basis
-(Hetmaniuk and Lehoucq, J. Comput. Phys. 218, 324 (2006)) that each new
-block joins by two passes of one Gram product each (Duersch, Shao, Yang
-and Gu, SIAM J. Sci. Comput. 40, C655 (2018)).  Its block
+lowest k levels are exact across sectors.  A visited sector of at most
+``SECTOR_DENSE_CAP`` states is diagonalized densely from its
+``pauli_sum_matrix``, a larger one through one ``_Apply`` by the
+module's seeded block LOBPCG, ``_lobpcg`` (Knyazev, SIAM J. Sci.
+Comput. 23, 517 (2001)), on an orthonormal basis (Hetmaniuk and
+Lehoucq, J. Comput. Phys. 218, 324 (2006)) that each new block joins by
+two passes of one Gram product each (Duersch, Shao, Yang and Gu, SIAM
+J. Sci. Comput. 40, C655 (2018)).  Its block
 holds exactly the k random columns asked for, which resolves a k-fold
 exact degeneracy, as a single-vector Lanczos cannot; a column whose
 residual reaches tol ||H|| is locked, and the others iterate in its
@@ -213,21 +214,19 @@ def _groups(n: int, terms) -> list[tuple[int, np.ndarray]]:
 
 class _Apply:
     """Matrix-free application of a term list to (2^n,) states or
-    (2^n, k) blocks, whose columns it reads as the rows of the transpose:
-    a Fortran-order block, each state contiguous, is read and returned
-    without a copy.  The x = 0 group is the diagonal ``diag``, and
-    ``prepped`` holds one (flip axes, ``_z_sum``) entry per other group,
-    applied by flip and multiply, after ``low`` (flip axes, 8 x 8 matrix)
-    entries.  Flips and signs of sites 0-2, the last axes, leave numpy
-    loops of 2-8 elements, so above ``SECTOR_DENSE_CAP`` states the
-    groups that flip or sign sites 0-2 and whose coefficient has no
-    factor on a higher site are summed per higher x part into a matrix,
-    one matmul on the (2^(n-3), 8) view and the higher flip as a view.
-    Dense sectors keep flip and multiply: their matrix is the kernel
-    applied to the identity block, where a matmul's sums would write
-    +0.0 for the -0.0 that the products leave, and eigh reads the sign
-    of a zero.  States of at least ``APPLY_PER_STATE`` amplitudes are
-    applied one at a time, so that a state's arrays stay in cache."""
+    (2^n, k) blocks, for the solves above the dense cap; it reads a
+    block's columns as the rows of the transpose, so a Fortran-order
+    block, each state contiguous, is read and returned without a copy.
+    The x = 0 group is the diagonal ``diag``, and ``prepped`` holds one
+    (flip axes, ``_z_sum``) entry per other group, applied by flip and
+    multiply, after ``low`` (flip axes, 8 x 8 matrix) entries.  Flips
+    and signs of sites 0-2, the last axes, leave numpy loops of 2-8
+    elements, so on more than 4 sites the groups that flip or sign sites
+    0-2 and whose coefficient has no factor on a higher site are summed
+    per higher x part into a matrix, one matmul on the (2^(n-3), 8) view
+    and the higher flip as a view.  States of at least
+    ``APPLY_PER_STATE`` amplitudes are applied one at a time, so that a
+    state's arrays stay in cache."""
 
     def __init__(self, H: SpinHamiltonian):
         n = H.n
@@ -236,9 +235,8 @@ class _Apply:
         self.dtype = np.result_type(self.diag, *(c for _, c in rest))
         low: dict[int, np.ndarray] = {}
         other, idx = [], np.arange(8)
-        merge = n > 4 and H.dimension > SECTOR_DENSE_CAP
         for x, coeff in rest:
-            if (merge and all(s == 1 for s in coeff.shape[:-3])
+            if (n > 4 and all(s == 1 for s in coeff.shape[:-3])
                     and (x & 7 or coeff.size > 1)):
                 c = np.broadcast_to(coeff.reshape(coeff.shape[-3:]), (2,) * 3)
                 M = low.setdefault(x & ~7, np.zeros((8, 8), self.dtype))
@@ -653,7 +651,8 @@ class _Sectors:
 
     def solve(self, H: SpinHamiltonian, m: int):
         """Lowest m levels of H, a sector's or a floor's, with their columns
-        and residual norms: dense eigh up to ``SECTOR_DENSE_CAP`` states,
+        and residual norms: eigh of its ``pauli_sum_matrix`` up to
+        ``SECTOR_DENSE_CAP`` states, the residuals from the same matrix;
         above it ``_lobpcg`` from m seeded random columns, preconditioned
         by ``_FamilyInverse``, built once per call and kept for the
         retries.  A column that fails the gate sends it back from the
@@ -668,10 +667,10 @@ class _Sectors:
         is 11.2-12.6 blocks."""
         dim = H.dimension
         if dim <= SECTOR_DENSE_CAP:
-            A = _Apply(H)
-            w, U = np.linalg.eigh(A(np.eye(dim, dtype=H.dtype, order="F")))
+            M = pauli_sum_matrix(H.terms, H.n).toarray()
+            w, U = np.linalg.eigh(M)
             w, U = w[:m], U[:, :m]
-            return w, U, np.linalg.norm(A(U) - U * w, axis=0)
+            return w, U, np.linalg.norm(M @ U - U * w, axis=0)
         memory, size = _physical_memory(), np.dtype(H.dtype).itemsize
         stop = self.tol * H.norm_bound
         for guard in (0, 2, 4):

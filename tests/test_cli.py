@@ -254,6 +254,9 @@ def test_compare_splitting_cli(one_hole_config, tmp_path):
     row = rep["table"][0]
     assert row["ed_splitting"] > 0 and row["closed_form"] > 0
     assert rep["fitted_constant"] == pytest.approx(row["ratio"])
+    rep = json.loads(run(["compare-splitting", "--config", one_hole_config,
+                          "--h-values", "1e-9"], tmp_path / "none.json"))
+    assert rep["table"][0]["ratio"] is rep["fitted_constant"] is None
 
 
 def test_fitted_constant_is_the_ratio_at_the_smallest_field(
@@ -278,19 +281,33 @@ def _config(tmp_path, name, width, height, holes, fields=()):
     return str(path)
 
 
-@pytest.mark.parametrize("size, hole, length", [
-    (8, (3, 3, 3, 4), 4), (10, (4, 4, 4, 5), 5)], ids=["8x8", "10x10"])
+@pytest.mark.parametrize("size, hole, length, tiny", [
+    (8, (3, 3, 3, 4), 4, ()), (10, (4, 4, 4, 5), 5, (0.001,))],
+    ids=["8x8", "10x10"])
 def test_compare_splitting_beyond_the_dimension_cap(tmp_path, size, hole,
-                                                    length):
+                                                    length, tiny):
     """64 and 100 spins, solved in sectors of a few states: the ratio at
-    h = 0.02 is 4^(L-1), 63.99 at L = 4 and 255.97 at L = 5."""
+    h = 0.02 is 4^(L-1), 63.99 at L = 4 and 255.97 at L = 5.  At h = 0.05
+    the splitting is closed 4^(L-1) (1 - h^2/4) within its error bound;
+    at h = 0.001 on 10x10 (~1.2e-16 exact) it is below the bound, so the
+    row has no ratio and the fit takes the smallest resolved h."""
     cfg = _config(tmp_path, f"one_hole_{size}", size, size, [hole])
+    hs = ",".join(map(str, (0.1, 0.05, 0.02) + tiny))
     rep = json.loads(run(["compare-splitting", "--config", cfg,
-                          "--axis", "y"], tmp_path / "cmp.json"))
+                          "--axis", "y", "--h-values", hs],
+                         tmp_path / "cmp.json"))
     assert rep["path_length"] == length
-    assert rep["table"][-1]["h"] == 0.02
+    rows = {r["h"]: r for r in rep["table"]}
+    assert rep["fitted_constant"] == rows[0.02]["ratio"]
     assert rep["fitted_constant"] == pytest.approx(4 ** (length - 1),
                                                    rel=1e-3)
+    row = rows[0.05]
+    want = row["closed_form"] * 4 ** (length - 1) * (1 - 0.05 ** 2 / 4)
+    assert abs(row["ed_splitting"] - want) <= row["error_bound"]
+    assert row["error_bound"] < row["ed_splitting"]
+    for h in tiny:
+        assert rows[h]["ed_splitting"] <= rows[h]["error_bound"]
+        assert rows[h]["ratio"] is None
 
 
 def test_spectrum_on_a_44_spin_two_hole_lattice(tmp_path):

@@ -259,10 +259,23 @@ def test_rotation_qubits_and_readout_keys_are_validated():
 def test_plan_parameter_counts():
     assert tomography_plan(1).parameter_count == 2
     assert tomography_plan(2).parameter_count == 6
-    plan4 = tomography_plan(4)
-    assert plan4.parameter_count == 30
-    assert not plan4.complete          # flagged: no known scheme for n > 3
-    assert tomography_plan(3).complete
+    assert tomography_plan(4).parameter_count == 30
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_plan_completeness_is_the_computed_coverage(n):
+    """``complete`` says whether the plan reads every non-identity Pauli
+    string, computed here from the observables one by one: n = 2 reads
+    10 of 15, and two orthogonal n = 2 states give the same readouts."""
+    plan = tomography_plan(n)
+    read = {(p.x, p.z) for p in (ob.pauli(n) for ob in plan.observables)}
+    assert plan.complete == (len(read - {(0, 0)}) == 4 ** n - 1)
+    assert plan.complete == (n == 1)
+    if n == 2:
+        assert len(read) == 10
+        a, b = (forward_readouts(PseudoSpinState(np.array(v) / 2.0))
+                for v in ([1, 1, -1, 1], [1, 1, 1, -1]))
+        assert max(abs(a[key] - b[key]) for key in a) < 1e-12
 
 
 def test_plan_rejects_registers_above_the_chain_cap():

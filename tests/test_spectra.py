@@ -904,21 +904,30 @@ def test_floors_prune_sectors(build, args, k, solved):
     assert np.all(spec.residual_norms <= 1e-12 * H.norm_bound)
 
 
-def test_no_floor_without_generators(monkeypatch):
+def test_no_floor_without_generators(monkeypatch, one_hole_lattice):
     """A field on every site leaves one sector and nothing to prune: the
-    solve builds one application, the sector's own, and no floor."""
-    built = []
+    solve builds one dense matrix, the sector's own, and no floor.  No
+    solve whose sectors and floors all fit under the dense cap builds an
+    ``_Apply``."""
+    built, matrix = [], spectra.pauli_sum_matrix
 
-    class Counted(_Apply):
-        def __init__(self, H):
-            built.append(H)
-            super().__init__(H)
+    def counted(terms, n):
+        built.append(n)
+        return matrix(terms, n)
 
-    monkeypatch.setattr(spectra, "_Apply", Counted)
+    def refused(H):
+        raise AssertionError("an _Apply under the dense cap")
+
+    monkeypatch.setattr(spectra, "pauli_sum_matrix", counted)
+    monkeypatch.setattr(spectra, "_Apply", refused)
     _, lat, mask, _ = _example("torus 3x3", _ALL_SITES, 1)
     spec = lowest_eigs(assemble(lat, 1.0, mask), 3)
     assert spec.sector_dims == (512,)
-    assert len(built) == 1
+    assert built == [9]
+    lat = one_hole_lattice
+    spec = lowest_eigs(assemble(lat, 1.0, sc.field_mask(
+        lat, {"type": "annulus", "hole": 0}, (0.05, 0, 0))), 3)
+    assert spec.sectors.floors and max(spec.sector_dims) <= SECTOR_DENSE_CAP
 
 
 @pytest.mark.parametrize("g", [np.nan, np.inf])
@@ -1130,10 +1139,10 @@ def test_pauli_sum_matrix_against_kronecker():
 def test_kernel_matches_kronecker_random_terms(n, frame, real, monkeypatch):
     """From n = 3 on, three terms join the random ones: an x on site 1,
     and an x on sites 2 and n - 1 with a z on site 0, act on sites 0-2
-    up to a higher flip, so above n = 4 (the dense cap set to 16) they
-    become low-site matrices, the second only in the plain frame, where
-    it has no z on site n - 1; an x on site 0 with a z on site n - 1
-    keeps flip and multiply.  At n = 7 blocks go one state at a time."""
+    up to a higher flip, so above n = 4 they become low-site matrices,
+    the second only in the plain frame, where it has no z on site n - 1;
+    an x on site 0 with a z on site n - 1 keeps flip and multiply.  At
+    n = 7 blocks go one state at a time."""
     rng = np.random.default_rng(100 * n + 10 * real + (frame == "sgate"))
     terms = _random_terms(rng, n, 12, real)
     if n >= 3:
@@ -1141,7 +1150,6 @@ def test_kernel_matches_kronecker_random_terms(n, frame, real, monkeypatch):
                   (0.2, PauliString(n, 1 << n - 1 | 4, 1, 0)),
                   (0.4, PauliString(n, 1, 1 << n - 1, 0))]
     H = _ham(n, terms, frame)
-    monkeypatch.setattr(spectra, "SECTOR_DENSE_CAP", 16)
     apply_h = _Apply(H)
     assert apply_h.low == (n > 4) * (1 + (frame == "plain"))
     if n >= 3:
