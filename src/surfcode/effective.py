@@ -407,9 +407,10 @@ def adiabatic_init(template: ChainTemplate, schedule: AdiabaticSchedule,
     """Propagate through the ramp with piecewise-constant steps.
 
     Default start state is the ground state of the initial Hamiltonian,
-    from ``lowest_eigs`` on the chain's terms (no stabilizer, so r = 0).
-    Returns the final state and its fidelity to |up...up>.  Passing a
-    list as ``trace`` records (t, h(t), fidelity) after every step.
+    from ``lowest_eigs`` on the chain's terms (no stabilizer, so r = 0):
+    one level, so the dense solve computes that one pair only.  Returns
+    the final state and its fidelity to |up...up>.  Passing a list as
+    ``trace`` records (t, h(t), fidelity) after every step.
     The field changes only Z coefficients, so a step applies the X
     matrix and its diagonal, built from every Z string (zero ones too),
     with the step's ``jzz + hz`` from ``ChainTemplate._z_coefficients``.

@@ -379,8 +379,13 @@ def _shortest_enclosing_loop(lat: HoledLattice,
     the nearest origin centre, so two adjacent dominoes get their two
     annuli.  The walk crosses every origin's ray, so the searches start
     only at the west ends (a0, b >= b0) of the hops across the ray with
-    fewest; one that beats the best walk so far rebuilds it from parent
-    links.  A cell's hops are built when a search first reaches it."""
+    fewest, in rising b; one that beats the best walk so far rebuilds it
+    from parent links.  A cell's hops are built when a search first
+    reaches it.  Odd winding also crosses the downward ray, x = a0 + 1
+    and y <= b0, whose hops join a cell of row y - 1, and every hop
+    moves one row; so a walk through row b has at least 2 (b - b_low +
+    1) hops, b_low the lowest origin's row, and the starts stop once
+    that exceeds the best length."""
 
     @cache
     def hops(v: Cell) -> list[tuple]:
@@ -399,8 +404,11 @@ def _shortest_enclosing_loop(lat: HoledLattice,
     full = (1 << len(origins)) - 1
     ray_ends = [[(a0, b) for b in range(b0 + (a0 + b0) % 2, lat.height, 2)]
                 for a0, b0 in origins]
+    b_low = min(b0 for _, b0 in origins)
     best, walk = (float("inf"),), None
     for start in min(ray_ends, key=len):
+        if 2 * (start[1] - b_low + 1) > best[0]:
+            break
         parents: dict = {}          # settled node -> (parent node, site)
         heap = [((0, 0), (start, 0), None)]
         while heap and heap[0][0] < best:
@@ -483,6 +491,14 @@ def _region_hole(lat: HoledLattice, l: int) -> int:
     return l
 
 
+def _region_pair(lat: HoledLattice, region) -> tuple[int, int]:
+    l, m = (_region_hole(lat, region[k]) for k in ("from", "to"))
+    if l == m:
+        raise LatticeError(f"a pair region needs two different holes, "
+                           f"got from = to = {l}")
+    return l, m
+
+
 def region_sites(lat: HoledLattice, region) -> list[int]:
     """Resolve a region spec to a site list.
 
@@ -503,13 +519,11 @@ def region_sites(lat: HoledLattice, region) -> list[int]:
             _, od = lat.hole_even_odd(_region_hole(lat, region["hole"]))
             return sorted(lat.cell_sites(*od))
         return sorted(_shortest_enclosing_loop(
-            lat, [lat.hole_even_odd(_region_hole(lat, region[k]))[1]
-                  for k in ("from", "to")]))
+            lat, [lat.hole_even_odd(l)[1] for l in _region_pair(lat, region)]))
     if kind == "corridor":
         if "hole" in region:
             return sorted(lat._line_sites(-1, _region_hole(lat, region["hole"])))
-        return lat._line_sites(*sorted(_region_hole(lat, region[k])
-                                       for k in ("from", "to")))
+        return lat._line_sites(*sorted(_region_pair(lat, region)))
     if kind == "sites":
         for s in region["sites"]:
             if isinstance(s, bool) or not isinstance(s, (int, np.integer)):

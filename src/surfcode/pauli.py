@@ -12,9 +12,9 @@ with ``x``, ``z`` arbitrary-precision integers (bit j = site j) and
 
 Products track the phase exactly; commutation is the usual symplectic
 form and ignores phases.  ``eliminate`` is the package's one GF(2)
-Gauss-Jordan routine, on rows led by python-integer masks: ranks and
-span checks run it on the (x|z) masks, and ``spectra`` runs it to find
-and taper the conserved symmetries of a Hamiltonian.
+Gauss-Jordan routine, on rows led by python-integer masks: ranks run
+it on the (x|z) masks, and ``spectra`` runs it to find and taper the
+conserved symmetries of a Hamiltonian.
 """
 
 from __future__ import annotations
@@ -142,24 +142,10 @@ def eliminate(rows: list[list], nbits: int):
     return done, rows
 
 
-def _pivots(strings: Sequence[PauliString]) -> list[tuple[int, list]]:
-    """Pivot rows of the symplectic (x|z) masks of ``strings``."""
-    n = strings[0].n if strings else 0
-    return eliminate([[(s.x << n) | s.z] for s in strings], 2 * n)[0]
-
-
-def _in_span(pivots: list[tuple[int, list]], p: PauliString) -> bool:
-    """True iff ``p``'s (x|z) mask reduces to zero against ``pivots``."""
-    v = (p.x << p.n) | p.z
-    for bit, (m,) in pivots:
-        if v >> bit & 1:
-            v ^= m
-    return v == 0
-
-
 def rank_gf2(strings: Sequence[PauliString]) -> int:
     """GF(2) row rank of the symplectic (x|z) representation."""
-    return len(_pivots(strings))
+    n = strings[0].n if strings else 0
+    return len(eliminate([[(s.x << n) | s.z] for s in strings], 2 * n)[0])
 
 
 def ground_degeneracy(lat) -> int:
@@ -187,11 +173,14 @@ def logical_pair(lat, l: int) -> LogicalPair:
     tau_z is the flux-label loop of the hole, tau_x the string that
     flips it by transporting a quasiparticle to the boundary port.
     Both are checked against the full generator list rather than
-    assumed from their construction.
+    assumed from their construction.  No check that neither lies in the
+    stabilizer group is needed: the symplectic form is bilinear, so a
+    string whose (x|z) mask lies in the generators' span commutes with
+    every string that commutes with all generators, its partner
+    included, and the pair is refused as commuting.
     """
     tz, tx = lat.logical_operators(l)
     gens = lat.stabilizers()
-    pivots = _pivots(gens)
     for name, op in (("tau_z", tz), ("tau_x", tx)):
         for i, gp in enumerate(gens):
             if not commutes(gp, op):
@@ -199,8 +188,6 @@ def logical_pair(lat, l: int) -> LogicalPair:
                     f"{name} of hole {l} anticommutes with stabilizer {i}")
         if not op.is_hermitian():     # hence it also squares to +1
             raise PauliError(f"{name} of hole {l} is not hermitian")
-        if _in_span(pivots, op):
-            raise PauliError(f"{name} of hole {l} lies in the stabilizer group")
     if commutes(tz, tx):
         raise PauliError(f"tau_z and tau_x of hole {l} commute")
     # different holes' logicals must commute pairwise

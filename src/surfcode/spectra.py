@@ -41,12 +41,14 @@ first by branch-and-bound on the sector bits, and the search stops once
 the lowest bound left reaches the k-th lowest level found, so the
 lowest k levels are exact across sectors.  A visited sector of at most
 ``SECTOR_DENSE_CAP`` states is diagonalized densely from its
-``pauli_sum_matrix``, a larger one through one ``_Apply`` by the
-module's seeded block LOBPCG, ``_lobpcg`` (Knyazev, SIAM J. Sci.
-Comput. 23, 517 (2001)), on an orthonormal basis (Hetmaniuk and
-Lehoucq, J. Comput. Phys. 218, 324 (2006)) that each new block joins by
-two passes of one Gram product each (Duersch, Shao, Yang and Gu, SIAM
-J. Sci. Comput. 40, C655 (2018)).  Its block
+``pauli_sum_matrix`` (for one level, as every floor and
+``lowest_eigs(H, 1)`` ask, by a LAPACK call that computes that pair
+only), a larger one through one ``_Apply`` by the module's seeded block
+LOBPCG, ``_lobpcg`` (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)), on
+an orthonormal basis (Hetmaniuk and Lehoucq, J. Comput. Phys. 218, 324
+(2006)) that each new block joins by two passes of one Gram product
+each (Duersch, Shao, Yang and Gu, SIAM J. Sci. Comput. 40, C655
+(2018)).  Its block
 holds exactly the k random columns asked for, which resolves a k-fold
 exact degeneracy, as a single-vector Lanczos cannot; a column whose
 residual reaches tol ||H|| is locked, and the others iterate in its
@@ -98,6 +100,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 from scipy.sparse import csr_array
 
 from .lattice import FieldMask, HoledLattice
@@ -652,7 +655,8 @@ class _Sectors:
     def solve(self, H: SpinHamiltonian, m: int):
         """Lowest m levels of H, a sector's or a floor's, with their columns
         and residual norms: eigh of its ``pauli_sum_matrix`` up to
-        ``SECTOR_DENSE_CAP`` states, the residuals from the same matrix;
+        ``SECTOR_DENSE_CAP`` states, the residuals from the same matrix,
+        where m = 1 (every floor) asks LAPACK for the lowest pair only;
         above it ``_lobpcg`` from m seeded random columns, preconditioned
         by ``_FamilyInverse``, built once per call and kept for the
         retries.  A column that fails the gate sends it back from the
@@ -668,7 +672,8 @@ class _Sectors:
         dim = H.dimension
         if dim <= SECTOR_DENSE_CAP:
             M = pauli_sum_matrix(H.terms, H.n).toarray()
-            w, U = np.linalg.eigh(M)
+            w, U = (scipy.linalg.eigh(M, subset_by_index=[0, 0]) if m == 1
+                    else np.linalg.eigh(M))
             w, U = w[:m], U[:, :m]
             return w, U, np.linalg.norm(M @ U - U * w, axis=0)
         memory, size = _physical_memory(), np.dtype(H.dtype).itemsize

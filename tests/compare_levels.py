@@ -3,11 +3,12 @@
     python tests/compare_levels.py A.jsonl B.jsonl [--tol T]
 
 Lines are paired by (test, call).  The report gives how many pairs are
-bit-identical, the largest |level difference| / norm_bound, every pair
-whose sector labels differ, and every pair that fails.  A pair fails
-when its levels differ by more than T * norm_bound (or in number), when
-only one side raised, or when it has no partner in the other file; the
-exit status is 1 if any pair fails, else 0.
+bit-identical, the largest |level difference| / norm_bound, each file's
+largest residual norm / norm_bound where its lines record residuals,
+every pair whose sector labels differ, and every pair that fails.  A
+pair fails when its levels differ by more than T * norm_bound (or in
+number), when only one side raised, or when it has no partner in the
+other file; the exit status is 1 if any pair fails, else 0.
 """
 
 from __future__ import annotations
@@ -60,6 +61,15 @@ def compare(a: dict, b: dict, tol: float) -> tuple[list[str], bool]:
     paired = len(a.keys() & b.keys())
     head = [f"{paired} pairs, {same} bit-identical; largest |delta| / "
             f"norm_bound {worst:.3g}" + (f" ({where})" if where else "")]
+    for side, lines in (("first", a), ("second", b)):
+        res = [(max(line["residual_norms"], default=0.0)
+                / max(line["norm_bound"], 1e-300), key)
+               for key, line in lines.items()
+               if "residual_norms" in line]
+        if res:
+            top, key = max(res)
+            head.append(f"{side} file: largest residual / norm_bound "
+                        f"{top:.3g} ({key[0]} call {key[1]})")
     return head + report + failed, bool(failed)
 
 

@@ -12,14 +12,16 @@ def pytest_addoption(parser):
     parser.addoption(
         "--record-levels", metavar="PATH", default=None,
         help="write one JSON line per lowest_eigs call to PATH: test id, "
-             "call index, n, norm bound, eigenvalues and sector labels")
+             "call index, n, norm bound, eigenvalues, sector labels and "
+             "residual norms")
 
 
 def pytest_configure(config):
     """With --record-levels, wrap ``spectra._sector_eigs``, which every
     ``lowest_eigs`` call passes through, so two checkouts' solver paths
     can be compared level by level (a ``Spectrum``, or an older tuple
-    that starts with the eigenvalues and the labels)."""
+    that starts with the eigenvalues and the labels and records no
+    residuals)."""
     path = config.getoption("--record-levels")
     if not path:
         return
@@ -41,6 +43,9 @@ def pytest_configure(config):
                             if hasattr(got, "labels") else got[:2])
             line.update(eigenvalues=[float(v) for v in vals],
                         labels=[int(t) for t in labels])
+            if hasattr(got, "residual_norms"):
+                line["residual_norms"] = [float(r)
+                                          for r in got.residual_norms]
         finally:
             out.write(json.dumps(line) + "\n")
         return got

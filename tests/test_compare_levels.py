@@ -45,3 +45,19 @@ def test_compare_levels_pairs_by_test_and_call(tmp_path, capsys):
     assert compare_levels.main([a, c]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == (
         "raised on one side: t call 2: SpectraError vs None")
+
+
+def test_compare_levels_reports_each_files_largest_residual(tmp_path, capsys):
+    """Files that record residual norms get one line each, next to the
+    level differences: the largest residual / norm_bound and its call."""
+    lv = {"test": "t", "n": 4, "eigenvalues": [-1.0], "labels": [0]}
+    a = _write(tmp_path / "a.jsonl", [
+        {**lv, "call": 0, "norm_bound": 10.0, "residual_norms": [3e-15]},
+        {**lv, "call": 1, "norm_bound": 2.0, "residual_norms": [1e-15]}])
+    b = _write(tmp_path / "b.jsonl", [
+        {**lv, "call": 0, "norm_bound": 10.0, "residual_norms": [2e-16]},
+        {**lv, "call": 1, "norm_bound": 2.0}])
+    assert compare_levels.main([a, b]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "first file: largest residual / norm_bound 5e-16 (t call 1)",
+        "second file: largest residual / norm_bound 2e-17 (t call 0)"]

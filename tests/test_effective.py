@@ -430,6 +430,31 @@ def test_default_start_state_above_the_dense_cap():
     assert np.max(np.abs(st.amplitudes - phase * want)) <= 1e-10
 
 
+def test_ramp_start_solve_computes_one_pair(monkeypatch):
+    """The register ramp's start state is ``lowest_eigs(H, 1)`` on 256
+    states, solved without a full ``np.linalg.eigh``: its level equals
+    the dense one to 1e-13 of the norm bound, its residual under the
+    gate."""
+    sched = AdiabaticSchedule(0.5, 50.0, 600.0, 40)
+    terms = _template(8).at_field(1.0, sched.h(-600.0)).terms()
+    H = sc.SpinHamiltonian(8, tuple(terms), "plain", 0)
+    M = sc.spectra.pauli_sum_matrix(H.terms, H.n).toarray()
+    want = np.linalg.eigvalsh(M)[0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("full eigh for one level")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    spec = sc.lowest_eigs(H, 1)
+    assert spec.sector_dims == (256,)
+    assert abs(spec.eigenvalues[0] - want) <= 1e-13 * H.norm_bound
+    v = spec.eigenvectors[:, 0]
+    res = np.linalg.norm(M @ v - spec.eigenvalues[0] * v)
+    assert res <= spec.sectors.gate
+    assert np.isclose(spec.residual_norms[0], res, rtol=0,
+                      atol=1e-14 * H.norm_bound)
+
+
 def test_template_needs_a_loop_per_hole_and_pair():
     """A template's loop lengths line up with the chain's hz and jzz, and
     the ramp steps read the same ``jzz + hz`` as ``at_field``."""

@@ -1,10 +1,12 @@
 """Lattice construction, validation, path metrics (with an independent
 cycle-enumeration oracle) and field masks."""
 
+import heapq
 import itertools
 import math
 import re
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -303,6 +305,27 @@ def test_pair_annulus_sites_are_pinned(two_hole_lattice):
                                     for l in range(7)]
 
 
+def test_pair_loop_search_stops_at_the_row_bound(monkeypatch):
+    """The register's 7 pair loops take fewer than 1,100 heap pops: the
+    ray starts stop once a walk through the start's row, which must also
+    reach below the lowest origin, would be longer than the best one
+    (2,005 pops with one search per start)."""
+    register = build_lattice(4, 17, "open", [sc.HoleSpec(1, y, 2, y)
+                                             for y in range(1, 16, 2)])
+    pops = []
+
+    def heappop(heap):
+        pops.append(1)
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(sc.lattice, "heapq",
+                        SimpleNamespace(heappop=heappop,
+                                        heappush=heapq.heappush))
+    for l in range(7):
+        region_sites(register, {"type": "annulus", "from": l, "to": l + 1})
+    assert 0 < len(pops) < 1100
+
+
 def test_fermion_metrics(one_hole_lattice, two_hole_lattice):
     m1 = path_metrics(one_hole_lattice)
     assert m1.fermion_boundary == (2,)     # hole column 1, port at the edge
@@ -461,8 +484,14 @@ def _open(holes=()):
     (lambda: FieldMask(np.full((25, 3), np.inf)), "field mask must be finite"),
     (lambda: region_sites(_open(), {"type": "disc"}),
      "unknown region type 'disc'"),
+    (lambda: region_sites(_open([sc.HoleSpec(1, 1, 2, 1)]),
+                          {"type": "corridor", "from": 0, "to": 0}),
+     "a pair region needs two different holes, got from = to = 0"),
+    (lambda: region_sites(_open([sc.HoleSpec(1, 1, 2, 1)]),
+                          {"type": "annulus", "from": 0, "to": 0}),
+     "a pair region needs two different holes, got from = to = 0"),
 ], ids=["empty-hole", "site", "puncture-string", "boundary", "mask-shape",
-        "mask-finite", "region-type"])
+        "mask-finite", "region-type", "pair-corridor", "pair-annulus"])
 def test_each_check_refuses_with_its_reason(call, message):
     with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
         call()

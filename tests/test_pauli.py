@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import surfcode as sc
 from surfcode.lattice import HoledLattice
-from surfcode.pauli import (PauliError, PauliString, _in_span, _pivots,
-                            commutes, eliminate, multiply, rank_gf2)
+from surfcode.pauli import (PauliError, PauliString, commutes, eliminate,
+                            multiply, rank_gf2)
 
 I2 = np.eye(2)
 MX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -115,7 +115,7 @@ def test_rank_gf2_simple():
     rows = [PauliString.sz(n, 0), PauliString.sz(n, 1),
             multiply(PauliString.sz(n, 0), PauliString.sz(n, 1))]
     assert rank_gf2(rows) == 2
-    assert _in_span(_pivots(rows[:2]), rows[2])
+    assert rank_gf2(rows[:2]) == rank_gf2(rows)
 
 
 def test_all_generators_commute(one_hole_lattice, two_hole_lattice,
@@ -151,7 +151,7 @@ def test_eliminate_against_span_enumeration(n, data):
     assert 2 ** rank_gf2(strings) == len(span)
     probe = PauliString(n, data.draw(bits), data.draw(bits))
     in_span = ((probe.x << n) | probe.z) in span
-    assert _in_span(_pivots(strings), probe) == in_span
+    assert (rank_gf2(strings + [probe]) == rank_gf2(strings)) == in_span
 
     pivots, zero = eliminate([[(s.x << n) | s.z, s] for s in strings], 2 * n)
     assert len(pivots) + len(zero) == len(strings)
@@ -212,6 +212,37 @@ def test_logical_pair_missing_hole(one_hole_lattice):
         one_hole_lattice.logical_operators(3)
 
 
+def test_logical_pair_runs_no_elimination(two_hole_lattice, puncture_lattice,
+                                          monkeypatch):
+    """With ``eliminate`` refusing to run, logical_pair still validates the
+    register's 8 holes and the puncture, and still refuses products of
+    generators handed out as a logical: by bilinearity such a product
+    commutes with its partner."""
+    def refuse(*args):
+        raise AssertionError("logical_pair ran a GF(2) elimination")
+
+    register = sc.build_lattice(4, 17, "open", [sc.HoleSpec(1, y, 2, y)
+                                                for y in range(1, 16, 2)])
+    monkeypatch.setattr(sc.pauli, "eliminate", refuse)
+    for lat in (register, puncture_lattice):
+        for l in range(len(lat.holes)):
+            pair = sc.logical_pair(lat, l)
+            assert not commutes(pair.tau_z, pair.tau_x)
+    lat, real = two_hole_lattice, HoledLattice.logical_operators
+    gens, rng = lat.stabilizers(), np.random.default_rng(5)
+    tz, _ = real(lat, 0)
+    for _ in range(20):
+        prod = PauliString.identity(lat.n_sites)
+        for i in np.flatnonzero(rng.integers(0, 2, len(gens))):
+            prod = multiply(prod, gens[i])
+        monkeypatch.setattr(HoledLattice, "logical_operators",
+                            lambda self, l: (tz, prod) if l == 0
+                            else real(self, l))
+        with pytest.raises(PauliError,
+                           match="tau_z and tau_x of hole 0 commute"):
+            sc.logical_pair(lat, 0)
+
+
 def _anticommuting_site(lat):
     """A one-site Pauli that anticommutes with the first stabilizer."""
     g, n = lat.stabilizers()[0], lat.n_sites
@@ -222,7 +253,7 @@ def _anticommuting_site(lat):
 @pytest.mark.parametrize("case, match", [
     ("site", "tau_z of hole 0 anticommutes with stabilizer 0"),
     ("phase", "tau_z of hole 0 is not hermitian"),
-    ("stabilizer", "tau_x of hole 0 lies in the stabilizer group"),
+    ("stabilizer", "tau_z and tau_x of hole 0 commute"),
     ("same", "tau_z and tau_x of hole 0 commute"),
     ("other hole", "logicals of holes 0 and 1 fail to commute"),
 ])
