@@ -23,8 +23,7 @@ with the readouts.  Evolution applies exp(-iHt) by Taylor substeps
 (``_propagate``) to the sparse chain matrix, ``spectra.pauli_sum_matrix``
 of the X and Z terms (dense spin-level sectors use it too); a ramp
 builds its X matrix and Z diagonals once.  With single-threaded BLAS on
-a 2-core x86-64 host an n=8 ramp step takes ~0.25 ms (~2.1 ms when each
-step rebuilt its matrix and a scipy propagator's set-up).
+a 2-core x86-64 host an n=8 ramp step takes ~0.25 ms.
 """
 
 from __future__ import annotations
@@ -217,14 +216,10 @@ class PseudoSpinState:
         return int(np.log2(self.amplitudes.size))
 
     @staticmethod
-    def basis(n: int, bits: int = 0) -> "PseudoSpinState":
-        v = np.zeros(2 ** n, dtype=complex)
-        v[bits] = 1.0
-        return PseudoSpinState(v)
-
-    @staticmethod
     def all_up(n: int) -> "PseudoSpinState":
-        return PseudoSpinState.basis(n, 0)
+        v = np.zeros(2 ** n, dtype=complex)
+        v[0] = 1.0
+        return PseudoSpinState(v)
 
     def fidelity(self, other: "PseudoSpinState") -> float:
         return float(abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2)

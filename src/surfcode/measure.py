@@ -8,13 +8,13 @@ interference) and tau^x (fermion interference) over hole subsets, plus
 repeats after a fixed quarter turn about z that expose the phase
 quadrature (a product of cosines alone leaves sin-signs ambiguous).
 
-Every readout is one ``PauliString`` P with the quarter turns folded in
-(``_fold``, for one ``Observable.pauli`` or a whole plan at once); its +1
-probability is 1/2 (1 + <v|P|v>), exact, and ``sample_readouts`` adds
-seeded shot noise that plays no role in acceptance.  A plan's strings are
-(x, z, k) arrays, built from its subset masks by bit arithmetic, and
-``_expectations`` evaluates them all at once: each distinct x is one
-Walsh-Hadamard transform, which gives <X^x Z^z> for every z.
+A readout is one Pauli string P = i^k X^x Z^z with its quarter turn
+folded in; its +1 probability is 1/2 (1 + <v|P|v>), exact, and
+``sample_readouts`` adds seeded shot noise that plays no role in
+acceptance.  A plan is its keys and the (x, z, k) arrays of its strings,
+both built from its subset masks by bit arithmetic, and
+``_expectations`` evaluates the strings all at once: each distinct x is
+one Walsh-Hadamard transform, which gives <X^x Z^z> for every z.
 Reconstruction (n <= 2) fits the same strings with a Levenberg-Marquardt
 loop of its own (``_levenberg_marquardt``, after Moré's MINPACK
 ``lmder``) on normal equations of at most 7 unknowns, each row (P v)
@@ -34,7 +34,6 @@ import numpy as np
 from scipy.linalg import hadamard
 
 from .effective import CHAIN_CAP, PseudoSpinState, qubit_mask, z_signs
-from .pauli import PauliString
 from .spectra import _PHASES
 
 
@@ -76,13 +75,18 @@ def interference_amplitude(paths: InterferencePaths) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _check_subset(n: int, subset: Sequence[int]) -> tuple:
+def _subset_mask(n: int, subset: Sequence[int]) -> int:
+    """``qubit_mask`` of a nonempty subset of the qubits 0 .. n-1."""
+    subset = tuple(subset)
+    for q in subset:
+        if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
+            raise MeasureError(f"qubit {q!r} is not an integer")
     qs = tuple(sorted(set(int(q) for q in subset)))
     if not qs:
         raise MeasureError("readout needs a nonempty hole subset")
     if qs[0] < 0 or qs[-1] >= n:
         raise MeasureError(f"qubits {qs} outside register of size {n}")
-    return qs
+    return qubit_mask(n, qs)
 
 
 _BLOCK = 1 << 18                 # table entries per block of x rows
@@ -125,22 +129,29 @@ def _expectations(v: np.ndarray, strings: tuple) -> np.ndarray:
     return out
 
 
+def _readout(state: PseudoSpinState, x: int, z: int) -> float:
+    """Probability of the +1 outcome of X^x Z^z: 1/2 (1 + <v|X^x Z^z|v>)."""
+    e = _expectations(state.amplitudes, (np.array([x]), np.array([z]),
+                                         np.array([0])))
+    return 0.5 * (1.0 + float(e[0]))
+
+
 def vortex_readout(state: PseudoSpinState, subset: Sequence[int]) -> float:
     """Probability of the flux-free (+1) outcome of prod tau^z."""
-    return measure_observable(state, Observable("z", tuple(subset)))
+    return _readout(state, 0, _subset_mask(state.n, subset))
 
 
 def fermion_readout(state: PseudoSpinState, subset: Sequence[int]) -> float:
     """Probability of the periodic-boundary (+1) outcome of prod tau^x."""
-    return measure_observable(state, Observable("x", tuple(subset)))
+    return _readout(state, _subset_mask(state.n, subset), 0)
 
 
 def quarter_turn(state: PseudoSpinState, l: int) -> PseudoSpinState:
     """exp(-i pi/4 tau^z_l): advances the relative phase of qubit l by
     pi/2.  Quadrature readouts fold this turn into their Pauli string
-    (``Observable.pauli``) instead of applying it."""
+    (``MeasurementPlan.strings``) instead of applying it."""
     n = state.n
-    m = qubit_mask(n, _check_subset(n, (l,)))
+    m = _subset_mask(n, (l,))
     return PseudoSpinState(np.exp(-0.25j * np.pi * z_signs(n, m))
                            * state.amplitudes)
 
@@ -148,42 +159,6 @@ def quarter_turn(state: PseudoSpinState, l: int) -> PseudoSpinState:
 # ---------------------------------------------------------------------------
 # tomography plan
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Observable:
-    basis: str                   # 'z' or 'x'
-    subset: tuple[int, ...]
-    rotations: tuple[int, ...] = ()   # quarter turns applied first
-
-    def key(self) -> str:
-        r = "" if not self.rotations else \
-            ";rot" + ",".join(str(q) for q in self.rotations)
-        return f"{self.basis}:" + ",".join(str(q) for q in self.subset) + r
-
-    def pauli(self, n: int) -> PauliString:
-        """The string this readout measures on an n-qubit register
-        (``_fold``)."""
-        if self.basis not in ("z", "x"):
-            raise MeasureError(f"unknown readout basis {self.basis!r}")
-        m = qubit_mask(n, _check_subset(n, self.subset))
-        turns = [qubit_mask(n, _check_subset(n, (l,))) for l in self.rotations]
-        x, z, k = _fold(np.array([self.basis == "x"]), np.array([m]),
-                        np.array([turns], dtype=np.int64))
-        return PauliString(n, int(x[0]), int(z[0]), int(k[0]))
-
-
-def _fold(x_basis: np.ndarray, m: np.ndarray, turns: np.ndarray) -> tuple:
-    """(x, z, k) arrays of readouts on subset masks m: Z^m, or X^m where
-    ``x_basis``, after the quarter turns in the rows of ``turns``
-    (single-qubit masks).  A turn on a subset qubit l folds X_l into
-    e^{i pi/4 Z_l} X_l e^{-i pi/4 Z_l} = -i X_l Z_l (z ^= bit, k += 3);
-    turns outside the subset commute with the string and drop out."""
-    b = turns & m[:, None]
-    x = np.where(x_basis, m, 0)
-    z = np.where(x_basis, np.bitwise_xor.reduce(b, axis=1), m)
-    k = np.where(x_basis, 3 * np.count_nonzero(b, axis=1) % 4, 0)
-    return x, z, k
 
 
 def _layout(n: int) -> tuple:
@@ -201,9 +176,14 @@ def _layout(n: int) -> tuple:
 
 @dataclass(frozen=True)
 class MeasurementPlan:
+    """Every z-subset and x-subset product plus quadrature repeats on an
+    n-qubit register, as ``keys`` and ``strings`` in ``_layout`` order."""
+
     n: int
-    observables: tuple[Observable, ...]
-    parameter_count: int
+
+    @property
+    def parameter_count(self) -> int:
+        return 2 * (2 ** self.n - 1)
 
     @cached_property
     def complete(self) -> bool:
@@ -215,7 +195,7 @@ class MeasurementPlan:
 
     @cached_property
     def keys(self) -> tuple[str, ...]:
-        """Every observable's ``key()``, in ``_layout`` order."""
+        """``basis:subset``, and ``x:subset;rotq`` for a quadrature."""
         _, subsets, rows, qubits = _layout(self.n)
         names = [",".join(map(str, s)) for s in subsets]
         turned = [f"x:{names[i]};rot{l}"
@@ -225,38 +205,28 @@ class MeasurementPlan:
 
     @cached_property
     def strings(self) -> tuple:
-        """Read-only (x, z, k) arrays of every observable's ``pauli(n)``,
-        in ``_layout`` order."""
+        """Read-only (x, z, k) arrays: Z^m and X^m on each subset mask m,
+        then (m, bit of q, 3) for each quadrature, since a quarter turn on
+        subset qubit q maps X_q into e^{i pi/4 Z_q} X_q e^{-i pi/4 Z_q}
+        = -i X_q Z_q."""
         m, _, rows, qubits = _layout(self.n)
-        turns = np.zeros((2 * m.size + rows.size, 1), dtype=np.int64)
-        turns[2 * m.size:, 0] = 1 << (self.n - 1 - qubits)
-        a = np.array(_fold(np.arange(turns.shape[0]) >= m.size,
-                           np.concatenate((m, m, m[rows])), turns))
+        zero = np.zeros_like(m)
+        a = np.array([np.concatenate(c) for c in (
+            (zero, m, m[rows]),
+            (m, zero, 1 << (self.n - 1 - qubits)),
+            (zero, zero, np.full(rows.size, 3)))])
         a.flags.writeable = False
         return tuple(a)
 
 
 @cache
 def tomography_plan(n: int) -> MeasurementPlan:
-    """All z-subset and x-subset products plus quadrature repeats, on a
-    register of at most ``CHAIN_CAP`` qubits; one plan per n."""
+    """The plan of a register of at most ``CHAIN_CAP`` qubits; one plan
+    per n."""
     if not 1 <= n <= CHAIN_CAP:
         raise MeasureError(f"need 1 <= n <= {CHAIN_CAP}, the register cap; "
                            f"got n = {n}")
-    _, subsets, rows, qubits = _layout(n)
-    obs = [Observable("z", s) for s in subsets]
-    obs += [Observable("x", s) for s in subsets]
-    obs += [Observable("x", subsets[i], (l,))
-            for i, l in zip(rows.tolist(), qubits.tolist())]
-    return MeasurementPlan(n, tuple(obs), 2 * (2 ** n - 1))
-
-
-def measure_observable(state: PseudoSpinState, ob: Observable) -> float:
-    """Probability of the +1 outcome: 1/2 (1 + <v|P|v>), P = ob.pauli(n)."""
-    p = ob.pauli(state.n)
-    e = _expectations(state.amplitudes,
-                      tuple(np.array([c]) for c in (p.x, p.z, p.k)))
-    return 0.5 * (1.0 + float(e[0]))
+    return MeasurementPlan(n)
 
 
 def _probabilities(state: PseudoSpinState) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Interference amplitudes, register readouts, tomography planning and
 round-trip reconstruction."""
 
+import itertools
 import re
 import tracemalloc
 from functools import reduce
@@ -13,14 +14,12 @@ from hypothesis import strategies as st
 from surfcode import measure
 from surfcode.effective import CHAIN_CAP, PseudoSpinState
 from surfcode.measure import (EntangledState, InterferencePaths,
-                              MeasureError, Observable, _expectations,
-                              _gather, _misfit, _misfit_jacobian,
-                              fermion_readout,
+                              MeasureError, _expectations, _gather,
+                              _misfit, _misfit_jacobian, fermion_readout,
                               forward_readouts, interference_amplitude,
-                              measure_observable, parameter_error,
-                              quarter_turn, reconstruct, sample_readouts,
-                              tomography_plan, vortex_readout)
-from surfcode.spectra import pauli_sum_matrix
+                              parameter_error, quarter_turn, reconstruct,
+                              sample_readouts, tomography_plan,
+                              vortex_readout)
 
 
 def rand_state(rng, n):
@@ -164,7 +163,7 @@ def test_readouts_at_the_cap_stay_small_in_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(got) == len(plan.observables)
+    assert list(got) == list(plan.keys)
     assert peak < 32 * 2 ** 20
 
 
@@ -184,6 +183,28 @@ QUARTER = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
 PAULI = {"x": np.array([[0.0, 1.0], [1.0, 0.0]]), "z": np.diag([1.0, -1.0])}
 
 
+def key_operator(n, key):
+    """U^dagger P U for a plan key ``basis:subset[;rotq]``: P the basis
+    Pauli on every qubit of the subset, U the quarter turn on qubit q."""
+    basis, rest = key.split(":")
+    subset, _, rot = rest.partition(";rot")
+    P = kron_on(n, {int(q): PAULI[basis] for q in subset.split(",")})
+    U = kron_on(n, {int(rot): QUARTER}) if rot else np.eye(2 ** n)
+    return U.conj().T @ P @ U
+
+
+def decode(n, M):
+    """(x, z, k) of M = i^k X^x Z^z in ``dense_pauli``'s convention, read
+    off its columns: M|0> = i^k |x> and M|t> = i^k (-1)^{z.t} |t XOR x>."""
+    x = int(np.argmax(np.abs(M[:, 0])))
+    phase = M[x, 0]
+    k = int(np.rint(np.angle(phase) / (np.pi / 2))) % 4
+    z = sum(1 << j for j in range(n)
+            if (M[x ^ 1 << j, 1 << j] / phase).real < 0)
+    assert np.max(np.abs(M - dense_pauli(n, x, z, k))) < 1e-12
+    return x, z, k
+
+
 def test_readouts_match_kronecker_parities():
     rng = np.random.default_rng(31)
     n = 3
@@ -191,14 +212,11 @@ def test_readouts_match_kronecker_parities():
     for _ in range(5):
         s = rand_state(rng, n)
         got = forward_readouts(s)
-        assert len(got) == len(plan.observables)
-        for ob in plan.observables:
-            v = s.amplitudes
-            for q in ob.rotations:
-                v = kron_on(n, {q: QUARTER}) @ v
-            P = kron_on(n, {q: PAULI[ob.basis] for q in ob.subset})
-            want = 0.5 * (1.0 + np.vdot(v, P @ v).real)
-            assert abs(got[ob.key()] - want) < 1e-12, ob.key()
+        assert list(got) == list(plan.keys)
+        v = s.amplitudes
+        for key in plan.keys:
+            want = 0.5 * (1.0 + np.vdot(v, key_operator(n, key) @ v).real)
+            assert abs(got[key] - want) < 1e-12, key
 
 
 def test_quarter_turn_matches_kronecker_on_each_qubit():
@@ -210,28 +228,14 @@ def test_quarter_turn_matches_kronecker_on_each_qubit():
         assert np.max(np.abs(quarter_turn(s, q).amplitudes - want)) < 1e-12
 
 
-def rotated_operator(n, ob):
-    """U^dagger P U with U the observable's quarter turns in order."""
-    U = np.eye(2 ** n)
-    for q in ob.rotations:
-        U = kron_on(n, {q: QUARTER}) @ U
-    P = kron_on(n, {q: PAULI[ob.basis] for q in ob.subset})
-    return U.conj().T @ P @ U
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_folded_strings_match_kronecker_rotations(n):
-    hand = [Observable("x", (0,), (0, 0))]             # two turns on one qubit
-    if n >= 2:
-        hand += [Observable("x", (0, 1), (0, 1)),      # two turns inside
-                 Observable("x", (1,), (0,)),          # one turn outside
-                 Observable("z", (0, 1), (1,))]
-    if n == 3:
-        hand += [Observable("x", (0, 2), (1, 2, 0)),
-                 Observable("x", (2,), (2, 2, 2))]
-    for ob in tomography_plan(n).observables + tuple(hand):
-        got = pauli_sum_matrix([(1.0, ob.pauli(n))], n).toarray()
-        assert np.max(np.abs(got - rotated_operator(n, ob))) < 1e-12, ob
+    """Each plan string, quarter turn folded in, is the operator its key
+    names, built from Kronecker products."""
+    plan = tomography_plan(n)
+    for key, x, z, k in zip(plan.keys, *plan.strings):
+        got = dense_pauli(n, x, z, k)
+        assert np.max(np.abs(got - key_operator(n, key))) < 1e-12, key
 
 
 def test_rotation_qubits_and_readout_keys_are_validated():
@@ -239,12 +243,20 @@ def test_rotation_qubits_and_readout_keys_are_validated():
     for l in (-1, 1):
         with pytest.raises(MeasureError, match=rf"qubits \({l},\) outside"):
             quarter_turn(up, l)
-        with pytest.raises(MeasureError, match=rf"qubits \({l},\) outside"):
-            measure_observable(up, Observable("x", (0,), (l,)))
     with pytest.raises(MeasureError, match=r"qubits \(1,\) outside"):
         fermion_readout(up, [1])
-    with pytest.raises(MeasureError, match="basis 'y'"):
-        measure_observable(up, Observable("y", (0,)))
+    # int(q) read 0.9 as qubit 0, True as qubit 1 and 1.5 as qubit 1
+    up2 = PseudoSpinState.all_up(2)
+    for call, q in ((lambda: vortex_readout(up2, [0.9]), "0.9"),
+                    (lambda: fermion_readout(up2, [True]), "True"),
+                    (lambda: vortex_readout(up2, [0, np.float64(1.0)]),
+                     "np.float64(1.0)"),
+                    (lambda: quarter_turn(up2, 1.5), "1.5")):
+        with pytest.raises(MeasureError, match=f"^qubit {re.escape(q)} is "
+                                               "not an integer$"):
+            call()
+    assert vortex_readout(up2, [np.int64(1)]) == 1.0
+    assert quarter_turn(up2, np.int64(1)).fidelity(up2) == pytest.approx(1.0)
     with pytest.raises(MeasureError, match="'z:0'"):
         reconstruct({}, 1)
     ro = forward_readouts(PseudoSpinState.all_up(2))
@@ -265,10 +277,11 @@ def test_plan_parameter_counts():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_plan_completeness_is_the_computed_coverage(n):
     """``complete`` says whether the plan reads every non-identity Pauli
-    string, computed here from the observables one by one: n = 2 reads
-    10 of 15, and two orthogonal n = 2 states give the same readouts."""
+    string, computed here from the Kronecker operators of its keys: n = 2
+    reads 10 of 15, and two orthogonal n = 2 states give the same
+    readouts."""
     plan = tomography_plan(n)
-    read = {(p.x, p.z) for p in (ob.pauli(n) for ob in plan.observables)}
+    read = {decode(n, key_operator(n, key))[:2] for key in plan.keys}
     assert plan.complete == (len(read - {(0, 0)}) == 4 ** n - 1)
     assert plan.complete == (n == 1)
     if n == 2:
@@ -286,21 +299,29 @@ def test_plan_rejects_registers_above_the_chain_cap():
 
 
 def test_plan_is_built_once_per_size():
+    """Keys list the subsets by size, then lexicographically: z, then x,
+    then x after a quarter turn on each qubit of the subset; each string
+    is the one its key's Kronecker operator decodes to."""
     for n in (1, 2, 3, 6):
         plan = tomography_plan(n)
         assert tomography_plan(n) is plan
-        assert plan.keys == tuple(ob.key() for ob in plan.observables)
-        paulis = [ob.pauli(n) for ob in plan.observables]
+        subsets = [c for r in range(1, n + 1)
+                   for c in itertools.combinations(range(n), r)]
+        names = [",".join(map(str, c)) for c in subsets]
+        assert plan.keys == tuple(
+            ["z:" + a for a in names] + ["x:" + a for a in names]
+            + [f"x:{a};rot{q}" for a, c in zip(names, subsets) for q in c])
         assert ([tuple(row) for row in np.transpose(plan.strings)]
-                == [(p.x, p.z, p.k) for p in paulis])
-        assert not any(a.flags.writeable for a in plan.strings)
+                == [decode(n, key_operator(n, key)) for key in plan.keys])
+        assert all(a.dtype == np.int64 and not a.flags.writeable
+                   for a in plan.strings)
 
 
 def test_plan_covers_all_subsets():
     plan = tomography_plan(2)
-    keys = {ob.key() for ob in plan.observables}
+    keys = set(plan.keys)
     assert {"z:0", "z:1", "z:0,1", "x:0", "x:1", "x:0,1"} <= keys
-    assert any(ob.rotations for ob in plan.observables)
+    assert any(";rot" in key for key in keys)
 
 
 # -- reconstruction -----------------------------------------------------------
@@ -383,7 +404,7 @@ def test_parameter_error_ignores_the_phase_gauge():
 def test_reconstruct_inconsistent_rejected():
     s = PseudoSpinState(np.array([1, 1j]) / np.sqrt(2))
     ro = forward_readouts(s)
-    ro[Observable("x", (0,)).key()] = 0.99   # incompatible with z readout
+    ro["x:0"] = 0.99   # incompatible with z readout
     with pytest.raises(MeasureError):
         reconstruct(ro, 1)
 

@@ -255,8 +255,8 @@ def _anticommuting_site(lat):
     ("phase", "tau_z of hole 0 is not hermitian"),
     ("stabilizer", "tau_z and tau_x of hole 0 commute"),
     ("same", "tau_z and tau_x of hole 0 commute"),
-    ("other hole", "logicals of holes 0 and 1 fail to commute"),
-])
+    ("other-hole", "logicals of holes 0 and 1 fail to commute"),
+], ids=["site", "phase", "stabilizer", "same", "other-hole"])
 def test_logical_pair_rejects_bad_logicals(two_hole_lattice, monkeypatch,
                                            case, match):
     """Each check of logical_pair fires on logicals that break it, as a
@@ -268,7 +268,7 @@ def test_logical_pair_rejects_bad_logicals(two_hole_lattice, monkeypatch,
            "phase": {0: (PauliString(tz.n, tz.x, tz.z, tz.k + 1), tx)},
            "stabilizer": {0: (tz, lat.stabilizers()[0])},
            "same": {0: (tz, tz)},
-           "other hole": {1: (tx, tz)}}[case]
+           "other-hole": {1: (tx, tz)}}[case]
     monkeypatch.setattr(HoledLattice, "logical_operators",
                         lambda self, l: bad.get(l) or real(self, l))
     with pytest.raises(PauliError, match=match):
