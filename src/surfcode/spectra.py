@@ -12,7 +12,9 @@ per x mask (``_groups``) are the one encoding of a Pauli sum: the x = 0
 group is a diagonal, each other one costs one strided pass with a
 coefficient over only its z bits, on a vector or a block of columns,
 and ``pauli_sum_matrix`` writes the same groups once into the sparse
-matrix of dense sectors and of the pseudo-spin chain.  On more than 4
+matrix of the pseudo-spin chain.  A ``_Table`` sums the same groups in
+the same order into the dense matrices of sectors and floors, from
+entries of the strings tabulated once per solve.  On more than 4
 sites, the groups that act on sites 0-2 alone, up to a flip of higher
 sites, are summed per higher flip into an 8 x 8 matrix, one matmul on
 the (2^(n-3), 8) view; long states are applied one at a time.
@@ -41,7 +43,7 @@ first by branch-and-bound on the sector bits, and the search stops once
 the lowest bound left reaches the k-th lowest level found, so the
 lowest k levels are exact across sectors.  A visited sector of at most
 ``SECTOR_DENSE_CAP`` states is diagonalized densely from its
-``pauli_sum_matrix`` (for one level, as every floor and
+matrix from the solve's ``_Table`` (for one level, as every floor and
 ``lowest_eigs(H, 1)`` ask, by a LAPACK call that computes that pair
 only), a larger one through one ``_Apply`` by the module's seeded block
 LOBPCG, ``_lobpcg`` (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)), on
@@ -69,7 +71,8 @@ call is the solve context that holds ``tol``, ``seed``, the gate and
 the solver's notes.
 
 Levels stay in sector coordinates: a ``Spectrum`` keeps each level's
-sector and its column of 2^(n - r) coefficients.  A logical operator
+sector and its column of 2^(n - r) coefficients, contiguous as in the
+solver's blocks.  A logical operator
 commutes with every conserved product, so ``logical_expectation``
 tapers it like a term and works sector by sector; neither the solve nor
 a logical matrix forms a 2^n array.  ``DIMENSION_CAP`` bounds what
@@ -463,14 +466,16 @@ def pauli_sum_matrix(terms, n: int) -> csr_array:
 @dataclass(frozen=True)
 class Spectrum:
     """The lowest levels in sector coordinates: level j is column j of
-    ``columns`` in sector ``labels[j]`` of ``sectors``."""
+    ``columns`` in sector ``labels[j]`` of ``sectors``.  ``columns`` and
+    ``eigenvectors`` are read-only and in Fortran order, each level's
+    state contiguous."""
     eigenvalues: np.ndarray
     residual_norms: np.ndarray
     hamiltonian: SpinHamiltonian
     sector_dims: tuple[int, ...]   # dimension of every sector solved
     sectors: _Sectors
     labels: tuple[int, ...]
-    columns: np.ndarray            # (2^(n - r), k)
+    columns: np.ndarray            # (2^(n - r), k), Fortran order
 
     @property
     def method(self) -> str:    # 'lobpcg' once a sector exceeds the cap
@@ -487,7 +492,7 @@ class Spectrum:
                                f"dimension cap 2^{DIMENSION_CAP}")
         if not self.sectors.r:
             return self.columns
-        out = np.empty((H.dimension, len(self.labels)), dtype=H.dtype)
+        out = np.empty((H.dimension, len(self.labels)), H.dtype, order="F")
         for t in set(self.labels):
             at = [j for j, s in enumerate(self.labels) if s == t]
             out[:, at] = self.sectors.embed(t, self.columns[:, at])
@@ -533,6 +538,36 @@ def _orbit(b: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
     return index, k
 
 
+class _Table:
+    """Dense matrices of sum_j w_j P_j for fixed strings P_j, with the
+    weights w given per call.  Row j of ``E`` holds P_j's entries
+    i^k (-1)^{z.(u ^ x)} over the states u, and ``cols`` the column
+    u ^ x of each distinct x mask, x = 0 first.  A call sums every x
+    group's weighted entries in term order from zero, as ``_z_sum`` does,
+    and scatters them to (u, u ^ x), so that with finite w_j = c_j the
+    matrix is ``pauli_sum_matrix``'s bit for bit, real when every
+    c_j i^k_j is."""
+
+    def __init__(self, terms, n: int):
+        u = np.arange(1 << n)
+        xs = list(dict.fromkeys([0] + [p.x for _, p in terms]))
+        self.group = np.array([xs.index(p.x) for _, p in terms], np.intp)
+        self.cols = u ^ np.array(xs)[:, None]
+        z = np.array([p.z for _, p in terms], np.int64)[:, None]
+        k = np.array([p.k + 2 * _parity(p.z & p.x) for _, p in terms],
+                     np.int64)[:, None]
+        self.E = _PHASES[(k + 2 * np.bitwise_count(z & u)) & 3]
+        if all((c * p.phase).imag == 0 for c, p in terms):
+            self.E = self.E.real.copy()
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        sums = np.zeros(self.cols.shape, self.E.dtype)
+        np.add.at(sums, self.group, w[:, None] * self.E)
+        M = np.zeros((len(self.cols[0]),) * 2, sums.dtype)
+        M[self.cols[0], self.cols] = sums
+        return M
+
+
 def _conserved_generators(H: SpinHamiltonian) -> list[PauliString]:
     """Independent products of stabilizer terms commuting with every term:
     the stabilizer terms' anticommutation patterns with all terms,
@@ -560,7 +595,11 @@ class _Sectors:
     the representatives, so its bits on ``sites`` label it.  The basis
     state of representative b is 2^(-a/2) prod_g (1 + chi_t(g) g) |b>
     over the a rows with x pivots.  Each term is tapered once, in
-    ``terms``, to a string on ``sites`` and a character of t.
+    ``terms``, to a string on ``sites`` and a character of t.  Sectors
+    of at most ``SECTOR_DENSE_CAP`` states are ``dense``: a ``_Table`` of
+    the tapered strings, built once, gives every sector's matrix from its
+    characters, and a second one over the diagonal strings and the
+    majorant every floor's.
 
     It is also one ``lowest_eigs`` call's solve context: ``tol``,
     ``seed``, the residual ``gate`` that levels and above-cap floors must
@@ -608,6 +647,12 @@ class _Sectors:
         self.rest = sum(abs(c) for c, _, p in self.terms
                         if not p.is_identity_mask)
         self.floors: dict[tuple, float] = {}
+        self.dense = self.dim <= SECTOR_DENSE_CAP
+        if self.dense:
+            self.table = _Table([(c, p) for c, _, p in self.terms],
+                                len(self.sites))
+            self.floor_table = _Table([(c, p) for c, _, p in self.diagonal]
+                                      + list(self.majorant), len(self.sites))
 
     def _taper(self, p: PauliString) -> tuple[int, PauliString]:
         """Orbit rows clear p's x bits at their pivots (P|psi_b> =
@@ -635,26 +680,35 @@ class _Sectors:
             terms=tuple((c * (1 - 2 * _parity(comb & t)), p)
                         for c, comb, p in self.terms))
 
+    def matrix(self, t: int) -> np.ndarray:
+        """Dense matrix of sector t from the table, the same bits as
+        ``pauli_sum_matrix`` of ``hamiltonian(t)``'s terms."""
+        return self.table(np.array([c * (1 - 2 * _parity(comb & t))
+                                    for c, comb, _ in self.terms]))
+
     def floor(self, t: int) -> float:
         """Lower bound on the lowest level of R_t, the non-identity terms of
         sector t: lambda_min(D_s - M), D_s its diagonal terms, solved once
         per sign pattern s; -rest where an above-cap solve fails the
         gate."""
-        diag = tuple((c * (1 - 2 * _parity(comb & t)), p)
-                     for c, comb, p in self.diagonal)
-        key = tuple(c for c, _ in diag)
+        key = tuple(c * (1 - 2 * _parity(comb & t))
+                    for c, comb, _ in self.diagonal)
         if key not in self.floors:
-            (low,), _, (res,) = self.solve(
-                replace(self.H, n=len(self.sites), terms=diag + self.majorant),
-                1)
-            if self.dim > SECTOR_DENSE_CAP:     # a Ritz value, if converged
+            if self.dense:
+                A = self.floor_table(np.array(
+                    key + tuple(c for c, _ in self.majorant)))
+            else:
+                A = replace(self.H, n=len(self.sites), terms=tuple(
+                    zip(key, (p for *_, p in self.diagonal))) + self.majorant)
+            (low,), _, (res,) = self.solve(A, 1)
+            if not self.dense:                  # a Ritz value, if converged
                 low = low - res if res <= self.gate else -np.inf
             self.floors[key] = max(low, -self.rest)
         return self.floors[key]
 
-    def solve(self, H: SpinHamiltonian, m: int):
+    def solve(self, H, m: int):
         """Lowest m levels of H, a sector's or a floor's, with their columns
-        and residual norms: eigh of its ``pauli_sum_matrix`` up to
+        and residual norms: eigh of H, a dense matrix up to
         ``SECTOR_DENSE_CAP`` states, the residuals from the same matrix,
         where m = 1 (every floor) asks LAPACK for the lowest pair only;
         above it ``_lobpcg`` from m seeded random columns, preconditioned
@@ -669,13 +723,12 @@ class _Sectors:
         (``_physical_memory``).  Less those arrays, the traced peak of a
         solve on 16 and 20 spins, real or complex, of 1, 3 or 5 columns
         is 11.2-12.6 blocks."""
-        dim = H.dimension
-        if dim <= SECTOR_DENSE_CAP:
-            M = pauli_sum_matrix(H.terms, H.n).toarray()
-            w, U = (scipy.linalg.eigh(M, subset_by_index=[0, 0]) if m == 1
-                    else np.linalg.eigh(M))
+        if isinstance(H, np.ndarray):
+            w, U = (scipy.linalg.eigh(H, subset_by_index=[0, 0]) if m == 1
+                    else np.linalg.eigh(H))
             w, U = w[:m], U[:, :m]
-            return w, U, np.linalg.norm(M @ U - U * w, axis=0)
+            return w, U, np.linalg.norm(H @ U - U * w, axis=0)
+        dim = H.dimension
         memory, size = _physical_memory(), np.dtype(H.dtype).itemsize
         stop = self.tol * H.norm_bound
         for guard in (0, 2, 4):
@@ -708,8 +761,8 @@ class _Sectors:
     def embed(self, t: int, coeffs: np.ndarray) -> np.ndarray:
         """Full-space columns of the sector-t coefficient columns over
         the ``_orbit`` of the representatives b (pure-Z rows' parities
-        imposed), chi_t(g) in each row's phase; with no generator (r = 0)
-        the basis is the full one."""
+        imposed), chi_t(g) in each row's phase, in Fortran order; with no
+        generator (r = 0) the basis is the full one."""
         if not self.r:
             return coeffs
         b = _deposit(np.arange(self.dim, dtype=np.uint64), self.sites)
@@ -719,11 +772,11 @@ class _Sectors:
         index, k = _orbit(b, [replace(g, k=g.k + 2 * _parity(comb & t))
                               for _, g, comb in self.orbit])
         ph = (_PHASES.real if self.H.dtype == np.float64 else _PHASES)[k & 3]
-        amp = (ph.reshape(1 << len(self.orbit), -1, 1)
-               * (coeffs / np.sqrt(2.0 ** len(self.orbit))))
-        out = np.zeros((self.H.dimension, coeffs.shape[1]), dtype=amp.dtype)
-        out[index.astype(np.intp)] = amp.reshape(len(index), -1)
-        return out
+        amp = (ph.reshape(1 << len(self.orbit), -1)
+               * (coeffs.T / np.sqrt(2.0 ** len(self.orbit)))[:, None])
+        out = np.zeros((coeffs.shape[1], self.H.dimension), dtype=amp.dtype)
+        out[:, index.astype(np.intp)] = amp.reshape(len(out), -1)
+        return out.T
 
 
 def _sector_eigs(sec: _Sectors, k: int) -> Spectrum:
@@ -759,7 +812,8 @@ def _sector_eigs(sec: _Sectors, k: int) -> Spectrum:
                        if depth + 1 == sec.r else e - pool[depth + 1] - rest)
                 heapq.heappush(heap, (key, -depth - 1, tt, e))
             continue
-        w, U, res = sec.solve(sec.hamiltonian(t), min(k, sec.dim))
+        w, U, res = sec.solve(sec.matrix(t) if sec.dense
+                              else sec.hamiltonian(t), min(k, sec.dim))
         levels.extend((w[i], len(solved), i) for i in range(len(w)))
         solved.append((t, U, res))
         levels.sort(key=lambda lv: lv[0])
@@ -771,7 +825,7 @@ def _sector_eigs(sec: _Sectors, k: int) -> Spectrum:
     chosen = levels[:k]
     vals = np.array([lv[0] for lv in chosen])
     labels = tuple(solved[s][0] for _, s, _ in chosen)
-    cols = np.stack([solved[s][1][:, i] for _, s, i in chosen], axis=1)
+    cols = np.stack([solved[s][1][:, i] for _, s, i in chosen]).T
     res = np.array([solved[s][2][i] for _, s, i in chosen])
     if np.any(res > sec.gate):
         raise SpectraError(

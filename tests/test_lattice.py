@@ -372,7 +372,7 @@ def test_transposed_chains_share_one_string_line():
     (8, 6, [(1, 1, 1, 2), (3, 2, 3, 3)], "one row band"),
     (6, 8, [(1, 3, 2, 3), (1, 1, 2, 1)], "south to north"),
     (6, 8, [(1, 1, 2, 1), (2, 3, 3, 3)], "one column band"),
-])
+], ids=["west-to-east", "row-band", "south-to-north", "column-band"])
 def test_chain_band_and_order_rejections(w, hgt, holes, message):
     with pytest.raises(LatticeError, match=message):
         build_lattice(w, hgt, "open", [sc.HoleSpec(*c) for c in holes])

@@ -104,13 +104,20 @@ def test_empty_subset_rejected():
 
 
 def test_complement_sums_to_one():
+    """The flux outcome's probability (1 - <Z^m>)/2, from prod tau^z
+    built by Kronecker products (qubit 0 the first factor), and the
+    flux-free one from ``vortex_readout`` sum to 1."""
     rng = np.random.default_rng(3)
+    Z = np.diag([1.0, -1.0])
     for _ in range(10):
         s = rand_state(rng, 2)
+        v = s.amplitudes
         for sub in ([0], [1], [0, 1]):
+            Zm = reduce(np.kron, [Z if q in sub else np.eye(2)
+                                  for q in range(2)])
+            flux = 0.5 * (1.0 - np.vdot(v, Zm @ v).real)
             p = vortex_readout(s, sub)
-            # the complementary projector has probability 1 - p exactly
-            assert p + (1.0 - p) == 1.0
+            assert abs(p + flux - 1.0) <= 1e-12
             assert 0.0 <= p <= 1.0
 
 

@@ -462,21 +462,36 @@ def test_sector_solver_matches_dense_eigh(problem):
     assert len(spec.sector_dims) >= 1
 
 
+def _assert_same_bytes(A, B):
+    """Equal dtypes, shapes and raw bytes, so the signs of zeros count."""
+    assert (A.dtype, A.shape) == (B.dtype, B.shape)
+    assert A.tobytes() == B.tobytes()
+
+
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(_small_problems())
 def test_floor_bounds_every_sector(problem):
     """On every sector, visited or not, the majorant floor lies below the
     lowest level of R_t, the sector's non-identity terms, up to the
-    search's slack, and never below -rest."""
+    search's slack, and never below -rest.  Solved afresh on every
+    dense sector, the floor's matrix from the table is
+    ``pauli_sum_matrix``'s of D_s - M bit for bit."""
     _, lat, mask, _ = problem
     H = assemble(lat, 1.0, mask)
     slack = 64 * np.finfo(float).eps * H.norm_bound
     sec = _Sectors(H, _conserved_generators(H), 1e-10, 0)
+    built, solve = [], sec.solve
+    sec.solve = lambda A, m: built.append(A) or solve(A, m)
     for t in range(1 << sec.r):
         Hs = sec.hamiltonian(t)
         R = [(c, p) for c, p in Hs.terms if not p.is_identity_mask]
         low = np.linalg.eigvalsh(pauli_sum_matrix(R, Hs.n).toarray())[0]
+        sec.floors.clear()
         assert -sec.rest <= sec.floor(t) <= low + slack
+        if sec.dense:
+            diag = tuple((c, p) for c, p in R if not p.x)
+            _assert_same_bytes(built.pop(), pauli_sum_matrix(
+                diag + sec.majorant, Hs.n).toarray())
 
 
 def test_sector_matches_lobpcg_on_corridor():
@@ -522,8 +537,9 @@ def test_every_sector_matrix_is_h_in_its_basis(name, fields, frame, flip):
     """Every sector, including those branch-and-bound never visits: the
     tapered sector Hamiltonian's matrix equals B^H H B for the embedded
     basis B of the sector, B is orthonormal, and the sectors, 2^n states
-    in all, together rebuild any vector.  With a field on every site
-    nothing is conserved and the one sector is the full space."""
+    in all, together rebuild any vector.  The sector's matrix from the
+    table is ``pauli_sum_matrix``'s bit for bit.  With a field on every
+    site nothing is conserved and the one sector is the full space."""
     _, lat, mask, _ = _example(name, fields, 1)
     H = assemble(lat, 1.0, mask)
     assert H.frame == frame
@@ -543,8 +559,9 @@ def test_every_sector_matrix_is_h_in_its_basis(name, fields, frame, flip):
         Hs = sec.hamiltonian(t)
         assert Hs.n == len(sec.sites) and Hs.dimension == sec.dim
         want = B.conj().T @ (M @ B)
-        assert np.allclose(pauli_sum_matrix(Hs.terms, Hs.n).toarray(),
-                           want, rtol=0, atol=1e-12)
+        dense = pauli_sum_matrix(Hs.terms, Hs.n).toarray()
+        _assert_same_bytes(sec.matrix(t), dense)
+        assert np.allclose(dense, want, rtol=0, atol=1e-12)
         assert np.allclose(_Apply(Hs)(np.eye(sec.dim)), want, rtol=0,
                            atol=1e-12)
         rebuilt += B @ (B.conj().T @ v)
@@ -909,25 +926,50 @@ def test_no_floor_without_generators(monkeypatch, one_hole_lattice):
     solve builds one dense matrix, the sector's own, and no floor.  No
     solve whose sectors and floors all fit under the dense cap builds an
     ``_Apply``."""
-    built, matrix = [], spectra.pauli_sum_matrix
+    built, build = [], spectra._Table.__call__
 
-    def counted(terms, n):
-        built.append(n)
-        return matrix(terms, n)
+    def counted(table, w):
+        built.append(len(table.cols[0]))
+        return build(table, w)
 
     def refused(H):
         raise AssertionError("an _Apply under the dense cap")
 
-    monkeypatch.setattr(spectra, "pauli_sum_matrix", counted)
+    monkeypatch.setattr(spectra._Table, "__call__", counted)
     monkeypatch.setattr(spectra, "_Apply", refused)
     _, lat, mask, _ = _example("torus 3x3", _ALL_SITES, 1)
     spec = lowest_eigs(assemble(lat, 1.0, mask), 3)
     assert spec.sector_dims == (512,)
-    assert built == [9]
+    assert built == [512]
     lat = one_hole_lattice
     spec = lowest_eigs(assemble(lat, 1.0, sc.field_mask(
         lat, {"type": "annulus", "hole": 0}, (0.05, 0, 0))), 3)
     assert spec.sectors.floors and max(spec.sector_dims) <= SECTOR_DENSE_CAP
+
+
+@pytest.mark.parametrize("case", ["corridor", "full space"])
+def test_states_are_read_only_fortran_order_columns(case):
+    """``columns`` and ``eigenvectors`` are read-only and in Fortran
+    order, each level's state one contiguous column, and hold the
+    sectors' eigh columns and their embeddings column by column: on the
+    corridor the levels lie in two sectors, and with a field on every
+    site the columns are the full-space states."""
+    if case == "corridor":
+        lat, mask = _region(_EDGE, {"type": "corridor", "hole": 0},
+                            (0, 0.1, 0))
+    else:
+        _, lat, mask, _ = _example("torus 3x3", _ALL_SITES, 1)
+    spec = lowest_eigs(assemble(lat, 1.0, mask), 3)
+    sec = spec.sectors
+    assert len(set(spec.labels)) == (2 if case == "corridor" else 1)
+    for arr in (spec.columns, spec.eigenvectors):
+        assert arr.flags.f_contiguous and not arr.flags.writeable
+    for j, t in enumerate(spec.labels):
+        i = spec.labels[:j].count(t)
+        assert np.array_equal(spec.columns[:, j],
+                              np.linalg.eigh(sec.matrix(t))[1][:, i])
+        assert np.array_equal(spec.eigenvectors[:, j],
+                              sec.embed(t, spec.columns[:, [j]])[:, 0])
 
 
 @pytest.mark.parametrize("g", [np.nan, np.inf])
