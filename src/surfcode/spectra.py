@@ -17,7 +17,9 @@ the same order into the dense matrices of sectors and floors, from
 entries of the strings tabulated once per solve.  On more than 4
 sites, the groups that act on sites 0-2 alone, up to a flip of higher
 sites, are summed per higher flip into an 8 x 8 matrix, one matmul on
-the (2^(n-3), 8) view; long states are applied one at a time.
+the (2^(n-3), 8) view; the groups of pure X strings, whose coefficient
+is one scalar, are flips of one scaled copy of the input per distinct
+value; long states are applied one at a time.
 
 Because sigma^y carries imaginary entries, a term list containing only
 {stabilizers, sigma^x} or only {stabilizers, sigma^y} fields is mapped
@@ -48,16 +50,18 @@ matrix from the solve's ``_Table`` (for one level, as every floor and
 only), a larger one through one ``_Apply`` by the module's seeded block
 LOBPCG, ``_lobpcg`` (Knyazev, SIAM J. Sci. Comput. 23, 517 (2001)), on
 an orthonormal basis (Hetmaniuk and Lehoucq, J. Comput. Phys. 218, 324
-(2006)) that each new block joins by two passes of one Gram product
-each (Duersch, Shao, Yang and Gu, SIAM J. Sci. Comput. 40, C655
-(2018)).  Its block
-holds exactly the k random columns asked for, which resolves a k-fold
-exact degeneracy, as a single-vector Lanczos cannot; a column whose
-residual reaches tol ||H|| is locked, and the others iterate in its
-complement.  A block is a (2^n, k) array whose columns are states;
-the solver's blocks are in Fortran order, each state contiguous, and
-``_Apply`` and the preconditioner read and return them as rows without
-a copy.  It is preconditioned by T = (H_F - E_min + w)^-1
+(2006)) that each new block joins by a pass of one Gram product
+(Duersch, Shao, Yang and Gu, SIAM J. Sci. Comput. 40, C655 (2018)),
+and by a second one only where the first cancelled much of the block
+(the test of Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30, 772
+(1976)).  Its block holds exactly the k random columns asked for,
+which resolves a k-fold exact degeneracy, as a single-vector Lanczos
+cannot; a column whose residual reaches tol ||H|| is locked, and the
+others iterate in its complement.  A block is a (2^n, k) array whose
+columns are states; the solver's blocks are in Fortran order, each
+state contiguous, ``_Apply`` and the preconditioner read them as rows
+without a copy, and the preconditioner writes into the solver's own
+rows.  It is preconditioned by T = (H_F - E_min + w)^-1
 (``_FamilyInverse``): H_F sums F, the largest commuting family of the
 terms taken by decreasing |c|, which holds the stabilizers, the
 largest terms; w is the largest |c| left out.  F's X parts, eliminated
@@ -113,6 +117,8 @@ DIMENSION_CAP = 24
 SECTOR_DENSE_CAP = 1 << 10    # largest sector diagonalized by dense eigh
 LOBPCG_MAXITER = 2000         # iteration cap of one above-cap LOBPCG solve
 APPLY_PER_STATE = 1 << 15     # states this long are applied one at a time
+LOBPCG_CHUNK = 1 << 13        # columns per step of LOBPCG's row products
+DGKS_ETA = 0.5                # a second pass where W keeps less of its norm
 CGROUP_MEMORY_MAX = "/sys/fs/cgroup/memory.max"   # cgroup v2 memory limit
 
 
@@ -224,13 +230,15 @@ class _Apply:
     block's columns as the rows of the transpose, so a Fortran-order
     block, each state contiguous, is read and returned without a copy.
     The x = 0 group is the diagonal ``diag``, and ``prepped`` holds one
-    (flip axes, ``_z_sum``) entry per other group, applied by flip and
-    multiply, after ``low`` (flip axes, 8 x 8 matrix) entries.  Flips
-    and signs of sites 0-2, the last axes, leave numpy loops of 2-8
-    elements, so on more than 4 sites the groups that flip or sign sites
-    0-2 and whose coefficient has no factor on a higher site are summed
-    per higher x part into a matrix, one matmul on the (2^(n-3), 8) view
-    and the higher flip as a view.  States of at least
+    (flip axes, coefficient) entry per other group: ``low`` (flip axes,
+    8 x 8 matrix) entries, then groups applied by flip and multiply,
+    then those of pure X strings, whose scalar, one array per value,
+    multiplies one copy of the input that each group of that value adds
+    flipped.  Flips and signs of sites 0-2, the last axes, leave numpy
+    loops of 2-8 elements, so on more than 4 sites the groups that flip
+    or sign sites 0-2 and whose coefficient has no factor on a higher
+    site are summed per higher x part into a matrix, one matmul on the
+    (2^(n-3), 8) view and the higher flip as a view.  States of at least
     ``APPLY_PER_STATE`` amplitudes are applied one at a time, so that a
     state's arrays stay in cache."""
 
@@ -240,6 +248,7 @@ class _Apply:
         (_, self.diag), *rest = _groups(n, H.terms)
         self.dtype = np.result_type(self.diag, *(c for _, c in rest))
         low: dict[int, np.ndarray] = {}
+        scalar: dict[complex, tuple[np.ndarray, list]] = {}
         other, idx = [], np.arange(8)
         for x, coeff in rest:
             if (n > 4 and all(s == 1 for s in coeff.shape[:-3])
@@ -248,11 +257,15 @@ class _Apply:
                 M = low.setdefault(x & ~7, np.zeros((8, 8), self.dtype))
                 # then (v M)[t], flipped by x & ~7, adds c[t & 7] v[t ^ x]
                 M[idx ^ (x & 7), idx] += c.ravel()
+            elif coeff.size == 1:
+                scalar.setdefault(coeff.item(), (coeff, []))[1].append(x)
             else:
                 other.append((_axes(n, x), coeff))
         self.prepped = [(_axes(n, high), M) for high, M in low.items()]
         self.low = len(self.prepped)
         self.prepped += other
+        self.prepped += [(_axes(n, x), c) for c, xs in scalar.values()
+                         for x in xs]
 
     def __call__(self, v):
         v = np.asarray(v)
@@ -269,7 +282,7 @@ class _Apply:
         """H applied to the rows tensor, a state or a block, into out."""
         lead = rows.ndim - self.H.n                 # the axis of the rows
         np.multiply(self.diag, rows, out=out)
-        tmp = np.empty_like(out)
+        tmp, scaled = np.empty_like(out), None      # scaled: tmp's scalar
         if self.low:
             rows8, tmp8 = rows.reshape(-1, 8), tmp.reshape(-1, 8)
         for i, (axes, coeff) in enumerate(self.prepped):
@@ -277,9 +290,14 @@ class _Apply:
             if i < self.low:
                 np.matmul(rows8, coeff, out=tmp8)
                 out += np.flip(tmp, axes)
-            else:
+            elif coeff.size > 1:
                 np.multiply(coeff, np.flip(rows, axes), out=tmp)
                 out += tmp
+            else:
+                if coeff is not scaled:
+                    np.multiply(rows, coeff, out=tmp)
+                    scaled = coeff
+                out += np.flip(tmp, axes)
 
 
 class _FamilyInverse:
@@ -343,27 +361,46 @@ class _FamilyInverse:
         y *= self.phase.conj()
         return self._transform(y)
 
-    def _from_basis(self, y: np.ndarray) -> np.ndarray:    # 2^(a/2) U y
+    def _from_basis(self, y: np.ndarray, out=None) -> np.ndarray:
+        """2^(a/2) U y, gathered into ``out`` when it is given."""
         y = self._transform(y)
         y *= self.phase
-        return np.take(y, self.inverse, axis=1)
+        return np.take(y, self.inverse, axis=1, out=out, mode="clip")
 
-    def __call__(self, R: np.ndarray) -> np.ndarray:
+    def __call__(self, R: np.ndarray, out=None) -> np.ndarray:
         """T R for a (2^n, m) block R, read and returned as ``_Apply``
-        reads and returns one: Fortran order costs no copy."""
+        reads and returns one: Fortran order costs no copy.  With
+        ``out``, a block of R's shape and dtype and possibly R itself,
+        T R is written there."""
         y = self._to_basis(R.T)
         y *= self.scale
-        return self._from_basis(y).T
+        return self._from_basis(y, None if out is None else out.T).T
 
 
-def _svqb(G: np.ndarray) -> np.ndarray:
+def _svqb(G: np.ndarray) -> tuple[np.ndarray, float]:
     """Columns K such that the rows of K^T V are orthonormal, from the
-    eigenvectors of G = V V^H, the rows' Gram matrix (SVQB); directions
-    below 1e-14 of its largest eigenvalue are dropped, so a rank-deficient
-    V gives fewer rows."""
+    eigenvectors of G = V V^H, the rows' Gram matrix (SVQB), and G's
+    smallest eigenvalue; directions below 1e-14 of its largest
+    eigenvalue are dropped, so a rank-deficient V gives fewer rows."""
     s, C = np.linalg.eigh(G)
     keep = s > 1e-14 * s.max(initial=0.0)
-    return C[:, keep].conj() / np.sqrt(s[keep])
+    return C[:, keep].conj() / np.sqrt(s[keep]), s.min(initial=np.inf)
+
+
+def _join(G: np.ndarray, lo: int) -> tuple[np.ndarray, bool]:
+    """One pass taking rows W out of the span of the lo orthonormal rows
+    V before them and making them orthonormal, from G = W [V W]^H alone
+    (Duersch, Shao, Yang and Gu, SIAM J. Sci. Comput. 40, C655 (2018)):
+    with C = G's V columns, W - C V has the Gram matrix G_WW - C C^H,
+    whose SVQB K gives the coefficients of the new rows K^T (W - C V) on
+    [V W].  The pass is enough when that matrix's smallest eigenvalue is
+    at least ``DGKS_ETA``^2 times G_WW's largest diagonal entry, a block
+    form of the test of Daniel, Gragg, Kaufman and Stewart (Math. Comp.
+    30, 772 (1976)); else a second pass follows."""
+    C, GW = G[:, :lo], G[:, lo:]
+    K, low = _svqb(GW - C @ C.conj().T)
+    enough = low >= DGKS_ETA ** 2 * GW.diagonal().real.max()
+    return np.vstack([-C.T @ K, K]), bool(enough)
 
 
 def _lobpcg(A, T, X: np.ndarray, tol: float, maxiter: int):
@@ -373,32 +410,38 @@ def _lobpcg(A, T, X: np.ndarray, tol: float, maxiter: int):
     buffer hold the basis [X, P, W], kept orthonormal (Hetmaniuk and
     Lehoucq, J. Comput. Phys. 218, 324 (2006)), so each Rayleigh-Ritz
     step is one eigh of at most 3m x 3m; a second buffer holds A applied
-    to each row, and scratch rows take each product before it is copied
-    back, so that beyond what A and T return, only a lock allocates rows
-    in the loop.  X's rows are the locked ones, then the active ones: a
-    row whose residual, out of the locked span, is at most ``tol`` is
+    to each row.  Products of rows run over ``LOBPCG_CHUNK`` columns at
+    a time, and T writes into W's rows, so that beyond what A returns
+    and T works in, only a lock allocates rows in the loop; the start
+    block is dropped once its QR is in the buffer.  X's rows are the
+    locked ones, then the active ones: a row whose residual r, out of
+    the locked rows L, is at most ``tol`` (||r||^2 - ||L^H r||^2) is
     locked, and the others iterate in its complement for at most
-    ``maxiter`` steps.  W, the preconditioned residuals, is taken out of
-    span [X, P] and orthonormalized in two passes, each from one Gram
-    product G = W [X P W]^H (Duersch, Shao, Yang and Gu, SIAM J. Sci.
-    Comput. 40, C655 (2018)): with C = G's [X P] columns, W - C [X P]
-    has the Gram matrix G_WW - C C^H, whose SVQB K gives the new rows
-    K^T (W - C [X P]) as one combination.  A last Rayleigh-Ritz step
-    over all m rows gives the ascending values and the vectors as a
-    Fortran-order block."""
+    ``maxiter`` steps.  W = T R joins the basis, out of span [X, P],
+    locked rows included, by one or two ``_join`` passes.  A last
+    Rayleigh-Ritz step over all m rows gives the ascending values and
+    the vectors as a Fortran-order block."""
     dim, m = X.shape
+    X = np.linalg.qr(X)[0]
     B = np.empty((3 * m, dim), X.dtype)    # rows: X (locked, active), P, W
     AB = np.empty_like(B)                  # A applied to each row of B
-    tmp = np.empty((2 * m, dim), X.dtype)
+    B[:m] = X.T
+    del X
+    chunks = [slice(j, j + LOBPCG_CHUNK) for j in range(0, dim, LOBPCG_CHUNK)]
+    scratch = np.empty((2 * m, min(dim, LOBPCG_CHUNK)), B.dtype)
+
+    def gram(V, U):                         # V^* U^T, summed over chunks
+        return sum(V[:, j].conj() @ U[:, j].T for j in chunks)
 
     def combine(C, lo, hi, at, bufs=(B, AB)):   # C^T rows lo:hi, from at
+        out = scratch[:C.shape[1]]
         for buf in bufs:
-            out = np.matmul(C.T, buf[lo:hi], out=tmp[:C.shape[1]])
-            buf[at:at + len(out)] = out
+            for j in chunks:
+                part = buf[:, j]
+                part[at:at + len(out)] = np.matmul(C.T, part[lo:hi], out=out)
 
-    B[:m] = np.linalg.qr(X)[0].T
     AB[:m] = A(B[:m].T).T
-    lam, C = np.linalg.eigh(B[:m].conj() @ AB[:m].T)
+    lam, C = np.linalg.eigh(gram(B[:m], AB[:m]))
     combine(C, 0, m, 0)
     locked = p = 0
     for _ in range(maxiter):
@@ -406,10 +449,10 @@ def _lobpcg(A, T, X: np.ndarray, tol: float, maxiter: int):
         R = B[lo:hi]
         np.multiply(B[locked:m], lam[locked:, None], out=R)
         np.subtract(AB[locked:m], R, out=R)
-        if locked:                          # out of the locked rows
-            R -= np.matmul(R @ B[:locked].conj().T, B[:locked],
-                           out=tmp[:len(R)])
-        done = np.sqrt([np.vdot(r, r).real for r in R]) <= tol
+        norm2 = np.array([np.vdot(r, r).real for r in R])
+        if locked:                          # less the part in the locked span
+            norm2 -= np.sum(np.abs(gram(R, B[:locked])) ** 2, axis=1)
+        done = norm2 <= tol * tol
         if done.any():
             order = locked + np.argsort(~done, kind="stable")
             B[locked:m], AB[locked:m] = B[order], AB[order]
@@ -419,26 +462,27 @@ def _lobpcg(A, T, X: np.ndarray, tol: float, maxiter: int):
             B[lo:hi] = R[~done]
         if locked == m:
             break
-        B[lo:hi] = T(B[lo:hi].T).T
-        for _ in range(2):                  # twice is enough
-            G = (B[lo:hi].conj() @ B[:hi].T).conj()
-            C = G[:, :lo]
-            K = _svqb(G[:, lo:] - C @ C.conj().T)
-            combine(np.vstack([-C.T @ K, K]), 0, hi, lo, (B,))
-            hi = lo + K.shape[1]
+        T(B[lo:hi].T, out=B[lo:hi].T)
+        for _ in range(2):
+            G = gram(B[lo:hi], B[:hi]).conj()
+            C, enough = _join(G, lo)
+            combine(C, 0, hi, lo, (B,))
+            hi = lo + C.shape[1]
+            if enough:
+                break
         if hi == lo:
             break
         AB[lo:hi] = A(B[lo:hi].T).T
-        w, C = np.linalg.eigh(B[locked:hi].conj() @ AB[locked:hi].T)
+        w, C = np.linalg.eigh(gram(B[locked:hi], AB[locked:hi]))
         q = m - locked
         Y, Z = C[:, :q], C[:, :q].copy()
         Z[:q] = 0                           # P: Y's W and P parts, out of Y
         for _ in range(2):
             Z -= Y @ (Y.conj().T @ Z)
-            Z = Z @ _svqb(Z.T @ Z.conj())
+            Z = Z @ _svqb(Z.T @ Z.conj())[0]
         combine(np.hstack([Y, Z]), locked, hi, locked)
         lam[locked:], p = w[:q], Z.shape[1]
-    lam, C = np.linalg.eigh(B[:m].conj() @ AB[:m].T)
+    lam, C = np.linalg.eigh(gram(B[:m], AB[:m]))
     return lam, (C.T @ B[:m]).T
 
 
@@ -485,19 +529,21 @@ class Spectrum:
     @cached_property
     def eigenvectors(self) -> np.ndarray:
         """(2^n, k) columns in the Hamiltonian's frame, embedded on first
-        read (with r = 0 the columns as they are), for n up to the cap."""
+        read straight into the rows of one array (with r = 0 the columns
+        as they are), for n up to the cap."""
         H = self.hamiltonian
         if H.n > DIMENSION_CAP:
             raise SpectraError(f"eigenvectors of {H.n} spins exceed the "
                                f"dimension cap 2^{DIMENSION_CAP}")
         if not self.sectors.r:
             return self.columns
-        out = np.empty((H.dimension, len(self.labels)), H.dtype, order="F")
+        rows = np.zeros((len(self.labels), H.dimension), H.dtype)
         for t in set(self.labels):
             at = [j for j, s in enumerate(self.labels) if s == t]
-            out[:, at] = self.sectors.embed(t, self.columns[:, at])
-        out.flags.writeable = False
-        return out
+            index, amp = self.sectors.spread(t, self.columns[:, at])
+            rows[np.ix_(at, index)] = amp
+        rows.flags.writeable = False
+        return rows.T
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +768,7 @@ class _Sectors:
         machine's physical memory or a lower cgroup limit
         (``_physical_memory``).  Less those arrays, the traced peak of a
         solve on 16 and 20 spins, real or complex, of 1, 3 or 5 columns
-        is 11.2-12.6 blocks."""
+        is 8.1-9.6 blocks."""
         if isinstance(H, np.ndarray):
             w, U = (scipy.linalg.eigh(H, subset_by_index=[0, 0]) if m == 1
                     else np.linalg.eigh(H))
@@ -730,7 +776,7 @@ class _Sectors:
             return w, U, np.linalg.norm(H @ U - U * w, axis=0)
         dim = H.dimension
         memory, size = _physical_memory(), np.dtype(H.dtype).itemsize
-        stop = self.tol * H.norm_bound
+        stop, U = self.tol * H.norm_bound, None
         for guard in (0, 2, 4):
             need = (13 * (m + guard) * size + 24 + size) * dim
             if need > memory:
@@ -738,15 +784,11 @@ class _Sectors:
                     f"LOBPCG on {m + guard} columns of {dim} states needs "
                     f"~{need} bytes, more than the {memory} bytes "
                     f"available")
-            rng = np.random.default_rng(self.seed)
-            X = rng.standard_normal((m + guard, dim))
-            if H.dtype == np.complex128:
-                X = X + 1j * rng.standard_normal(X.shape)
-            if guard:           # the failed block's columns, then guards
-                X[:m] = U.T
-            else:               # operator and preconditioner, once it fits
+            if not guard:       # operator and preconditioner, once it fits
                 A, T = _Apply(H), _FamilyInverse(H)
-            w, U = _lobpcg(A, T, X.T, stop, LOBPCG_MAXITER)
+            # passed on, not kept, so that the solver can free it
+            w, U = _lobpcg(A, T, self._start(H, m, guard, U).T, stop,
+                           LOBPCG_MAXITER)
             w, U = w[:m], U[:, :m]
             res = np.linalg.norm(A(U) - U * w, axis=0)
             if np.any(res > stop):
@@ -758,13 +800,23 @@ class _Sectors:
                 break
         return w, U, res
 
-    def embed(self, t: int, coeffs: np.ndarray) -> np.ndarray:
-        """Full-space columns of the sector-t coefficient columns over
-        the ``_orbit`` of the representatives b (pure-Z rows' parities
-        imposed), chi_t(g) in each row's phase, in Fortran order; with no
-        generator (r = 0) the basis is the full one."""
-        if not self.r:
-            return coeffs
+    def _start(self, H: SpinHamiltonian, m: int, guard: int, U):
+        """The seeded (m + guard, 2^n) start rows, complex for a complex
+        H; after a failed gate the failed block's m columns U come first,
+        then the guards."""
+        rng = np.random.default_rng(self.seed)
+        X = rng.standard_normal((m + guard, H.dimension))
+        if H.dtype == np.complex128:
+            X = X + 1j * rng.standard_normal(X.shape)
+        if guard:
+            X[:m] = U.T
+        return X
+
+    def spread(self, t: int, coeffs: np.ndarray):
+        """Where sector t's basis states have support, the ``_orbit`` of
+        the representatives b (pure-Z rows' parities imposed), as full-
+        space indices, and each coefficient column's amplitudes there,
+        one row per column, chi_t(g) in each orbit row's phase."""
         b = _deposit(np.arange(self.dim, dtype=np.uint64), self.sites)
         for q, m, c, sign in self.parities:
             par = (_count(b, m) + (_parity(c & t) ^ sign)) & 1
@@ -774,8 +826,17 @@ class _Sectors:
         ph = (_PHASES.real if self.H.dtype == np.float64 else _PHASES)[k & 3]
         amp = (ph.reshape(1 << len(self.orbit), -1)
                * (coeffs.T / np.sqrt(2.0 ** len(self.orbit)))[:, None])
-        out = np.zeros((coeffs.shape[1], self.H.dimension), dtype=amp.dtype)
-        out[:, index.astype(np.intp)] = amp.reshape(len(out), -1)
+        return index.astype(np.intp), amp.reshape(coeffs.shape[1], -1)
+
+    def embed(self, t: int, coeffs: np.ndarray) -> np.ndarray:
+        """Full-space columns of the sector-t coefficient columns, in
+        Fortran order, zero off the sector's support; with no generator
+        (r = 0) the basis is the full one."""
+        if not self.r:
+            return coeffs
+        index, amp = self.spread(t, coeffs)
+        out = np.zeros((len(amp), self.H.dimension), dtype=amp.dtype)
+        out[:, index] = amp
         return out.T
 
 

@@ -441,6 +441,15 @@ def test_dispersion_rejects_a_grid_below_one_point(tmp_path, capsys, option,
                 "hx=0.1:0.2:3:4")],
     (["decoherence", "--sweep", "hz=0.1:0.2:3"],
      "only hx sweeps are supported"),
+], ids=[    # spelled out, so that editing a message renames no test
+    "args0---shots must be at least 0, got -5",
+    "args1---shots must be at least 0, got -1",
+    "args2---sweep needs at least 1 point, got 0",
+    "args3---sweep needs at least 1 point, got -2",
+    *[f"args{j}---sweep takes hx=a:b:n with n a positive integer, got {s!r}"
+      for j, s in enumerate(("hx=0.1", "hx=a:b:3", "hx=0.1:0.2:2.5", "hx",
+                             "hx=0.1:0.2:3:4"), 4)],
+    "args9-only hx sweeps are supported",
 ])
 def test_cli_rejects_negative_shots_and_empty_sweeps(tmp_path, capsys, args,
                                                      message):

@@ -656,7 +656,7 @@ def test_lobpcg_block_of_k_columns_resolves_a_doublet(monkeypatch):
     monkeypatch.setattr(_Apply, "__call__", counted)
     spec = lowest_eigs(H, 5, tol=1e-10)
     assert spec.method == "lobpcg" and spec.sector_dims == (512,)
-    assert max(widths) <= 5
+    assert widths and max(widths) <= 5
     assert np.max(np.abs(spec.eigenvalues - want)) <= 1e-10 * H.norm_bound
     doublet = np.abs(spec.eigenvalues - (-16.0100155555)) <= 1e-9
     assert doublet.sum() == 2
@@ -745,16 +745,26 @@ def test_guard_columns_after_a_failed_gate(monkeypatch):
     assert np.all(spec.residual_norms <= 50 * 1e-10 * H.norm_bound)
 
 
-def test_lobpcg_from_a_rank_deficient_block():
+def test_lobpcg_from_a_rank_deficient_block(monkeypatch):
     """A start block whose first two columns are equal still gives 4
     orthonormal vectors at the dense levels: the start is made
-    orthonormal by a Householder QR, which keeps every column."""
+    orthonormal by a Householder QR, which keeps every column.  Its
+    first W needs the second orthogonalization pass, as do later ones."""
     _, lat, mask, _ = _example("torus 3x3", _ALL_SITES, 4)
     H = assemble(lat, 1.0, mask)
     X = np.random.default_rng(5).standard_normal((H.dimension, 4))
     X[:, 1] = X[:, 0]
+    verdicts, join = [], spectra._join
+
+    def recorded(G, lo):
+        C, enough = join(G, lo)
+        verdicts.append(enough)
+        return C, enough
+
+    monkeypatch.setattr(spectra, "_join", recorded)
     w, U = spectra._lobpcg(_Apply(H), _FamilyInverse(H), X,
                            1e-10 * H.norm_bound, spectra.LOBPCG_MAXITER)
+    assert verdicts[:2] == [False, True]
     want = np.linalg.eigvalsh(_kron_matrix(H))[:4]
     assert np.max(np.abs(w - want)) <= 1e-10 * H.norm_bound
     assert np.allclose(U.T @ U, np.eye(4), rtol=0, atol=1e-12)
@@ -864,7 +874,7 @@ def test_global_problem_takes_few_applications(monkeypatch):
     monkeypatch.setattr(_Apply, "__call__", counted)
     spec = lowest_eigs(_global_field(0.15), 3, tol=1e-8)
     assert spec.method == "lobpcg" and spec.sector_dims == (1 << 16,)
-    assert len(calls) <= 80
+    assert 0 < len(calls) <= 80
     U = spec.columns
     assert np.max(np.abs(U.conj().T @ U - np.eye(3))) <= 1e-12
 
@@ -1236,6 +1246,92 @@ def test_kernel_memory_on_all_site_field():
     xs = {p.x for _, p in H.terms if p.x}
     assert len(apply_h.prepped) == (len({x >> 3 for x in xs if x & 7})
                                     + sum(1 for x in xs if not x & 7))
+
+
+def _x_strings(rng, n, coeffs, real):
+    """Pure X strings with the given coefficients on distinct random x
+    masks from 4 on, none on sites 0-2 from n = 5 on, each with a random
+    phase (+-1 when ``real``); z fields on every site; an x on site 1,
+    which joins a low-site matrix from n = 5 on; a string with z bits."""
+    masks = [x for x in range(4, 1 << n) if n <= 4 or not x & 7]
+    xs = rng.choice(masks, size=len(coeffs), replace=False)
+    terms = [(c, PauliString(n, int(x), 0, 2 * int(rng.integers(2)) if real
+                             else int(rng.integers(4))))
+             for c, x in zip(coeffs, xs)]
+    terms += [(float(rng.normal()), PauliString.sz(n, j)) for j in range(n)]
+    return terms + [(0.4, PauliString.sx(n, 1)),
+                    (0.7, PauliString(n, 3, 1 << n - 1, 0))]
+
+
+@pytest.mark.parametrize("repeat", [True, False], ids=["shared", "distinct"])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [4, 7])
+def test_kernel_scalar_groups_against_pauli_sum_matrix(n, real, repeat,
+                                                       monkeypatch):
+    """Groups of pure X strings have one scalar coefficient each and are
+    applied as flips of one scaled copy of the input per distinct value.
+    With 12 such strings whose 3 values, times their phases, repeat and
+    with 12 distinct values, real and complex, on whole blocks and (at
+    n = 7) one state at a time, ``_Apply`` equals ``pauli_sum_matrix``
+    within 1e-13 of the norm bound.  The scalar entries close
+    ``prepped``, one per x mask, each value's together and sharing one
+    array."""
+    rng = np.random.default_rng(7 * n + 2 * real + repeat)
+    values = rng.normal(size=3 if repeat else 12)
+    H = _ham(n, _x_strings(rng, n, [float(values[j % len(values)])
+                                    for j in range(12)], real))
+    apply_h = _Apply(H)
+    scalar = [c * 1j ** p.k for c, p in H.terms
+              if p.x and not p.z and (n <= 4 or not p.x & 7)]
+    coeffs = [c for _, c in apply_h.prepped]
+    tail = coeffs[len(coeffs) - len(scalar):]
+    assert all(c.size == 1 for c in tail) and coeffs[-len(tail) - 1].size > 1
+    runs = [c for j, c in enumerate(tail) if not j or c is not tail[j - 1]]
+    assert len({c.item() for c in runs}) == len(runs) == len(set(scalar))
+    assert (len(runs) < len(tail)) == repeat
+    if n == 7:
+        monkeypatch.setattr(spectra, "APPLY_PER_STATE", 1 << n - 1)
+    M = pauli_sum_matrix(H.terms, n)
+    tol = 1e-13 * H.norm_bound
+    for dtype in (np.float64, np.complex128):
+        V = rng.standard_normal((H.dimension, 3)).astype(dtype)
+        if dtype == np.complex128:
+            V += 1j * rng.standard_normal(V.shape)
+        for v in (V, np.asfortranarray(V), V[:, 1]):
+            assert np.max(np.abs(apply_h(v) - M @ v)) <= tol
+
+
+def test_join_takes_rows_out_of_a_span_in_one_or_two_passes():
+    """One ``_join`` pass makes rows W orthonormal and orthogonal to the
+    orthonormal rows V from the Gram product W [V W]^H alone.  It is
+    enough for W orthogonal to V; W nearly inside span V, or with two
+    equal rows, asks for the second pass, after which the rows are
+    orthonormal within 1e-12 and the duplicate is dropped."""
+    rng = np.random.default_rng(11)
+    dim = 400
+    V = np.linalg.qr(rng.standard_normal((dim, 3)))[0].T
+    fresh = rng.standard_normal((2, dim))
+    fresh -= (fresh @ V.T) @ V
+
+    def passes(W):
+        S, verdicts = np.vstack([V, W]), []
+        for _ in range(2):
+            C, enough = spectra._join((S[3:].conj() @ S.T).conj(), 3)
+            S = np.vstack([V, C.T @ S])
+            verdicts.append(enough)
+            if enough:
+                break
+        return S, verdicts
+
+    S, verdicts = passes(fresh)
+    assert verdicts == [True]
+    assert np.allclose(S @ S.T, np.eye(5), rtol=0, atol=1e-12)
+    for W, rows in ((1e6 * V[:2] + fresh, 5),
+                    (np.vstack([fresh[0], fresh[0], fresh[1]]), 5)):
+        S, verdicts = passes(W)
+        assert verdicts[0] is False and len(verdicts) == 2
+        assert len(S) == rows
+        assert np.allclose(S @ S.T, np.eye(rows), rtol=0, atol=1e-12)
 
 
 def test_lobpcg_warnings_reach_the_error(monkeypatch):
