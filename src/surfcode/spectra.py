@@ -14,12 +14,11 @@ coefficient over only its z bits, on a vector or a block of columns,
 and ``pauli_sum_matrix`` writes the same groups once into the sparse
 matrix of the pseudo-spin chain.  A ``_Table`` sums the same groups in
 the same order into the dense matrices of sectors and floors, from
-entries of the strings tabulated once per solve.  On more than 4
-sites, the groups that act on sites 0-2 alone, up to a flip of higher
-sites, are summed per higher flip into an 8 x 8 matrix, one matmul on
-the (2^(n-3), 8) view; the groups of pure X strings, whose coefficient
-is one scalar, are flips of one scaled copy of the input per distinct
-value; long states are applied one at a time.
+entries of the strings tabulated once per solve.  A group whose
+coefficient lies within the 3-site window of its lowest x site joins
+that window's 8 x 8 matrix for its x part above the window, one matmul
+on a view of the state and a flip; long states are applied one at a
+time.
 
 Because sigma^y carries imaginary entries, a term list containing only
 {stabilizers, sigma^x} or only {stabilizers, sigma^y} fields is mapped
@@ -67,7 +66,10 @@ terms taken by decreasing |c|, which holds the stabilizers, the
 largest terms; w is the largest |c| left out.  F's X parts, eliminated
 like the generators, give a basis where H_F is diagonal: their
 ``_orbit``, then a Walsh-Hadamard transform over their a pivot bits, so
-T costs O(a 2^n) a column.  Where level k cuts through a degenerate
+T costs O(a 2^n) a column.  Each column's scale there is shifted
+toward its Ritz value theta, 1 / min(E - E_min + w, max(|E - theta|,
+w)) for H_F's energies E, which is T's for theta <= E_min - w, the
+ground columns.  Where level k cuts through a degenerate
 cluster a column can stall above the residual gate 50 tol ||H||; only
 then is the sector solved again from the failed block's k columns and
 2, then 4 seeded guard columns, the first k kept.  One ``_Sectors`` per
@@ -195,6 +197,13 @@ def _axes(n: int, mask: int) -> tuple[int, ...]:
     return tuple(n - 1 - j for j in range(n) if mask >> j & 1)
 
 
+def _flips(n: int, x: int) -> tuple:
+    """Index of the (2,)*n tensor, its first n axes, that reverses the
+    axes of x's sites: XOR with x as a view."""
+    return tuple(slice(None, None, -1) if x >> (n - 1 - a) & 1
+                 else slice(None) for a in range(n))
+
+
 def _z_sum(n: int, terms) -> np.ndarray:
     """sum_j c_j i^k_j (-1)^{z_j.x} (-1)^{z_j.t} over basis states t for
     terms sharing one x mask, the factor that multiplies v[t ^ x] in
@@ -230,15 +239,21 @@ class _Apply:
     block's columns as the rows of the transpose, so a Fortran-order
     block, each state contiguous, is read and returned without a copy.
     The x = 0 group is the diagonal ``diag``, and ``prepped`` holds one
-    (flip axes, coefficient) entry per other group: ``low`` (flip axes,
-    8 x 8 matrix) entries, then groups applied by flip and multiply,
-    then those of pure X strings, whose scalar, one array per value,
-    multiplies one copy of the input that each group of that value adds
-    flipped.  Flips and signs of sites 0-2, the last axes, leave numpy
-    loops of 2-8 elements, so on more than 4 sites the groups that flip
-    or sign sites 0-2 and whose coefficient has no factor on a higher
-    site are summed per higher x part into a matrix, one matmul on the
-    (2^(n-3), 8) view and the higher flip as a view.  States of at least
+    (flip, coefficient, view) entry per window matrix or other group.
+    Flips and signs of the last axes leave numpy loops of a few
+    elements, so the groups are summed by 3-site windows [3w, 3w + 3):
+    a group whose lowest x site lies in window w and whose coefficient
+    has no factor outside it joins one 2^s x 2^s matrix per window and
+    x part above it (s = 3, fewer in a last short window).  A matrix
+    is one matmul on the (..., 2^s, 2^(3w)) ``view`` of the state
+    (window 0's, stored transposed, on the (..., 2^s) view from the
+    right), after which the higher part's ``flip``, a view, is added;
+    the matrices come first.  Every other group is flip and multiply,
+    its ``view`` None.  On the 16-spin problem with a field on every
+    site that is 9 matrices and one group, where matrices on sites 0-2
+    alone and per-group flips took 18 entries, and one application of
+    a state takes ~0.65 instead of ~0.92 ms (one thread, 2-core x86-64
+    host, best of 30 runs of 20 calls).  States of at least
     ``APPLY_PER_STATE`` amplitudes are applied one at a time, so that a
     state's arrays stay in cache."""
 
@@ -247,25 +262,26 @@ class _Apply:
         self.H = H
         (_, self.diag), *rest = _groups(n, H.terms)
         self.dtype = np.result_type(self.diag, *(c for _, c in rest))
-        low: dict[int, np.ndarray] = {}
-        scalar: dict[complex, tuple[np.ndarray, list]] = {}
-        other, idx = [], np.arange(8)
+        windows: dict[tuple[int, int], np.ndarray] = {}
+        self.prepped = []
         for x, coeff in rest:
-            if (n > 4 and all(s == 1 for s in coeff.shape[:-3])
-                    and (x & 7 or coeff.size > 1)):
-                c = np.broadcast_to(coeff.reshape(coeff.shape[-3:]), (2,) * 3)
-                M = low.setdefault(x & ~7, np.zeros((8, 8), self.dtype))
-                # then (v M)[t], flipped by x & ~7, adds c[t & 7] v[t ^ x]
-                M[idx ^ (x & 7), idx] += c.ravel()
-            elif coeff.size == 1:
-                scalar.setdefault(coeff.item(), (coeff, []))[1].append(x)
+            lo = ((x & -x).bit_length() - 1) // 3 * 3   # window's lowest site
+            s = min(3, n - lo)
+            axes = slice(n - lo - s, n - lo)            # the window's axes
+            if coeff.size == np.prod(coeff.shape[axes]):
+                high = x >> lo + s << lo + s
+                M = windows.setdefault((lo, high), np.zeros((1 << s,) * 2,
+                                                            self.dtype))
+                idx = np.arange(1 << s)
+                # (M v)[i] on the window's bits is c[i] v[i ^ x's bits]
+                M[idx, idx ^ (x >> lo & (1 << s) - 1)] += np.broadcast_to(
+                    coeff.reshape(coeff.shape[axes]), (2,) * s).ravel()
             else:
-                other.append((_axes(n, x), coeff))
-        self.prepped = [(_axes(n, high), M) for high, M in low.items()]
-        self.low = len(self.prepped)
-        self.prepped += other
-        self.prepped += [(_axes(n, x), c) for c, xs in scalar.values()
-                         for x in xs]
+                self.prepped.append(((...,) + _flips(n, x), coeff, None))
+        self.prepped[:0] = [
+            ((...,) + _flips(n, high), M.T.copy() if not lo else M,
+             (-1, len(M)) + ((1 << lo,) if lo else ()))
+            for (lo, high), M in windows.items()]
 
     def __call__(self, v):
         v = np.asarray(v)
@@ -280,28 +296,23 @@ class _Apply:
 
     def _apply(self, rows, out):
         """H applied to the rows tensor, a state or a block, into out."""
-        lead = rows.ndim - self.H.n                 # the axis of the rows
         np.multiply(self.diag, rows, out=out)
-        tmp, scaled = np.empty_like(out), None      # scaled: tmp's scalar
-        if self.low:
-            rows8, tmp8 = rows.reshape(-1, 8), tmp.reshape(-1, 8)
-        for i, (axes, coeff) in enumerate(self.prepped):
-            axes = tuple(a + lead for a in axes)
-            if i < self.low:
-                np.matmul(rows8, coeff, out=tmp8)
-                out += np.flip(tmp, axes)
-            elif coeff.size > 1:
-                np.multiply(coeff, np.flip(rows, axes), out=tmp)
+        tmp = np.empty_like(out)
+        for flip, coeff, view in self.prepped:
+            if view is None:
+                np.multiply(coeff, rows[flip], out=tmp)
                 out += tmp
+                continue
+            if len(view) == 2:          # the lowest window: rows times M^T
+                np.matmul(rows.reshape(view), coeff, out=tmp.reshape(view))
             else:
-                if coeff is not scaled:
-                    np.multiply(rows, coeff, out=tmp)
-                    scaled = coeff
-                out += np.flip(tmp, axes)
+                np.matmul(coeff, rows.reshape(view), out=tmp.reshape(view))
+            out += tmp[flip]
 
 
 class _FamilyInverse:
-    """T = (H_F - E_min + w)^-1, the LOBPCG preconditioner.
+    """T = (H_F - E_min + w)^-1, the LOBPCG preconditioner, shifted per
+    column toward the column's Ritz value.
 
     F takes the terms by decreasing |c|, ties in term order, each one
     that commutes with every member so far; w is the largest |c| left
@@ -314,9 +325,17 @@ class _FamilyInverse:
     hold alpha, so U^+, the map to that basis, is a gather by ``index``
     and the conjugate ``phase`` of g^beta |rep_c> from ``_orbit``, then a
     Walsh-Hadamard transform over those bits, and U the same steps back,
-    the gather by ``inverse``.  H_F's energies E are U^+ H_F U applied to
-    a vector of ones, and T = U diag(1 / (E - E_min + w)) U^+.  With no x
-    in F, U is the identity and T a shifted diagonal inverse."""
+    the gather by ``inverse``.  H_F's energies E_F are U^+ H_F U applied
+    to a vector of ones; ``E`` keeps E_F - E_min + w, T^-1's eigenvalues,
+    times 2^a, the two transforms' gain.  With no x in F, U is the
+    identity and T a shifted diagonal inverse.
+
+    A column with Ritz value theta is scaled in that basis by
+    1 / min(E_F - E_min + w, max(|E_F - theta|, w)), in the spirit of
+    Davidson's shift: states of H_F near theta weigh up to 1/w, and those
+    far from it no more than in T.  The scale is positive and at most
+    1/w, so each column's operator is Hermitian positive definite, and
+    for theta <= E_min - w, as for the ground columns, it is T's."""
 
     def __init__(self, H: SpinHamiltonian):
         n, dim = H.n, H.dimension
@@ -324,7 +343,8 @@ class _FamilyInverse:
         for c, p in sorted(H.terms, key=lambda t: -abs(t[0])):
             inside = all(commutes(p, q) for _, q in self.family)
             (self.family if inside else out).append((c, p))
-        w = max((abs(c) for c, _ in out), default=0.0) or H.norm_bound or 1.0
+        self.w = (max((abs(c) for c, _ in out), default=0.0)
+                  or H.norm_bound or 1.0)
         rows, _ = eliminate([[p.x, p] for _, p in self.family if p.x], n)
         self.a = len(rows)
         pivots = sum(1 << q for q, _ in rows)
@@ -336,12 +356,15 @@ class _FamilyInverse:
         self.inverse[self.index] = np.arange(dim)
         self.phase = (_PHASES.real if H.dtype == np.float64
                       else _PHASES)[k & 3]
+        # allocated ahead of the temporaries below, which then free one
+        # block above it for the solve: ~0.7 MB less peak RSS at n = 16
+        self.E = np.empty(dim)
+        self.buf = np.empty(min(dim, LOBPCG_CHUNK))     # a shifted scale's
         HF = _Apply(replace(H, terms=tuple(self.family)))
         ones = np.ones((1, dim), self.phase.dtype)
         E = self._to_basis(HF(self._from_basis(ones).T).T).real[0]
-        E /= 1 << self.a
-        self.shift = w - E.min()    # T^-1 = H_F + shift
-        self.scale = 1.0 / ((E + self.shift) * (1 << self.a))
+        self.shift = self.w - E.min() / (1 << self.a)   # T^-1 = H_F + shift
+        np.add(E, self.shift * (1 << self.a), out=self.E)
 
     def _transform(self, y: np.ndarray) -> np.ndarray:
         """Unnormalized Walsh-Hadamard transform of the C-contiguous
@@ -367,13 +390,29 @@ class _FamilyInverse:
         y *= self.phase
         return np.take(y, self.inverse, axis=1, out=out, mode="clip")
 
-    def __call__(self, R: np.ndarray, out=None) -> np.ndarray:
+    def __call__(self, R: np.ndarray, out=None, theta=None) -> np.ndarray:
         """T R for a (2^n, m) block R, read and returned as ``_Apply``
         reads and returns one: Fortran order costs no copy.  With
         ``out``, a block of R's shape and dtype and possibly R itself,
-        T R is written there."""
-        y = self._to_basis(R.T)
-        y *= self.scale
+        T R is written there.  With ``theta``, the m columns' Ritz
+        values, column j is scaled for theta[j]; the shifted scale is
+        formed ``LOBPCG_CHUNK`` entries at a time in ``buf``, kept for
+        every call, so that a call allocates only its transform's rows."""
+        y, gain, buf = self._to_basis(R.T), 1 << self.a, self.buf
+        for j, row in enumerate(y):
+            # (theta - E_min + w) 2^a: |E_F - theta| 2^a is |E - sigma|
+            sigma = -np.inf if theta is None else (theta[j] + self.shift) * gain
+            if sigma <= 0:
+                row /= self.E
+                continue
+            for at in range(0, len(row), len(buf)):
+                E, part = self.E[at:at + len(buf)], row[at:at + len(buf)]
+                d = buf[:len(E)]
+                np.subtract(E, sigma, out=d)
+                np.abs(d, out=d)
+                np.maximum(d, self.w * gain, out=d)
+                np.minimum(d, E, out=d)
+                part /= d
         return self._from_basis(y, None if out is None else out.T).T
 
 
@@ -417,8 +456,9 @@ def _lobpcg(A, T, X: np.ndarray, tol: float, maxiter: int):
     locked ones, then the active ones: a row whose residual r, out of
     the locked rows L, is at most ``tol`` (||r||^2 - ||L^H r||^2) is
     locked, and the others iterate in its complement for at most
-    ``maxiter`` steps.  W = T R joins the basis, out of span [X, P],
-    locked rows included, by one or two ``_join`` passes.  A last
+    ``maxiter`` steps.  W = T R, each residual preconditioned for its
+    row's Ritz value (T's ``theta``), joins the basis, out of span
+    [X, P], locked rows included, by one or two ``_join`` passes.  A last
     Rayleigh-Ritz step over all m rows gives the ascending values and
     the vectors as a Fortran-order block."""
     dim, m = X.shape
@@ -462,7 +502,7 @@ def _lobpcg(A, T, X: np.ndarray, tol: float, maxiter: int):
             B[lo:hi] = R[~done]
         if locked == m:
             break
-        T(B[lo:hi].T, out=B[lo:hi].T)
+        T(B[lo:hi].T, out=B[lo:hi].T, theta=lam[locked:])
         for _ in range(2):
             G = gram(B[lo:hi], B[:hi]).conj()
             C, enough = _join(G, lo)
@@ -489,8 +529,8 @@ def _lobpcg(A, T, X: np.ndarray, tol: float, maxiter: int):
 def apply_pauli(p: PauliString, v: np.ndarray) -> np.ndarray:
     """P|v> for a single Pauli string on (2^n,) states or (2^n, k) blocks."""
     v = np.asarray(v)
-    _, coeff = _groups(p.n, [(1.0, p)])[-1]
-    t = np.flip(v.reshape((2,) * p.n + v.shape[1:]), _axes(p.n, p.x))
+    coeff = _z_sum(p.n, [(1.0, p)])
+    t = v.reshape((2,) * p.n + v.shape[1:])[_flips(p.n, p.x)]
     return (coeff[(...,) + (None,) * (v.ndim - 1)] * t).reshape(v.shape)
 
 

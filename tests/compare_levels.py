@@ -5,7 +5,9 @@
 Lines are paired by (test, call).  The report gives how many pairs are
 bit-identical, the largest |level difference| / norm_bound, each file's
 largest residual norm / norm_bound where its lines record residuals,
-every pair whose sector labels differ, and every pair that fails.  A
+each file's total of applied state columns and the five pairs whose
+counts moved most where both record them, every pair whose sector
+labels differ, and every pair that fails.  A
 pair fails when its levels differ by more than T * norm_bound (or in
 number), when only one side raised, or when it has no partner in the
 other file; the exit status is 1 if any pair fails, else 0.
@@ -70,7 +72,24 @@ def compare(a: dict, b: dict, tol: float) -> tuple[list[str], bool]:
             top, key = max(res)
             head.append(f"{side} file: largest residual / norm_bound "
                         f"{top:.3g} ({key[0]} call {key[1]})")
-    return head + report + failed, bool(failed)
+    return head + _applications(a, b) + report + failed, bool(failed)
+
+
+def _applications(a: dict, b: dict) -> list[str]:
+    """Each file's total of applied state columns over all its lines,
+    then up to five pairs whose counts moved most, largest first."""
+    if not all("applications" in line for side in (a, b)
+               for line in side.values()):
+        return []
+    lines = [f"{side} file: {sum(f[k]['applications'] for k in f)} "
+             f"applications in {len(f)} calls"
+             for side, f in (("first", a), ("second", b))]
+    moved = sorted(((b[k]["applications"] - a[k]["applications"], k)
+                    for k in a.keys() & b.keys()),
+                   key=lambda m: (-abs(m[0]), m[1]))
+    return lines + [f"applications moved: {k[0]} call {k[1]}: "
+                    f"{a[k]['applications']} -> {b[k]['applications']}"
+                    for d, k in moved[:5] if d]
 
 
 def main(argv=None) -> int:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import surfcode as sc
@@ -12,8 +13,8 @@ def pytest_addoption(parser):
     parser.addoption(
         "--record-levels", metavar="PATH", default=None,
         help="write one JSON line per lowest_eigs call to PATH: test id, "
-             "call index, n, norm bound, eigenvalues, sector labels and "
-             "residual norms")
+             "call index, n, norm bound, eigenvalues, sector labels, "
+             "residual norms and the state columns applied")
 
 
 def pytest_configure(config):
@@ -21,18 +22,25 @@ def pytest_configure(config):
     ``lowest_eigs`` call passes through, so two checkouts' solver paths
     can be compared level by level (a ``Spectrum``, or an older tuple
     that starts with the eigenvalues and the labels and records no
-    residuals)."""
+    residuals).  ``applications`` counts the state columns that
+    ``spectra._Apply`` applied during the call, a vector as one."""
     path = config.getoption("--record-levels")
     if not path:
         return
     out, inner = open(path, "w"), spectra._sector_eigs
     config.add_cleanup(out.close)
+    applied, apply = [0], spectra._Apply.__call__
+
+    def counted(op, v):
+        applied[0] += np.shape(v)[1] if np.ndim(v) > 1 else 1
+        return apply(op, v)
 
     def recorded(*args, **kwargs):
         H = getattr(args[0], "H", args[0])    # the sectors, or H itself
         line = {"test": _RECORD["test"], "call": _RECORD["calls"], "n": H.n,
                 "norm_bound": H.norm_bound}
         _RECORD["calls"] += 1
+        before = applied[0]
         try:
             got = inner(*args, **kwargs)
         except Exception as err:
@@ -47,10 +55,12 @@ def pytest_configure(config):
                 line["residual_norms"] = [float(r)
                                           for r in got.residual_norms]
         finally:
+            line["applications"] = applied[0] - before
             out.write(json.dumps(line) + "\n")
         return got
 
     spectra._sector_eigs = recorded
+    spectra._Apply.__call__ = counted
 
 
 @pytest.hookimpl(hookwrapper=True)

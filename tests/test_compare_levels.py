@@ -61,3 +61,29 @@ def test_compare_levels_reports_each_files_largest_residual(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1:] == [
         "first file: largest residual / norm_bound 5e-16 (t call 1)",
         "second file: largest residual / norm_bound 2e-17 (t call 0)"]
+
+
+def test_compare_levels_reports_applications(tmp_path, capsys):
+    """Where both files record applied columns, each file's total comes
+    after the residual lines, then the five pairs whose counts moved
+    most, largest move first; an unmoved pair is not listed."""
+    lv = {"test": "t", "n": 4, "norm_bound": 1.0, "eigenvalues": [-1.0],
+          "labels": [0]}
+    counts = [(10, 10), (40, 20), (5, 9), (7, 8), (30, 33), (2, 4), (1, 2)]
+    a = _write(tmp_path / "a.jsonl", [
+        {**lv, "call": j, "applications": x} for j, (x, _) in enumerate(counts)])
+    b = _write(tmp_path / "b.jsonl", [
+        {**lv, "call": j, "applications": y} for j, (_, y) in enumerate(counts)])
+    assert compare_levels.main([a, b]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "first file: 95 applications in 7 calls",
+        "second file: 86 applications in 7 calls",
+        "applications moved: t call 1: 40 -> 20",
+        "applications moved: t call 2: 5 -> 9",
+        "applications moved: t call 4: 30 -> 33",
+        "applications moved: t call 5: 2 -> 4",
+        "applications moved: t call 3: 7 -> 8"]
+    c = _write(tmp_path / "c.jsonl", [{**lv, "call": j}
+                                      for j in range(len(counts))])
+    assert compare_levels.main([a, c]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == []

@@ -841,6 +841,39 @@ def test_family_inverse_against_dense_matrices(build):
         assert len(T.family) == len(H.terms) and T.a == 0
 
 
+@pytest.mark.parametrize("build", [
+    lambda: _assembled("torus 3x3", _ALL_SITES),
+    lambda: _assembled("torus 3x3", {s: (0.1, 0.1, 0) for s in range(9)}),
+    _diagonal_only,
+], ids=["torus-xz", "complex-xy", "diagonal"])
+def test_family_inverse_shifted_toward_ritz_values(build):
+    """Column j of T(R, theta=theta) is scaled for theta[j]: with every
+    theta at or below E_min - w it is T R bit for bit; above, the
+    column's operator is f(H_F + shift) for f(e) = 1 / min(e, max(|e -
+    sigma|, w)), sigma = theta + shift, so it is Hermitian with
+    eigenvalues in (0, 1/w], the largest 1/w where H_F reaches theta.
+    Checked against dense matrices from a diagonalization of H_F."""
+    H = build()
+    T = _FamilyInverse(H)
+    dim, rng = H.dimension, np.random.default_rng(31)
+    R = np.asfortranarray(rng.standard_normal((dim, 3))).astype(H.dtype)
+    low = -T.shift - np.array([0.0, 0.5, 7.0])
+    assert np.array_equal(T(R, theta=low), T(R))
+    eye = np.eye(dim, dtype=H.dtype)
+    A = pauli_sum_matrix(T.family, H.n).toarray() + T.shift * eye
+    e, V = np.linalg.eigh(A)
+    for theta in (-T.shift + 1e-3, e[len(e) // 3] - T.shift,
+                  e[-1] - T.shift, e[-1] - T.shift + 5.0):
+        Tm = T(eye, theta=np.full(dim, theta))
+        f = 1 / np.minimum(e, np.maximum(np.abs(e - theta - T.shift), T.w))
+        assert np.allclose(Tm, (V * f) @ V.conj().T, rtol=0, atol=1e-12)
+        s = np.linalg.eigvalsh(Tm)
+        assert s.min() > 0 and s.max() <= (1 + 1e-12) / T.w
+    mixed = T(R, theta=np.array([low[0], theta, low[2]]))
+    assert np.array_equal(mixed[:, ::2], T(R)[:, ::2])
+    assert not np.allclose(mixed[:, 1], T(R)[:, 1])
+
+
 def _global_field(h):
     return assemble(_EDGE, 1.0, sc.field_mask(_EDGE, {"type": "all"},
                                               (h, 0, h)))
@@ -863,8 +896,10 @@ def test_family_of_the_global_problem():
 
 def test_global_problem_takes_few_applications(monkeypatch):
     """The 16-spin problem with hx = hz = 0.15 on every site, k = 3:
-    LOBPCG preconditioned by T needs at most 80 applications of H, one
-    of them for H_F's energies (106 with the shifted diagonal)."""
+    LOBPCG preconditioned by T, shifted per column toward its Ritz
+    value, needs at most 80 applications of H, one of them for H_F's
+    energies (106 with the shifted diagonal), and at most 90 state
+    columns (103 with T unshifted)."""
     calls, call = [], _Apply.__call__
 
     def counted(op, v):
@@ -875,6 +910,7 @@ def test_global_problem_takes_few_applications(monkeypatch):
     spec = lowest_eigs(_global_field(0.15), 3, tol=1e-8)
     assert spec.method == "lobpcg" and spec.sector_dims == (1 << 16,)
     assert 0 < len(calls) <= 80
+    assert sum(s[1] if len(s) > 1 else 1 for s in calls) <= 90
     U = spec.columns
     assert np.max(np.abs(U.conj().T @ U - np.eye(3))) <= 1e-12
 
@@ -1185,16 +1221,62 @@ def test_pauli_sum_matrix_against_kronecker():
                            rtol=0, atol=1e-12)
 
 
+def _window_rule(H):
+    """The kernel's entries predicted from the terms: the (lowest site,
+    higher x part) of each window matrix, and how many groups keep flip
+    and multiply.  A group's window holds its lowest x site; it joins
+    that window's matrix when its terms' z bits all lie in the window."""
+    n, zs = H.n, {}
+    for _, p in H.terms:
+        if p.x:
+            zs[p.x] = zs.get(p.x, 0) | p.z
+    windows, other = set(), 0
+    for x, z in zs.items():
+        lo = ((x & -x).bit_length() - 1) // 3 * 3
+        bits = (1 << min(3, n - lo)) - 1 << lo
+        if z & ~bits:
+            other += 1
+        else:
+            windows.add((lo, x & ~bits))
+    return windows, other
+
+
+def _window_entries(apply_h):
+    """(lowest site, flipped higher sites) of each entry of ``prepped``,
+    None for a flip-and-multiply group, checking each matrix's size."""
+    n, got = apply_h.H.n, []
+    for flip, coeff, view in apply_h.prepped:
+        flipped = sum(1 << n - 1 - a for a, s in enumerate(flip[1:])
+                      if s.step == -1)
+        if view is None:
+            got.append(None)
+            continue
+        lo = (view[2].bit_length() - 1) if len(view) == 3 else 0
+        assert coeff.shape == (1 << min(3, n - lo),) * 2 == (view[1],) * 2
+        got.append((lo, flipped))
+    return got
+
+
+def _assert_window_rule(apply_h):
+    """``prepped`` is the window matrices, one per (window, higher x
+    part), then the flip-and-multiply groups."""
+    windows, other = _window_rule(apply_h.H)
+    got = _window_entries(apply_h)
+    assert got[:len(windows)] and set(got[:len(windows)]) == windows
+    assert got[len(windows):] == [None] * other
+    return got
+
+
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 7, 10])
 @pytest.mark.parametrize("frame", ["plain", "sgate"])
 @pytest.mark.parametrize("real", [True, False])
 def test_kernel_matches_kronecker_random_terms(n, frame, real, monkeypatch):
     """From n = 3 on, three terms join the random ones: an x on site 1,
-    and an x on sites 2 and n - 1 with a z on site 0, act on sites 0-2
-    up to a higher flip, so above n = 4 they become low-site matrices,
-    the second only in the plain frame, where it has no z on site n - 1;
-    an x on site 0 with a z on site n - 1 keeps flip and multiply.  At
-    n = 7 blocks go one state at a time."""
+    which joins window 0's matrix; an x on sites 2 and n - 1 with a z
+    on site 0; and an x on site 0 with a z on site n - 1, which above
+    n = 3 keeps flip and multiply.  The entries are those of the window
+    rule recomputed from the terms.  At n = 7 blocks go one state at a
+    time."""
     rng = np.random.default_rng(100 * n + 10 * real + (frame == "sgate"))
     terms = _random_terms(rng, n, 12, real)
     if n >= 3:
@@ -1203,11 +1285,30 @@ def test_kernel_matches_kronecker_random_terms(n, frame, real, monkeypatch):
                   (0.4, PauliString(n, 1, 1 << n - 1, 0))]
     H = _ham(n, terms, frame)
     apply_h = _Apply(H)
-    assert apply_h.low == (n > 4) * (1 + (frame == "plain"))
+    got = _assert_window_rule(apply_h)
     if n >= 3:
-        assert any(n - 1 in axes for axes, _ in apply_h.prepped[apply_h.low:])
+        assert (0, 0) in got
+        assert (None in got) == (n > 3)
     if n == 7:
         monkeypatch.setattr(spectra, "APPLY_PER_STATE", 1 << n - 1)
+    _check_kernel(H, rng)
+
+
+@pytest.mark.parametrize("z, entry", [(0, (0, 8)), (4, (0, 8)), (8, None)],
+                         ids=["no-z", "z-inside", "z-outside"])
+def test_kernel_straddling_two_windows(z, entry):
+    """n = 7 with an x on sites 2 and 3, across windows 0-2 and 3-5: the
+    group joins window 0's matrix, applied on the (..., 8) view, and a
+    flip of site 3; with a z on site 2 too, but a z on site 3 keeps it
+    flip and multiply.  Z fields and an x on site 4 come with it."""
+    n, rng = 7, np.random.default_rng(23)
+    terms = [(0.6, PauliString(n, 12, z, 0)), (0.3, PauliString.sx(n, 4))]
+    terms += [(float(rng.normal()), PauliString.sz(n, j)) for j in range(n)]
+    H = _ham(n, terms)
+    apply_h = _Apply(H)
+    got = _assert_window_rule(apply_h)
+    assert got[0] == entry or got[-1] == entry
+    assert (3, 0) in got and len(got) == 2
     _check_kernel(H, rng)
 
 
@@ -1239,20 +1340,21 @@ def test_kernel_memory_on_all_site_field():
         tracemalloc.stop()
     vector = 8 * H.dimension
     assert current <= 2 * vector and peak <= 2 * vector
-    arrays = [apply_h.diag] + [c for _, c in apply_h.prepped]
+    arrays = [apply_h.diag] + [c for _, c, _ in apply_h.prepped]
     assert all(a.dtype.kind == "f" for a in arrays)
-    # one entry per x mask, those that flip sites 0-2 merged into one
-    # matrix per x part on the other sites (no z there: X terms only)
+    # X terms only off the diagonal, so every group joins the matrix of
+    # its lowest site's window and the x part above it
+    got = _assert_window_rule(apply_h)
     xs = {p.x for _, p in H.terms if p.x}
-    assert len(apply_h.prepped) == (len({x >> 3 for x in xs if x & 7})
-                                    + sum(1 for x in xs if not x & 7))
+    assert None not in got and len(got) < len(xs)
 
 
 def _x_strings(rng, n, coeffs, real):
     """Pure X strings with the given coefficients on distinct random x
     masks from 4 on, none on sites 0-2 from n = 5 on, each with a random
     phase (+-1 when ``real``); z fields on every site; an x on site 1,
-    which joins a low-site matrix from n = 5 on; a string with z bits."""
+    which joins window 0's matrix; a string with a z bit outside the
+    window of its x bits."""
     masks = [x for x in range(4, 1 << n) if n <= 4 or not x & 7]
     xs = rng.choice(masks, size=len(coeffs), replace=False)
     terms = [(c, PauliString(n, int(x), 0, 2 * int(rng.integers(2)) if real
@@ -1268,27 +1370,25 @@ def _x_strings(rng, n, coeffs, real):
 @pytest.mark.parametrize("n", [4, 7])
 def test_kernel_scalar_groups_against_pauli_sum_matrix(n, real, repeat,
                                                        monkeypatch):
-    """Groups of pure X strings have one scalar coefficient each and are
-    applied as flips of one scaled copy of the input per distinct value.
-    With 12 such strings whose 3 values, times their phases, repeat and
-    with 12 distinct values, real and complex, on whole blocks and (at
-    n = 7) one state at a time, ``_Apply`` equals ``pauli_sum_matrix``
-    within 1e-13 of the norm bound.  The scalar entries close
-    ``prepped``, one per x mask, each value's together and sharing one
-    array."""
+    """Groups of pure X strings have one scalar coefficient each, so
+    each joins the window matrix of its lowest x site and its x part
+    above that window.  With 12 such strings whose 3 values, times
+    their phases, repeat and with 12 distinct values, real and complex,
+    on whole blocks and (at n = 7) one state at a time, ``_Apply``
+    equals ``pauli_sum_matrix`` within 1e-13 of the norm bound.  The
+    window entries open ``prepped``, one per (window, higher x part),
+    and the one string with a z bit outside its window closes it."""
     rng = np.random.default_rng(7 * n + 2 * real + repeat)
     values = rng.normal(size=3 if repeat else 12)
     H = _ham(n, _x_strings(rng, n, [float(values[j % len(values)])
                                     for j in range(12)], real))
     apply_h = _Apply(H)
-    scalar = [c * 1j ** p.k for c, p in H.terms
-              if p.x and not p.z and (n <= 4 or not p.x & 7)]
-    coeffs = [c for _, c in apply_h.prepped]
-    tail = coeffs[len(coeffs) - len(scalar):]
-    assert all(c.size == 1 for c in tail) and coeffs[-len(tail) - 1].size > 1
-    runs = [c for j, c in enumerate(tail) if not j or c is not tail[j - 1]]
-    assert len({c.item() for c in runs}) == len(runs) == len(set(scalar))
-    assert (len(runs) < len(tail)) == repeat
+    got = _assert_window_rule(apply_h)
+    assert got[-1] is None and got.count(None) == 1
+    for _, p in H.terms:
+        if p.x and not p.z:
+            lo = ((p.x & -p.x).bit_length() - 1) // 3 * 3
+            assert (lo, p.x >> lo + 3 << lo + 3) in got
     if n == 7:
         monkeypatch.setattr(spectra, "APPLY_PER_STATE", 1 << n - 1)
     M = pauli_sum_matrix(H.terms, n)
