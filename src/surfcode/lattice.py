@@ -37,16 +37,15 @@ Rectangles of these sizes contain no strictly interior sites, so no
 spins are removed: every one of the ``n_sites`` spins stays.
 Multi-hole chains require same-orientation dominoes on a common band
 (vertical dominoes along a row, listed west to east, or horizontal ones
-along a column, south to north); pair couplings run along the
-shared-corner line.
+along a column, south to north); pair fermion strings run along the
+shared-corner line, and pair vortex loops round both holes and along
+the band between them.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -350,11 +349,12 @@ def build_lattice(width: int, height: int, boundary: str,
 class PathMetrics:
     """Hop counts of the shortest quasiparticle tunneling paths.
 
-    vortex_loop[l]      loop length around hole l (``_shortest_enclosing_loop``)
+    vortex_loop[l]      loop length around hole l (its odd cell's corners)
     fermion_boundary[l] straight fermion string, hole l to the port
                         (None for single-plaquette holes, whose flip
                         string is charge-flavoured)
     vortex_pair[(l,m)]  loop length enclosing holes l and m together
+                        (``_pair_loop``)
     fermion_pair[(l,m)] straight fermion string between holes l and m
     """
 
@@ -364,72 +364,23 @@ class PathMetrics:
     fermion_pair: dict
 
 
-def _shortest_enclosing_loop(lat: HoledLattice,
-                             origins: Sequence[Cell]) -> list[int]:
-    """Sites of a shortest closed walk on the vortex graph with odd
-    winding around every cell in ``origins``, one per hop (the corner
-    the hop's two cells share), so a site crossed twice is listed twice.
-
-    The graph's nodes are the even cells, the virtual ring included; a
-    diagonal hop joins two iff their shared corner (x, y) = (max a,
-    max b) is a site, and it crosses the upward ray from origin (a0, b0)
-    iff x = a0 + 1 and y > b0.  The searches run on sheeted copies, where
-    such a hop flips that origin's sheet bit.  Of the shortest walks they
-    take the one least in the summed squared distance of its sites from
-    the nearest origin centre, so two adjacent dominoes get their two
-    annuli.  The walk crosses every origin's ray, so the searches start
-    only at the west ends (a0, b >= b0) of the hops across the ray with
-    fewest, in rising b; one that beats the best walk so far rebuilds it
-    from parent links.  A cell's hops are built when a search first
-    reaches it.  Odd winding also crosses the downward ray, x = a0 + 1
-    and y <= b0, whose hops join a cell of row y - 1, and every hop
-    moves one row; so a walk through row b has at least 2 (b - b_low +
-    1) hops, b_low the lowest origin's row, and the starts stop once
-    that exceeds the best length."""
-
-    @cache
-    def hops(v: Cell) -> list[tuple]:
-        """(neighbour, ray flips, corner site, distance cost) per hop."""
-        a, b = v
-        corners = [((a + da, b + db), max(a, a + da), max(b, b + db))
-                   for da, db in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-        return [(w, sum(1 << i for i, (a0, b0) in enumerate(origins)
-                        if x == a0 + 1 and y > b0),
-                 y * lat.width + x,
-                 min((2 * (x - a0) - 1) ** 2 + (2 * (y - b0) - 1) ** 2
-                     for a0, b0 in origins))
-                for w, x, y in corners
-                if 0 <= x < lat.width and 0 <= y < lat.height]
-
-    full = (1 << len(origins)) - 1
-    ray_ends = [[(a0, b) for b in range(b0 + (a0 + b0) % 2, lat.height, 2)]
-                for a0, b0 in origins]
-    b_low = min(b0 for _, b0 in origins)
-    best, walk = (float("inf"),), None
-    for start in min(ray_ends, key=len):
-        if 2 * (start[1] - b_low + 1) > best[0]:
-            break
-        parents: dict = {}          # settled node -> (parent node, site)
-        heap = [((0, 0), (start, 0), None)]
-        while heap and heap[0][0] < best:
-            (d, c), node, link = heapq.heappop(heap)
-            if node in parents:
-                continue
-            parents[node] = link
-            if node == (start, full):
-                best, walk = (d, c), []
-                while parents[node] is not None:
-                    node, site = parents[node]
-                    walk.append(site)
-                break
-            for w, f, site, cost in hops(node[0]):
-                key = (w, node[1] ^ f)
-                if key not in parents:
-                    heapq.heappush(heap, ((d + 1, c + cost), key,
-                                          (node, site)))
-    if walk is None:
-        raise LatticeError("no enclosing vortex loop exists")
-    return walk[::-1]
+def _pair_loop(lat: HoledLattice, l: int, m: int) -> list[int]:
+    """Sites of a shortest vortex loop around holes l < m, one per hop
+    (the corner the hop's two even cells share), so a site crossed twice
+    is listed twice.  In band coordinates, with the odd cells at (u_l,
+    v_l) and (u_m, v_m): round hole l on its odd cell's four corners,
+    out along the sites (u, max(v_l, v_m)), u_l + 1 < u < u_m, round
+    hole m and back on the same sites, 2 (u_m - u_l) + 4 hops.  No loop
+    is shorter: it must reach the cells at u_l - 1 and u_m + 1 to wind
+    around both holes, and each hop moves one step along the band.  Odd
+    cells in one row share both corner rows; the loop keeps to the
+    lower one, the cells' own row v_l."""
+    flip = _band(lat.holes[0])[0]
+    odd = [lat.hole_even_odd(k)[1] for k in (l, m)]
+    (ul, vl), (um, vm) = (_xy(flip, *c) for c in odd)
+    return [*lat.cell_sites(*odd[0]), *lat.cell_sites(*odd[1]),
+            *(lat.site(*_xy(flip, u, max(vl, vm)))
+              for u in range(ul + 2, um) for _ in (0, 1))]
 
 
 def path_metrics(lat: HoledLattice) -> PathMetrics:
@@ -485,10 +436,12 @@ class FieldMask:
         return self.values
 
 
-def _region_hole(lat: HoledLattice, l: int) -> int:
+def _region_hole(lat: HoledLattice, l) -> int:
+    if isinstance(l, bool) or not isinstance(l, (int, np.integer)):
+        raise LatticeError(f"hole {l!r} is not an integer")
     if not 0 <= l < len(lat.holes):
         raise LatticeError(f"region references unknown hole {l}")
-    return l
+    return int(l)
 
 
 def _region_pair(lat: HoledLattice, region) -> tuple[int, int]:
@@ -518,8 +471,7 @@ def region_sites(lat: HoledLattice, region) -> list[int]:
         if "hole" in region:    # a shortest loop around one cell is its corners
             _, od = lat.hole_even_odd(_region_hole(lat, region["hole"]))
             return sorted(lat.cell_sites(*od))
-        return sorted(_shortest_enclosing_loop(
-            lat, [lat.hole_even_odd(l)[1] for l in _region_pair(lat, region)]))
+        return sorted(_pair_loop(lat, *sorted(_region_pair(lat, region))))
     if kind == "corridor":
         if "hole" in region:
             return sorted(lat._line_sites(-1, _region_hole(lat, region["hole"])))

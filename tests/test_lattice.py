@@ -1,19 +1,16 @@
 """Lattice construction, validation, path metrics (with an independent
 cycle-enumeration oracle) and field masks."""
 
-import heapq
 import itertools
 import math
 import re
-from collections import deque
-from types import SimpleNamespace
+from collections import Counter, deque
 
 import numpy as np
 import pytest
 
 import surfcode as sc
-from surfcode.lattice import (FieldMask, LatticeError,
-                              _shortest_enclosing_loop, build_lattice,
+from surfcode.lattice import (FieldMask, LatticeError, build_lattice,
                               cell_parity, field_mask, path_metrics,
                               region_sites)
 
@@ -231,31 +228,60 @@ def _random_holed_lattices(seed, count):
     return out
 
 
-def test_enclosing_loop_search_matches_exhaustive_search(
-        one_hole_lattice, two_hole_lattice, puncture_lattice):
-    n = 8
-    register = build_lattice(4, 2 * n + 1, "open",
-                             [sc.HoleSpec(1, y, 2, y)
-                              for y in range(1, 2 * n, 2)])
-    lattices = [one_hole_lattice, two_hole_lattice, puncture_lattice,
-                register] + _random_holed_lattices(5, 12)
-    for lat in lattices:
-        odd = [lat.hole_even_odd(l)[1] for l in range(len(lat.holes))]
-        subsets = [s for r in (1, 2, 3)
-                   for s in itertools.combinations(odd, r)]
-        if lat is register:     # the singles, and the pairs of a chain
-            subsets = [s for s in subsets if len(s) == 1] + \
-                [(a, b) for a, b in zip(odd, odd[1:])]
-        for origins in subsets:
-            want = _exhaustive_enclosing_loop(lat, list(origins))
-            assert want is not None
-            assert len(_shortest_enclosing_loop(lat, list(origins))) == want
+def _along(lat, l):
+    """Band coordinate of hole l's odd cell along its chain."""
+    odd = lat.hole_even_odd(l)[1]
+    return odd[1] if lat.holes[l].kind == "domino-h" else odd[0]
+
+
+def test_enclosing_loop_search_matches_exhaustive_search(two_hole_lattice):
+    """Every pair of holes, adjacent in the chain or not, with even and
+    odd distances along the band: the pair annulus has the length of the
+    exhaustive search's shortest loop, 2 (u_m - u_l) + 4."""
+    register = build_lattice(4, 17, "open", [sc.HoleSpec(1, y, 2, y)
+                                             for y in range(1, 16, 2)])
+    chains = [lat for lat in _random_holed_lattices(7, 200)
+              if len(lat.holes) > 1]
+    assert len(chains) >= 100
+    cases = set()
+    for lat in [two_hole_lattice, register, *chains]:
+        for l, m in itertools.combinations(range(len(lat.holes)), 2):
+            loop = region_sites(lat, {"type": "annulus", "from": l, "to": m})
+            want = _exhaustive_enclosing_loop(
+                lat, [lat.hole_even_odd(k)[1] for k in (l, m)])
+            d = _along(lat, m) - _along(lat, l)
+            assert len(loop) == want == 2 * d + 4
+            cases.add((m - l > 1, d % 2))
+    assert cases == {(False, 0), (False, 1), (True, 0), (True, 1)}
+
+
+def _is_closed_walk_around(lat, loop, origins):
+    """Do the loop's hops, each site joining the two even cells it is a
+    corner of, form one closed walk with odd winding around each origin?"""
+    hops = []
+    for s in loop:
+        x, y = s % lat.width, s // lat.width
+        hops.append(((x - 1, y - 1), (x, y)) if (x + y) % 2 == 0
+                    else ((x, y - 1), (x - 1, y)))
+    degree = Counter(v for hop in hops for v in hop)
+    reached, todo = set(), [hops[0][0]]
+    while todo:
+        v = todo.pop()
+        if v not in reached:
+            reached.add(v)
+            todo += [w for hop in hops if v in hop for w in hop]
+    return (all(k % 2 == 0 for k in degree.values())
+            and reached == set(degree)
+            and all(sum(_crosses_ray(v, w, o) for v, w in hops) % 2 == 1
+                    for o in origins))
 
 
 def test_pair_loop_sites(two_hole_lattice):
-    """The pair annulus lists one site per hop of the shortest loop around
-    both holes.  Adjacent dominoes' 8-hop loop is the union of their
-    annuli; a longer one leaves it (12 hops 4 cells apart), and its sigma^x product (sites
+    """The pair annulus lists one site per hop of a shortest loop around
+    both holes, for every pair and either order of ``from`` and ``to``,
+    and its hops close one walk with odd winding around both.  Adjacent
+    dominoes' 8-hop loop is the union of their annuli; a longer one
+    leaves it (12 hops 4 cells apart), and its sigma^x product (sites
     crossed an odd number of times) commutes with every stabilizer, as a
     closed vortex loop does."""
     register = build_lattice(4, 17, "open", [sc.HoleSpec(1, y, 2, y)
@@ -265,17 +291,21 @@ def test_pair_loop_sites(two_hole_lattice):
     for lat in [two_hole_lattice, register, separated,
                 *_random_holed_lattices(5, 12)]:
         m = path_metrics(lat)
-        for l in range(len(lat.holes) - 1):
-            loop = region_sites(lat, {"type": "annulus", "from": l,
-                                      "to": l + 1})
-            assert len(loop) == m.vortex_pair[(l, l + 1)]
+        for l, k in itertools.combinations(range(len(lat.holes)), 2):
+            loop = region_sites(lat, {"type": "annulus", "from": l, "to": k})
+            assert loop == region_sites(lat, {"type": "annulus", "from": k,
+                                              "to": l})
+            if k == l + 1:
+                assert len(loop) == m.vortex_pair[(l, k)]
             union = set().union(*(region_sites(lat, {"type": "annulus",
                                                      "hole": j})
-                                  for j in (l, l + 1)))
+                                  for j in (l, k)))
             if len(loop) == 8:
                 assert loop == sorted(union)
             else:
                 assert not set(loop) <= union
+            assert _is_closed_walk_around(
+                lat, loop, [lat.hole_even_odd(j)[1] for j in (l, k)])
             odd = [s for s in set(loop) if loop.count(s) % 2]
             x_loop = sc.PauliString.x_on(lat.n_sites, odd)
             assert all(sc.commutes(x_loop, p) for p in lat.stabilizers())
@@ -303,27 +333,6 @@ def test_pair_annulus_sites_are_pinned(two_hole_lattice):
                                       22, 23, 26, 27]]
     assert pair_loops(register) == [[s + 8 * l for s in readme]
                                     for l in range(7)]
-
-
-def test_pair_loop_search_stops_at_the_row_bound(monkeypatch):
-    """The register's 7 pair loops take fewer than 1,100 heap pops: the
-    ray starts stop once a walk through the start's row, which must also
-    reach below the lowest origin, would be longer than the best one
-    (2,005 pops with one search per start)."""
-    register = build_lattice(4, 17, "open", [sc.HoleSpec(1, y, 2, y)
-                                             for y in range(1, 16, 2)])
-    pops = []
-
-    def heappop(heap):
-        pops.append(1)
-        return heapq.heappop(heap)
-
-    monkeypatch.setattr(sc.lattice, "heapq",
-                        SimpleNamespace(heappop=heappop,
-                                        heappush=heapq.heappush))
-    for l in range(7):
-        region_sites(register, {"type": "annulus", "from": l, "to": l + 1})
-    assert 0 < len(pops) < 1100
 
 
 def test_fermion_metrics(one_hole_lattice, two_hole_lattice):
@@ -456,6 +465,26 @@ def test_sites_region_refuses_a_site_that_is_not_an_integer(
                        "hz": 0.1}]}
     with pytest.raises(LatticeError, match="is not an integer"):
         sc.lattice_from_config(cfg)
+
+
+@pytest.mark.parametrize("hole", [True, False, 1.0, np.float64(0.0), "1",
+                                  None])
+@pytest.mark.parametrize("key", ["hole", "from", "to"])
+def test_region_refuses_a_hole_that_is_not_an_integer(two_hole_lattice, key,
+                                                      hole):
+    """True read as hole 1 and False as hole 0, so {"from": False, "to":
+    True} was the pair 0-1; 1.0, "1" and None escaped as a raw
+    TypeError.  Each is refused by name, and numpy integers are holes."""
+    ends, valid = {"hole": ({}, 0), "from": ({"to": 1}, 0),
+                   "to": ({"from": 0}, 1)}[key]
+    for kind in ("annulus", "corridor"):
+        with pytest.raises(LatticeError, match=f"^hole {re.escape(repr(hole))}"
+                                               f" is not an integer$"):
+            region_sites(two_hole_lattice, {"type": kind, key: hole, **ends})
+        region = {"type": kind, **ends}
+        assert region_sites(two_hole_lattice,
+                            {**region, key: np.int64(valid)}) == \
+            region_sites(two_hole_lattice, {**region, key: valid})
 
 
 def test_config_round_trip(two_hole_lattice):
