@@ -252,6 +252,8 @@ def evolve(chain: EffectiveChain, state: PseudoSpinState,
         raise EffectiveError(f"chain size exceeds cap {CHAIN_CAP}")
     if chain.n != state.n:
         raise EffectiveError("state size does not match chain")
+    if not np.isfinite(duration):
+        raise EffectiveError(f"duration must be finite, got {duration}")
     terms = chain.terms()
     # complex once: scipy upcasts a real matrix on every product
     A = pauli_sum_matrix(terms, chain.n).astype(complex)

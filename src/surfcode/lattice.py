@@ -436,12 +436,27 @@ class FieldMask:
         return self.values
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int: Python and numpy integers pass, bools (True
+    would read as 1) and every other type are refused by name."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise LatticeError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
+def _integers(spec: dict, keys: Sequence[str], what: str) -> list[int]:
+    """The integers ``spec[k]`` of a config entry named ``what``."""
+    for k in keys:
+        if k not in spec:
+            raise LatticeError(f"{what} lacks {k!r}")
+    return [_integer(spec[k], f"{what} {k}") for k in keys]
+
+
 def _region_hole(lat: HoledLattice, l) -> int:
-    if isinstance(l, bool) or not isinstance(l, (int, np.integer)):
-        raise LatticeError(f"hole {l!r} is not an integer")
+    l = _integer(l, "hole")
     if not 0 <= l < len(lat.holes):
         raise LatticeError(f"region references unknown hole {l}")
-    return int(l)
+    return l
 
 
 def _region_pair(lat: HoledLattice, region) -> tuple[int, int]:
@@ -477,17 +492,18 @@ def region_sites(lat: HoledLattice, region) -> list[int]:
             return sorted(lat._line_sites(-1, _region_hole(lat, region["hole"])))
         return lat._line_sites(*sorted(_region_pair(lat, region)))
     if kind == "sites":
-        for s in region["sites"]:
-            if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-                raise LatticeError(f"site {s!r} is not an integer")
+        sites = [_integer(s, "site") for s in region["sites"]]
+        for s in sites:
             if not 0 <= s < lat.n_sites:
                 raise LatticeError(f"site {s} outside lattice")
-        return [int(s) for s in region["sites"]]
+        return sites
     if kind == "complement":
         shadow = set()
-        for r in region["rects"]:
-            for x in range(r["x0"], r["x1"] + 1):
-                for y in range(r["y0"], r["y1"] + 1):
+        for i, r in enumerate(region["rects"]):
+            x0, y0, x1, y1 = _integers(r, ("x0", "y0", "x1", "y1"),
+                                       f"rect {i}")
+            for x in range(x0, x1 + 1):
+                for y in range(y0, y1 + 1):
                     if 0 <= x < lat.width and 0 <= y < lat.height:
                         shadow.add(lat.site(x, y))
         return [s for s in range(lat.n_sites) if s not in shadow]
@@ -511,13 +527,21 @@ def field_mask(lat: HoledLattice, region, h_vector) -> FieldMask:
 def lattice_from_config(cfg: dict) -> tuple[HoledLattice, FieldMask]:
     """Build lattice and summed field mask from a config dict
     {width, height, boundary, holes: [{x0,y0,x1,y1}], fields: [...]}
-    where each field entry is {region: <spec>, hx, hy, hz}."""
-    holes = [HoleSpec(h["x0"], h["y0"], h["x1"], h["y1"])
-             for h in cfg.get("holes", [])]
-    lat = build_lattice(cfg["width"], cfg["height"],
+    where each field entry is {region: <spec>, hx, hy, hz}; width,
+    height and hole corners are integers, and a field entry has a region
+    and no other keys."""
+    holes = [HoleSpec(*_integers(h, ("x0", "y0", "x1", "y1"), f"hole {i}"))
+             for i, h in enumerate(cfg.get("holes", []))]
+    lat = build_lattice(*_integers(cfg, ("width", "height"), "config"),
                         cfg.get("boundary", OPEN), holes)
     mask = FieldMask.zeros(lat)
-    for f in cfg.get("fields", []):
+    for i, f in enumerate(cfg.get("fields", [])):
+        if "region" not in f:
+            raise LatticeError(f"field {i} lacks 'region'")
+        unknown = sorted(set(f) - {"region", "hx", "hy", "hz"})
+        if unknown:
+            raise LatticeError(f"field {i} has unknown keys {unknown}; "
+                               f"a field entry takes region, hx, hy and hz")
         mask = mask + field_mask(lat, f["region"],
                                  (f.get("hx", 0.0), f.get("hy", 0.0),
                                   f.get("hz", 0.0)))

@@ -15,12 +15,12 @@ acceptance.  A plan is its keys and the (x, z, k) arrays of its strings,
 both built from its subset masks by bit arithmetic, and
 ``_expectations`` evaluates the strings all at once: each distinct x is
 one Walsh-Hadamard transform, which gives <X^x Z^z> for every z.
-Reconstruction (n <= 2) fits the same strings with a Levenberg-Marquardt
-loop of its own (``_levenberg_marquardt``, after Moré's MINPACK
-``lmder``) on normal equations of at most 7 unknowns, each row (P v)
-gathered directly.  Qubit l is ``PauliString`` site n-1-l
-(``effective.qubit_mask``), so qubit 0 is the most significant bit of a
-basis index.
+Reconstruction (n <= 2) fits the amplitudes v to the same strings by
+Gauss-Newton steps over (Re v, Im v) (``_gauss_newton``): each readout
+<v|P|v> is a quadratic form whose Jacobian columns are Re and Im of the
+rows (P v)_s, gathered directly (``_gather``).  Qubit l is
+``PauliString`` site n-1-l (``effective.qubit_mask``), so qubit 0 is the
+most significant bit of a basis index.
 """
 
 from __future__ import annotations
@@ -282,6 +282,7 @@ class EntangledState:
         alphas = np.abs(amps)
         phis = np.where(alphas > PHASE_CUTOFF, np.angle(amps), 0.0)
         phis = np.where(phis <= -np.pi + 1e-15, np.pi, phis)
+        phis[first] = 0.0       # angle() leaves rounding of ~1e-17 here
         return EntangledState(state.n, tuple(float(a) for a in alphas),
                               tuple(float(p) for p in phis))
 
@@ -300,19 +301,16 @@ def _z_probabilities(e: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
 def reconstruct(readouts: dict, n: int) -> EntangledState:
     """Recover the state parameters from exact readout probabilities.
 
-    Supported for n <= 2.  Amplitudes start from the z readouts; the
-    phases are fitted to all readouts by ``_levenberg_marquardt`` from a
-    grid of starts, stopping at the first that matches to machine
-    precision; then amplitudes and phases are refined together from the
-    best start.  The phase of the largest amplitude is the gauge, held at
-    0, so a small amplitude's phase is one column of the Jacobian rather
-    than a common shift of all the others.  The x readouts are linear in
-    a small amplitude where the z readouts are quadratic, so the
-    refinement resolves an empty level whose z probability rounds to
-    ~1e-16 (a ~1e-8 amplitude as its square root).  Missing or non-finite
-    readouts and inconsistent inputs (probabilities that no state
-    reproduces within ``RESIDUAL_TOL``) are rejected, the latter with the
-    residual.
+    Supported for n <= 2.  The amplitudes v are fitted to all readouts
+    by ``_gauss_newton`` over (Re v, Im v), from a grid of starts whose
+    moduli come from the z readouts and whose phases relative to
+    component 0 are 0 or +-2.1, stopping at the first start that matches
+    to machine precision.  The x readouts are linear in a small
+    amplitude where the z readouts are quadratic, so the fit resolves an
+    empty level whose z probability rounds to ~1e-16 (a ~1e-8 amplitude
+    as its square root).  Missing or non-finite readouts and
+    inconsistent inputs (probabilities that no state reproduces within
+    ``RESIDUAL_TOL``) are rejected, the latter with the residual.
     """
     if n not in (1, 2):
         raise MeasureError("reconstruction is implemented for n <= 2")
@@ -328,23 +326,17 @@ def reconstruct(readouts: dict, n: int) -> EntangledState:
     x, z, _ = plan.strings
     alphas = np.sqrt(_z_probabilities(e[x == 0], z[x == 0], n))
     alphas /= np.linalg.norm(alphas)
-    m = alphas.size
-    fit = (_gather(plan.strings, m), e)
-    free = np.arange(2 * m) != m + np.argmax(alphas)
-    phases = free & (np.arange(2 * m) >= m)
+    rows = _gather(plan.strings, alphas.size)
 
     best = None
-    for s0 in itertools.product((0.0, -2.1, 2.1), repeat=m - 1):
-        q = np.concatenate((alphas, np.zeros(m)))
-        q[phases] = s0
-        sol = _levenberg_marquardt(q, phases, *fit)
+    for s0 in itertools.product((0.0, -2.1, 2.1), repeat=alphas.size - 1):
+        sol = _gauss_newton(alphas * np.exp(1j * np.array((0.0, *s0))),
+                            rows, e)
         if best is None or sol[1] < best[1]:
             best = sol
         if best[1] < 1e-24:
             break
-    q, _ = _levenberg_marquardt(best[0], free, *fit)
-    v = _amplitudes(q)
-    est = EntangledState.from_state(PseudoSpinState(v / np.linalg.norm(v)))
+    est = EntangledState.from_state(PseudoSpinState(best[0]))
     resid = np.max(np.abs(_probabilities(est.to_state()) - r))
     if resid > RESIDUAL_TOL:
         raise MeasureError(
@@ -353,49 +345,29 @@ def reconstruct(readouts: dict, n: int) -> EntangledState:
     return est
 
 
-LM_STEPS = 100                   # trial steps one fit may take
-LM_TOL = 1e-15                   # relative step and decrease that end a fit
-LM_FLOOR = 1e-30                 # least column scale of the damping
+FIT_STEPS = 100                  # Gauss-Newton steps one fit may take
 
 
-def _levenberg_marquardt(q, free, rows, e) -> tuple:
-    """Minimize the cost |_misfit(q)|^2 / 2 over the entries ``free`` of
-    q; returns (q, cost).  Each step solves (J^T J + mu D) h = -J^T r on
-    the free columns, D the diagonal of J^T J floored at ``LM_FLOOR`` so
-    that a zero column (the phase of a zero amplitude) keeps the system
-    regular.  The damping mu starts at 1e-3 and follows the gain ratio
-    rho of actual to predicted decrease (Nielsen): x max(1/3,
-    1 - (2 rho - 1)^3) after an accepted step, x nu with nu doubling after
-    a rejected one.  A fit ends when a step or its predicted relative
-    decrease falls below ``LM_TOL``, or after ``LM_STEPS`` trial steps."""
-    res = _misfit(q, rows, e)
-    cost, mu, nu, J = 0.5 * (res @ res), 1e-3, 2.0, None
-    for _ in range(LM_STEPS):
-        if J is None:
-            J = _misfit_jacobian(q, rows)[:, free]
-            A, g = J.T @ J, J.T @ res
-            d = np.maximum(A.diagonal(), LM_FLOOR)
-        h = -np.linalg.solve(A + np.diag(mu * d), g)
-        pred = 0.5 * (h @ (mu * d * h - g))
-        if h @ h <= LM_TOL ** 2 * (q @ q) or pred <= LM_TOL * cost:
-            break
-        t = q.copy()
-        t[free] += h
+def _gauss_newton(v, rows, e) -> tuple:
+    """Minimize the cost |_misfit(v)|^2 / 2 over unit vectors v in the
+    parameters (Re v, Im v); returns (v, cost).  Each step is the
+    least-norm solution h of J h = -r, which leaves the global phase (a
+    null direction of J) alone, and the trial point is scaled back to
+    norm 1, so that an overshooting step from a far start cannot inflate
+    v.  A fit ends at the first step that does not lower the cost, or
+    after ``FIT_STEPS`` steps."""
+    res = _misfit(v, rows, e)
+    cost = 0.5 * (res @ res)
+    for _ in range(FIT_STEPS):
+        h = np.linalg.lstsq(_misfit_jacobian(v, rows), -res, rcond=None)[0]
+        t = v + h[:v.size] + 1j * h[v.size:]
+        t /= np.linalg.norm(t)
         res_t = _misfit(t, rows, e)
         cost_t = 0.5 * (res_t @ res_t)
-        rho = (cost - cost_t) / pred
-        if rho > 0:
-            q, res, cost, J = t, res_t, cost_t, None
-            mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
-        else:
-            mu, nu = mu * nu, 2.0 * nu
-    return q, cost
-
-
-def _amplitudes(q: np.ndarray) -> np.ndarray:
-    """v_s = alpha_s e^{i phi_s} from q = (alphas, phis)."""
-    m = q.size // 2
-    return q[:m] * np.exp(1j * q[m:])
+        if not cost_t < cost:
+            break
+        v, res, cost = t, res_t, cost_t
+    return v, cost
 
 
 def _gather(strings: tuple, m: int) -> tuple:
@@ -407,21 +379,19 @@ def _gather(strings: tuple, m: int) -> tuple:
     return t, _PHASES[k] * (1.0 - 2.0 * (np.bitwise_count(z & t) & 1))
 
 
-def _misfit(q, rows: tuple, e: np.ndarray) -> np.ndarray:
+def _misfit(v, rows: tuple, e: np.ndarray) -> np.ndarray:
     """(E - e) / 2 with E = Re <v|P|v> for the strings of ``_gather`` rows,
     not (1 + E) / 2 - r: rounding 1 + E drowns small terms."""
-    v, (t, c) = _amplitudes(q), rows
+    t, c = rows
     return 0.5 * ((v.conj() * c * v[t]).real.sum(axis=1) - e)
 
 
-def _misfit_jacobian(q, rows: tuple) -> np.ndarray:
-    """Columns Re(conj(w_s) (P v)_s) for alpha_s and alpha_s Im(conj(w_s)
-    (P v)_s) for phi_s: dv_s/dalpha_s = w_s = e^{i phi_s}, dv_s/dphi_s =
-    i v_s and P is Hermitian."""
-    m = q.size // 2
-    w, (t, c) = np.exp(1j * q[m:]), rows
-    g = w.conj() * c * (q[:m] * w)[t]
-    return np.concatenate((g.real, q[:m] * g.imag), axis=1)
+def _misfit_jacobian(v, rows: tuple) -> np.ndarray:
+    """Columns Re (P v)_s for Re v_s and Im (P v)_s for Im v_s: P is
+    Hermitian, so d<v|P|v> = 2 Re <dv|P v>."""
+    t, c = rows
+    pv = c * v[t]
+    return np.concatenate((pv.real, pv.imag), axis=1)
 
 
 def parameter_error(a: EntangledState, b: EntangledState) -> float:

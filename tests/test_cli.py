@@ -577,6 +577,19 @@ def test_readme_names_its_configs_and_commands():
     assert len(README_COMMANDS) == 8
 
 
+def test_readme_reports_writes_one_report_per_command(tmp_path):
+    """``tests/readme_reports.py`` writes each README command's report
+    under its line number and subcommand, the same bytes on a rerun, so
+    that two checkouts compare with ``diff -r``."""
+    import readme_reports   # imports this module, so not at the top
+    a = readme_reports.write_reports(tmp_path / "a")
+    b = readme_reports.write_reports(tmp_path / "b")
+    assert [p.name for p in a] == [f"{i}-{c.split()[0]}"
+                                   for i, c in enumerate(README_COMMANDS)]
+    assert [p.read_bytes() for p in a] == [p.read_bytes() for p in b]
+    assert json.loads(a[0].read_text())["Q"] == 4
+
+
 @pytest.mark.parametrize("i", range(len(README_COMMANDS)),
                          ids=[c.split()[0] for c in README_COMMANDS])
 def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys, i):

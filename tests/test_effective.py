@@ -303,6 +303,16 @@ def test_evolve_identity_at_zero_duration():
     assert np.allclose(out.amplitudes, st.amplitudes)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_evolve_refuses_a_duration_that_is_not_finite(t):
+    """NaN escaped from the substep count as a raw ValueError and an
+    infinite duration as an OverflowError."""
+    ch = EffectiveChain(2, (0.1,), (0.05,), (0.01, 0.01), (0.0, 0.0))
+    with pytest.raises(EffectiveError,
+                       match=f"^duration must be finite, got {t}$"):
+        evolve(ch, PseudoSpinState.all_up(2), t)
+
+
 def test_evolve_diagonal_phase():
     hz = 2e-3
     ch = EffectiveChain(1, (), (), (0.0,), (hz,))

@@ -487,6 +487,80 @@ def test_region_refuses_a_hole_that_is_not_an_integer(two_hole_lattice, key,
             region_sites(two_hole_lattice, {**region, key: valid})
 
 
+def _one_hole_config(**changes):
+    cfg = {"width": 4, "height": 4, "boundary": "open",
+           "holes": [{"x0": 1, "y0": 1, "x1": 1, "y1": 2}]}
+    return {**cfg, **changes}
+
+
+@pytest.mark.parametrize("field, message", [
+    ({"region": {"type": "all"}, "hq": 0.1},
+     "field 0 has unknown keys ['hq']; a field entry takes region, hx, hy "
+     "and hz"),
+    ({"hx": 0.1}, "field 0 lacks 'region'")])
+def test_config_refuses_a_field_entry_it_cannot_read(field, message):
+    """A misspelled component ("hq") applied zero field without a word,
+    and a missing region escaped as a raw KeyError."""
+    with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
+        sc.lattice_from_config(_one_hole_config(fields=[field]))
+
+
+@pytest.mark.parametrize("value", [True, 4.0, np.float64(4.0), "4", None])
+@pytest.mark.parametrize("key", ["width", "height"])
+def test_config_refuses_a_size_that_is_not_an_integer(key, value):
+    """4.0 escaped as a raw TypeError; numpy integers are sizes."""
+    with pytest.raises(LatticeError, match=f"^config {key} "
+                                           f"{re.escape(repr(value))} is not "
+                                           f"an integer$"):
+        sc.lattice_from_config(_one_hole_config(**{key: value}))
+    cfg = _one_hole_config()
+    del cfg[key]
+    with pytest.raises(LatticeError, match=f"^config lacks '{key}'$"):
+        sc.lattice_from_config(cfg)
+    lat, _ = sc.lattice_from_config(_one_hole_config(**{key: np.int64(4)}))
+    assert lat == sc.lattice_from_config(_one_hole_config())[0]
+
+
+@pytest.mark.parametrize("value", [True, 1.0, np.float64(1.0), "1", None])
+@pytest.mark.parametrize("key", ["x0", "y0", "x1", "y1"])
+def test_config_refuses_a_hole_corner_that_is_not_an_integer(key, value):
+    """{"x0": true} read as x0 = 1 and 1.0 escaped as a raw TypeError;
+    numpy integers are corners."""
+    hole = {"x0": 1, "y0": 1, "x1": 1, "y1": 2}
+    with pytest.raises(LatticeError, match=f"^hole 0 {key} "
+                                           f"{re.escape(repr(value))} is not "
+                                           f"an integer$"):
+        sc.lattice_from_config(_one_hole_config(holes=[{**hole,
+                                                        key: value}]))
+    with pytest.raises(LatticeError, match=f"^hole 0 lacks '{key}'$"):
+        sc.lattice_from_config(_one_hole_config(holes=[
+            {k: v for k, v in hole.items() if k != key}]))
+    lat, _ = sc.lattice_from_config(_one_hole_config(holes=[
+        {**hole, key: np.int64(hole[key])}]))
+    assert lat == sc.lattice_from_config(_one_hole_config())[0]
+
+
+@pytest.mark.parametrize("value", [True, 1.5, np.float64(1.0), "1", None])
+@pytest.mark.parametrize("key", ["x0", "y0", "x1", "y1"])
+def test_complement_refuses_a_rect_corner_that_is_not_an_integer(
+        one_hole_lattice, key, value):
+    """{"x0": true} read as x0 = 1, 1.5 escaped as a raw TypeError and a
+    missing corner as a raw KeyError; numpy integers are corners."""
+    rect = {"x0": 0, "y0": 0, "x1": 1, "y1": 1}
+    with pytest.raises(LatticeError, match=f"^rect 0 {key} "
+                                           f"{re.escape(repr(value))} is not "
+                                           f"an integer$"):
+        region_sites(one_hole_lattice, {"type": "complement",
+                                        "rects": [{**rect, key: value}]})
+    with pytest.raises(LatticeError, match=f"^rect 0 lacks '{key}'$"):
+        region_sites(one_hole_lattice, {"type": "complement", "rects": [
+            {k: v for k, v in rect.items() if k != key}]})
+    assert region_sites(one_hole_lattice, {
+        "type": "complement", "rects": [{**rect, key: np.int64(rect[key])}]}) \
+        == region_sites(one_hole_lattice, {"type": "complement",
+                                           "rects": [rect]})
+
+
 def test_config_round_trip(two_hole_lattice):
     cfg = {"width": 4, "height": 5, "boundary": "open",
            "holes": [{"x0": 1, "y0": 1, "x1": 2, "y1": 1},
