@@ -21,9 +21,9 @@ is ``PauliString`` site n-1-l, so qubit 0 is the most significant bit of
 a basis index; ``qubit_mask`` and ``z_signs`` are that mapping, shared
 with the readouts.  Evolution applies exp(-iHt) by Taylor substeps
 (``_propagate``) to the sparse chain matrix, ``spectra.pauli_sum_matrix``
-of the X and Z terms (dense spin-level sectors sum the same x-mask
-groups, in the same order, from a table); a ramp
-builds its X matrix and Z diagonals once.  With single-threaded BLAS on
+of the X and Z terms, scattered from the x-group sums of the same
+table that gives the dense spin-level sectors; a ramp builds its X
+matrix and Z diagonals once.  With single-threaded BLAS on
 a 2-core x86-64 host an n=8 ramp step takes ~0.25 ms.
 """
 

@@ -459,8 +459,16 @@ def _region_hole(lat: HoledLattice, l) -> int:
     return l
 
 
+def _region_entry(region: dict, key: str):
+    """``region[key]``, refused by name where the spec lacks it."""
+    if key not in region:
+        raise LatticeError(f"region {region!r} lacks {key!r}")
+    return region[key]
+
+
 def _region_pair(lat: HoledLattice, region) -> tuple[int, int]:
-    l, m = (_region_hole(lat, region[k]) for k in ("from", "to"))
+    l, m = (_region_hole(lat, _region_entry(region, k))
+            for k in ("from", "to"))
     if l == m:
         raise LatticeError(f"a pair region needs two different holes, "
                            f"got from = to = {l}")
@@ -479,7 +487,9 @@ def region_sites(lat: HoledLattice, region) -> list[int]:
       {"type": "sites", "sites": [...]}
       {"type": "complement", "rects": [{x0,y0,x1,y1}, ...]}   shadow-free area
     """
-    kind = region["type"]
+    if not isinstance(region, dict):
+        raise LatticeError(f"region {region!r} is not a dict")
+    kind = _region_entry(region, "type")
     if kind == "all":
         return list(range(lat.n_sites))
     if kind == "annulus":
@@ -492,14 +502,14 @@ def region_sites(lat: HoledLattice, region) -> list[int]:
             return sorted(lat._line_sites(-1, _region_hole(lat, region["hole"])))
         return lat._line_sites(*sorted(_region_pair(lat, region)))
     if kind == "sites":
-        sites = [_integer(s, "site") for s in region["sites"]]
+        sites = [_integer(s, "site") for s in _region_entry(region, "sites")]
         for s in sites:
             if not 0 <= s < lat.n_sites:
                 raise LatticeError(f"site {s} outside lattice")
         return sites
     if kind == "complement":
         shadow = set()
-        for i, r in enumerate(region["rects"]):
+        for i, r in enumerate(_region_entry(region, "rects")):
             x0, y0, x1, y1 = _integers(r, ("x0", "y0", "x1", "y1"),
                                        f"rect {i}")
             for x in range(x0, x1 + 1):
@@ -511,7 +521,12 @@ def region_sites(lat: HoledLattice, region) -> list[int]:
 
 
 def field_mask(lat: HoledLattice, region, h_vector) -> FieldMask:
-    """Uniform field ``h_vector = (hx, hy, hz)`` on a region, zero elsewhere."""
+    """Uniform field ``h_vector = (hx, hy, hz)`` on a region, zero elsewhere;
+    a component that is not a Python or numpy int or float is refused."""
+    for name, v in zip(("hx", "hy", "hz"), h_vector):
+        if isinstance(v, bool) or not isinstance(
+                v, (int, float, np.integer, np.floating)):
+            raise LatticeError(f"field component {name} {v!r} is not a number")
     hx, hy, hz = (float(v) for v in h_vector)
     vals = np.zeros((lat.n_sites, 3))
     for s in region_sites(lat, region):

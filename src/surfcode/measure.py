@@ -18,7 +18,7 @@ one Walsh-Hadamard transform, which gives <X^x Z^z> for every z.
 Reconstruction (n <= 2) fits the amplitudes v to the same strings by
 Gauss-Newton steps over (Re v, Im v) (``_gauss_newton``): each readout
 <v|P|v> is a quadratic form whose Jacobian columns are Re and Im of the
-rows (P v)_s, gathered directly (``_gather``).  Qubit l is
+rows (P v)_s, read off the strings' ``spectra._Table``.  Qubit l is
 ``PauliString`` site n-1-l (``effective.qubit_mask``), so qubit 0 is the
 most significant bit of a basis index.
 """
@@ -34,7 +34,8 @@ import numpy as np
 from scipy.linalg import hadamard
 
 from .effective import CHAIN_CAP, PseudoSpinState, qubit_mask, z_signs
-from .spectra import _PHASES
+from .pauli import PauliString
+from .spectra import _PHASES, _Table
 
 
 class MeasureError(ValueError):
@@ -326,7 +327,9 @@ def reconstruct(readouts: dict, n: int) -> EntangledState:
     x, z, _ = plan.strings
     alphas = np.sqrt(_z_probabilities(e[x == 0], z[x == 0], n))
     alphas /= np.linalg.norm(alphas)
-    rows = _gather(plan.strings, alphas.size)
+    table = _Table([(1.0, PauliString(n, *s))
+                    for s in zip(*(a.tolist() for a in plan.strings))], n)
+    rows = table.cols[table.group], table.E
 
     best = None
     for s0 in itertools.product((0.0, -2.1, 2.1), repeat=alphas.size - 1):
@@ -370,17 +373,8 @@ def _gauss_newton(v, rows, e) -> tuple:
     return v, cost
 
 
-def _gather(strings: tuple, m: int) -> tuple:
-    """Indices t and factors c, one row per string P = i^k X^x Z^z on m
-    basis states, with (P v)_s = c_s v[t_s]: t = s XOR x and
-    c = i^k (-1)^{z.t}."""
-    x, z, k = (a[:, None] for a in strings)
-    t = np.arange(m) ^ x
-    return t, _PHASES[k] * (1.0 - 2.0 * (np.bitwise_count(z & t) & 1))
-
-
 def _misfit(v, rows: tuple, e: np.ndarray) -> np.ndarray:
-    """(E - e) / 2 with E = Re <v|P|v> for the strings of ``_gather`` rows,
+    """(E - e) / 2 with E = Re <v|P|v> for rows (t, c), (P v)_s = c_s v[t_s],
     not (1 + E) / 2 - r: rounding 1 + E drowns small terms."""
     t, c = rows
     return 0.5 * ((v.conj() * c * v[t]).real.sum(axis=1) - e)

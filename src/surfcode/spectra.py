@@ -7,18 +7,18 @@ The Hamiltonian is a list of weighted Pauli strings,
 
 applied to state vectors without forming a matrix.  A term i^k X^x Z^z
 sends |t> to i^k (-1)^{z.t} |t XOR x>, and on the state viewed as a
-(2,)*n tensor XOR with x is a flip of x's axes, a view.  Terms summed
-per x mask (``_groups``) are the one encoding of a Pauli sum: the x = 0
-group is a diagonal, each other one costs one strided pass with a
-coefficient over only its z bits, on a vector or a block of columns,
-and ``pauli_sum_matrix`` writes the same groups once into the sparse
-matrix of the pseudo-spin chain.  A ``_Table`` sums the same groups in
-the same order into the dense matrices of sectors and floors, from
-entries of the strings tabulated once per solve.  A group whose
-coefficient lies within the 3-site window of its lowest x site joins
-that window's 8 x 8 matrix for its x part above the window, one matmul
-on a view of the state and a flip; long states are applied one at a
-time.
+(2,)*n tensor XOR with x is a flip of x's axes, a view.  ``_Apply``
+sums the terms per x mask: the x = 0 group is a diagonal, each other
+one costs one strided pass with a coefficient over only its z bits, on
+a vector or a block of columns.  A group whose coefficient lies within
+the 3-site window of its lowest x site joins that window's 8 x 8 matrix
+for its x part above the window, one matmul on a view of the state and
+a flip; long states are applied one at a time.  Where a matrix is
+formed, a ``_Table`` is the one tabulation of the strings' entries over
+the basis: it sums each x group in term order, and scatters the sums
+into the dense matrices of sectors and floors, built once per solve,
+and into ``pauli_sum_matrix``, the sparse matrix of the pseudo-spin
+chain.  The tomography fit reads its rows (P v)_s off one as well.
 
 Because sigma^y carries imaginary entries, a term list containing only
 {stabilizers, sigma^x} or only {stabilizers, sigma^y} fields is mapped
@@ -223,16 +223,6 @@ def _z_sum(n: int, terms) -> np.ndarray:
     return out
 
 
-def _groups(n: int, terms) -> list[tuple[int, np.ndarray]]:
-    """The one encoding of a Pauli sum: a (x mask, ``_z_sum``) pair per
-    distinct x mask, x = 0 first (zero if no term is diagonal), so that
-    (sum_j c_j P_j v)[t] = sum over pairs of coeff[t] v[t ^ x]."""
-    by_x: dict[int, list] = {0: []}
-    for c, p in terms:
-        by_x.setdefault(p.x, []).append((c, p))
-    return [(x, _z_sum(n, group)) for x, group in by_x.items()]
-
-
 class _Apply:
     """Matrix-free application of a term list to (2^n,) states or
     (2^n, k) blocks, for the solves above the dense cap; it reads a
@@ -260,7 +250,10 @@ class _Apply:
     def __init__(self, H: SpinHamiltonian):
         n = H.n
         self.H = H
-        (_, self.diag), *rest = _groups(n, H.terms)
+        by_x: dict[int, list] = {0: []}
+        for c, p in H.terms:
+            by_x.setdefault(p.x, []).append((c, p))
+        (_, self.diag), *rest = [(x, _z_sum(n, g)) for x, g in by_x.items()]
         self.dtype = np.result_type(self.diag, *(c for _, c in rest))
         windows: dict[tuple[int, int], np.ndarray] = {}
         self.prepped = []
@@ -535,16 +528,14 @@ def apply_pauli(p: PauliString, v: np.ndarray) -> np.ndarray:
 
 
 def pauli_sum_matrix(terms, n: int) -> csr_array:
-    """Sparse matrix of sum_j c_j P_j over n sites from its x-mask groups:
-    row t holds each group's coefficient at column t XOR x.  It is real
-    when every group is."""
-    dim, groups = 1 << n, _groups(n, terms)
-    cols = np.arange(dim)[:, None] ^ np.array([x for x, _ in groups])
-    vals = np.stack([np.broadcast_to(c, (2,) * n).ravel()
-                     for _, c in groups], axis=1)
-    return csr_array((vals.ravel(), cols.ravel(),
-                      np.arange(0, cols.size + 1, len(groups))),
-                     shape=(dim, dim))
+    """Sparse matrix of sum_j c_j P_j over n sites from the x-group sums
+    of its ``_Table``: row t holds each group's sum at column t XOR x.
+    It is real when every c_j i^k_j is."""
+    table = _Table(terms, n)
+    sums = table.sums(np.array([c for c, _ in terms]))
+    return csr_array((sums.T.ravel(), table.cols.T.ravel(),
+                      np.arange(0, sums.size + 1, len(sums))),
+                     shape=(1 << n,) * 2)
 
 
 @dataclass(frozen=True)
@@ -625,14 +616,13 @@ def _orbit(b: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Table:
-    """Dense matrices of sum_j w_j P_j for fixed strings P_j, with the
-    weights w given per call.  Row j of ``E`` holds P_j's entries
-    i^k (-1)^{z.(u ^ x)} over the states u, and ``cols`` the column
-    u ^ x of each distinct x mask, x = 0 first.  A call sums every x
-    group's weighted entries in term order from zero, as ``_z_sum`` does,
-    and scatters them to (u, u ^ x), so that with finite w_j = c_j the
-    matrix is ``pauli_sum_matrix``'s bit for bit, real when every
-    c_j i^k_j is."""
+    """The one tabulation of strings P_j over the states u: (P_j v)[u] =
+    E[j, u] v[cols[group[j], u]], E[j] = i^k (-1)^{z.(u ^ x)}, ``cols``
+    holding u ^ x for each distinct x mask, x = 0 first.  ``sums`` adds
+    each x group's entries times weights w in term order from zero, real
+    when every c_j i^k_j of the terms is; a call scatters them to
+    (u, u ^ x) as the dense matrix of sum_j w_j P_j, ``pauli_sum_matrix``
+    as the sparse one."""
 
     def __init__(self, terms, n: int):
         u = np.arange(1 << n)
@@ -643,12 +633,21 @@ class _Table:
         k = np.array([p.k + 2 * _parity(p.z & p.x) for _, p in terms],
                      np.int64)[:, None]
         self.E = _PHASES[(k + 2 * np.bitwise_count(z & u)) & 3]
-        if all((c * p.phase).imag == 0 for c, p in terms):
+        if not (k & 1).any():
             self.E = self.E.real.copy()
+        self.real = all((c * p.phase).imag == 0 for c, p in terms)
+
+    def sums(self, w: np.ndarray) -> np.ndarray:
+        """(groups, 2^n) sums of w_j E[j] over each x group's terms."""
+        terms = w[:, None] * self.E
+        if self.real:
+            terms = terms.real
+        sums = np.zeros(self.cols.shape, terms.dtype)
+        np.add.at(sums, self.group, terms)
+        return sums
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
-        sums = np.zeros(self.cols.shape, self.E.dtype)
-        np.add.at(sums, self.group, w[:, None] * self.E)
+        sums = self.sums(w)
         M = np.zeros((len(self.cols[0]),) * 2, sums.dtype)
         M[self.cols[0], self.cols] = sums
         return M
@@ -867,17 +866,6 @@ class _Sectors:
         amp = (ph.reshape(1 << len(self.orbit), -1)
                * (coeffs.T / np.sqrt(2.0 ** len(self.orbit)))[:, None])
         return index.astype(np.intp), amp.reshape(coeffs.shape[1], -1)
-
-    def embed(self, t: int, coeffs: np.ndarray) -> np.ndarray:
-        """Full-space columns of the sector-t coefficient columns, in
-        Fortran order, zero off the sector's support; with no generator
-        (r = 0) the basis is the full one."""
-        if not self.r:
-            return coeffs
-        index, amp = self.spread(t, coeffs)
-        out = np.zeros((len(amp), self.H.dimension), dtype=amp.dtype)
-        out[:, index] = amp
-        return out.T
 
 
 def _sector_eigs(sec: _Sectors, k: int) -> Spectrum:

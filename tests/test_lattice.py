@@ -403,6 +403,9 @@ def test_field_mask_uniform(one_hole_lattice):
     m = field_mask(one_hole_lattice, {"type": "all"}, (0.1, 0, 0))
     assert np.allclose(m.values[:, 0], 0.1)
     assert np.allclose(m.values[:, 1:], 0.0)
+    same = field_mask(one_hole_lattice, {"type": "all"},
+                      (np.float64(0.1), np.int64(0), np.float32(0)))
+    assert np.array_equal(same.values, m.values)
 
 
 def test_field_mask_annulus(one_hole_lattice):
@@ -497,12 +500,34 @@ def _one_hole_config(**changes):
     ({"region": {"type": "all"}, "hq": 0.1},
      "field 0 has unknown keys ['hq']; a field entry takes region, hx, hy "
      "and hz"),
-    ({"hx": 0.1}, "field 0 lacks 'region'")])
+    ({"hx": 0.1}, "field 0 lacks 'region'"),
+    ({"region": {"type": "all"}, "hx": True},
+     "field component hx True is not a number"),
+    ({"region": {"type": "all"}, "hz": "0.1"},
+     "field component hz '0.1' is not a number"),
+    ({"region": {"type": "all"}, "hx": None},
+     "field component hx None is not a number")])
 def test_config_refuses_a_field_entry_it_cannot_read(field, message):
     """A misspelled component ("hq") applied zero field without a word,
-    and a missing region escaped as a raw KeyError."""
+    and a missing region escaped as a raw KeyError; true applied a field
+    of 1.0, "0.1" one of 0.1, and null escaped as a raw TypeError."""
     with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
         sc.lattice_from_config(_one_hole_config(fields=[field]))
+
+
+@pytest.mark.parametrize("region, message", [
+    ({"hole": 0}, "region {'hole': 0} lacks 'type'"),
+    ({"type": "sites"}, "region {'type': 'sites'} lacks 'sites'"),
+    ({"type": "complement"}, "region {'type': 'complement'} lacks 'rects'"),
+    ({"type": "annulus"}, "region {'type': 'annulus'} lacks 'from'"),
+    ({"type": "corridor", "from": 0},
+     "region {'type': 'corridor', 'from': 0} lacks 'to'"),
+    ("all", "region 'all' is not a dict")])
+def test_region_refuses_a_malformed_spec(two_hole_lattice, region, message):
+    """A missing key escaped as a raw KeyError, and a string as a raw
+    TypeError; each is refused by name."""
+    with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
+        region_sites(two_hole_lattice, region)
 
 
 @pytest.mark.parametrize("value", [True, 4.0, np.float64(4.0), "4", None])

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from surfcode import measure
 from surfcode.effective import CHAIN_CAP, PseudoSpinState
+from surfcode.pauli import PauliString
+from surfcode.spectra import _Table
 from surfcode.measure import (EntangledState, InterferencePaths,
-                              MeasureError, _expectations, _gather,
+                              MeasureError, _expectations,
                               _misfit, _misfit_jacobian, fermion_readout,
                               forward_readouts, interference_amplitude,
                               parameter_error, quarter_turn, reconstruct,
@@ -464,7 +466,9 @@ def test_reconstruct_inconsistent_rejected():
 def test_misfit_jacobian_matches_central_differences(n):
     rng = np.random.default_rng(40 + n)
     strings = tomography_plan(n).strings
-    rows, m = _gather(strings, 2 ** n), 2 ** n
+    table = _Table([(1.0, PauliString(n, *s))
+                    for s in zip(*(a.tolist() for a in strings))], n)
+    rows, m = (table.cols[table.group], table.E), 2 ** n
     for _ in range(5):
         v = rand_state(rng, n).amplitudes
         target = rng.uniform(-1.0, 1.0, strings[0].size)

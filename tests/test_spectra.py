@@ -475,12 +475,13 @@ def test_floor_bounds_every_sector(problem):
     lowest level of R_t, the sector's non-identity terms, up to the
     search's slack, and never below -rest.  Solved afresh on every
     dense sector, the floor's matrix from the table is
-    ``pauli_sum_matrix``'s of D_s - M bit for bit."""
+    ``pauli_sum_matrix``'s of D_s - M bit for bit, and the
+    Kronecker-built one's within 1e-12."""
     _, lat, mask, _ = problem
     H = assemble(lat, 1.0, mask)
     slack = 64 * np.finfo(float).eps * H.norm_bound
     sec = _Sectors(H, _conserved_generators(H), 1e-10, 0)
-    built, solve = [], sec.solve
+    built, solve, kron = [], sec.solve, {}
     sec.solve = lambda A, m: built.append(A) or solve(A, m)
     for t in range(1 << sec.r):
         Hs = sec.hamiltonian(t)
@@ -489,9 +490,14 @@ def test_floor_bounds_every_sector(problem):
         sec.floors.clear()
         assert -sec.rest <= sec.floor(t) <= low + slack
         if sec.dense:
-            diag = tuple((c, p) for c, p in R if not p.x)
-            _assert_same_bytes(built.pop(), pauli_sum_matrix(
-                diag + sec.majorant, Hs.n).toarray())
+            terms = tuple((c, p) for c, p in R if not p.x) + sec.majorant
+            A = built.pop()
+            _assert_same_bytes(A, pauli_sum_matrix(terms, Hs.n).toarray())
+            for _, p in terms:      # every sector has the same strings
+                if p not in kron:
+                    kron[p] = _kron_matrix(_ham(Hs.n, [(1.0, p)]))
+            assert np.allclose(A, sum(c * kron[p] for c, p in terms),
+                               rtol=0, atol=1e-12)
 
 
 def test_sector_matches_lobpcg_on_corridor():
@@ -535,11 +541,12 @@ _ALL_SITES = {site: (0.15, 0, 0.15) for site in range(9)}
 ])
 def test_every_sector_matrix_is_h_in_its_basis(name, fields, frame, flip):
     """Every sector, including those branch-and-bound never visits: the
-    tapered sector Hamiltonian's matrix equals B^H H B for the embedded
-    basis B of the sector, B is orthonormal, and the sectors, 2^n states
-    in all, together rebuild any vector.  The sector's matrix from the
-    table is ``pauli_sum_matrix``'s bit for bit.  With a field on every
-    site nothing is conserved and the one sector is the full space."""
+    tapered sector Hamiltonian's matrix equals B^H H B for the
+    Kronecker-built H and the basis B of the sector placed by
+    ``spread``, B is orthonormal, and the sectors, 2^n states in all,
+    together rebuild any vector.  The sector's matrix from the table is
+    ``pauli_sum_matrix``'s bit for bit.  With a field on every site
+    nothing is conserved and the one sector is the full space."""
     _, lat, mask, _ = _example(name, fields, 1)
     H = assemble(lat, 1.0, mask)
     assert H.frame == frame
@@ -553,7 +560,9 @@ def test_every_sector_matrix_is_h_in_its_basis(name, fields, frame, flip):
     v = np.random.default_rng(3).standard_normal(H.dimension)
     rebuilt = np.zeros(H.dimension, dtype=H.dtype)
     for t in range(1 << sec.r):
-        B = sec.embed(t, np.eye(sec.dim))
+        index, amp = sec.spread(t, np.eye(sec.dim))
+        B = np.zeros((H.dimension, sec.dim), amp.dtype)
+        B[index] = amp.T
         assert np.allclose(B.conj().T @ B, np.eye(sec.dim), rtol=0,
                            atol=1e-12)
         Hs = sec.hamiltonian(t)
@@ -570,12 +579,12 @@ def test_every_sector_matrix_is_h_in_its_basis(name, fields, frame, flip):
 
 def test_full_space_sector_embeds_in_place():
     """With a field on every site the one sector is the full space, and
-    its coefficient columns are already full-space columns."""
+    its coefficient columns are already full-space columns: the
+    eigenvectors are the columns, not a copy."""
     _, lat, mask, _ = _example("torus 3x3", _ALL_SITES, 1)
-    sec = _Sectors(assemble(lat, 1.0, mask), [], 1e-10, 0)
-    U = np.random.default_rng(4).standard_normal((sec.dim, 3))
-    assert sec.r == 0 and sec.dim == 512
-    assert np.shares_memory(sec.embed(0, U), U)
+    spec = lowest_eigs(assemble(lat, 1.0, mask), 3)
+    assert spec.sectors.r == 0 and spec.sector_dims == (512,)
+    assert spec.eigenvectors is spec.columns
 
 
 def _open_flipped():
@@ -997,9 +1006,9 @@ def test_no_floor_without_generators(monkeypatch, one_hole_lattice):
 def test_states_are_read_only_fortran_order_columns(case):
     """``columns`` and ``eigenvectors`` are read-only and in Fortran
     order, each level's state one contiguous column, and hold the
-    sectors' eigh columns and their embeddings column by column: on the
-    corridor the levels lie in two sectors, and with a field on every
-    site the columns are the full-space states."""
+    sectors' eigh columns and, column by column, those columns placed
+    by ``spread``: on the corridor the levels lie in two sectors, and
+    with a field on every site the columns are the full-space states."""
     if case == "corridor":
         lat, mask = _region(_EDGE, {"type": "corridor", "hole": 0},
                             (0, 0.1, 0))
@@ -1014,8 +1023,10 @@ def test_states_are_read_only_fortran_order_columns(case):
         i = spec.labels[:j].count(t)
         assert np.array_equal(spec.columns[:, j],
                               np.linalg.eigh(sec.matrix(t))[1][:, i])
-        assert np.array_equal(spec.eigenvectors[:, j],
-                              sec.embed(t, spec.columns[:, [j]])[:, 0])
+        index, amp = sec.spread(t, spec.columns[:, [j]])
+        column = np.zeros(len(spec.eigenvectors), amp.dtype)
+        column[index] = amp[0]
+        assert np.array_equal(spec.eigenvectors[:, j], column)
 
 
 @pytest.mark.parametrize("g", [np.nan, np.inf])
@@ -1206,15 +1217,26 @@ def _check_kernel(H, rng):
 
 def test_pauli_sum_matrix_against_kronecker():
     """pauli_sum_matrix equals the Kronecker-built matrix on real terms,
-    where it is float64, and on x and y fields of the same sites and on
-    random phases over shared x masks with an identity term, where it is
-    complex."""
+    on a chain's strings with zero coefficients, on no term and on
+    imaginary coefficients times odd phases, where it is float64, and on
+    x and y fields of the same sites, on random phases over shared x
+    masks with an identity term and on imaginary coefficients of real
+    strings, where it is complex."""
     n, rng = 5, np.random.default_rng(17)
     xy = [(0.3 * (j + 1), f(n, j)) for j in (0, 2, 3)
           for f in (PauliString.sx, PauliString.sy)]
+    chain = eff.EffectiveChain(n, (0.2, 0.0, 0.3, 0.0), (0.0, 0.1, 0.0, 0.4),
+                               (0.0, 0.5, 0.0, 0.0, 0.6),
+                               (0.7, 0.0, 0.0, 0.8, 0.0))
+    odd = [(0.4j, PauliString(n, 5, 3, 3)), (-0.9j, PauliString.sy(n, 1))]
     for terms, dtype in ((_random_terms(rng, n, 12, True), np.float64),
+                         (chain._strings(), np.float64),
+                         ([], np.float64),
+                         (odd, np.float64),
                          (xy, np.complex128),
-                         (_random_terms(rng, n, 12, False), np.complex128)):
+                         (_random_terms(rng, n, 12, False), np.complex128),
+                         ([(0.5j, PauliString(n, 6, 0)), (0.25, PauliString(
+                             n, 6, 2))], np.complex128)):
         M = pauli_sum_matrix(terms, n)
         assert M.dtype == dtype
         assert np.allclose(M.toarray(), _kron_matrix(_ham(n, terms)),
