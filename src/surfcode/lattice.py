@@ -444,8 +444,17 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` where it is a ``kind`` (a list also as a tuple), else
+    refused by name."""
+    if not isinstance(value, (list, tuple) if kind is list else kind):
+        raise LatticeError(f"{what} {value!r} is not a {kind.__name__}")
+    return value
+
+
 def _integers(spec: dict, keys: Sequence[str], what: str) -> list[int]:
     """The integers ``spec[k]`` of a config entry named ``what``."""
+    _typed(spec, dict, what)
     for k in keys:
         if k not in spec:
             raise LatticeError(f"{what} lacks {k!r}")
@@ -487,9 +496,7 @@ def region_sites(lat: HoledLattice, region) -> list[int]:
       {"type": "sites", "sites": [...]}
       {"type": "complement", "rects": [{x0,y0,x1,y1}, ...]}   shadow-free area
     """
-    if not isinstance(region, dict):
-        raise LatticeError(f"region {region!r} is not a dict")
-    kind = _region_entry(region, "type")
+    kind = _region_entry(_typed(region, dict, "region"), "type")
     if kind == "all":
         return list(range(lat.n_sites))
     if kind == "annulus":
@@ -502,14 +509,16 @@ def region_sites(lat: HoledLattice, region) -> list[int]:
             return sorted(lat._line_sites(-1, _region_hole(lat, region["hole"])))
         return lat._line_sites(*sorted(_region_pair(lat, region)))
     if kind == "sites":
-        sites = [_integer(s, "site") for s in _region_entry(region, "sites")]
+        sites = [_integer(s, "site") for s in
+                 _typed(_region_entry(region, "sites"), list, "region sites")]
         for s in sites:
             if not 0 <= s < lat.n_sites:
                 raise LatticeError(f"site {s} outside lattice")
         return sites
     if kind == "complement":
         shadow = set()
-        for i, r in enumerate(_region_entry(region, "rects")):
+        rects = _typed(_region_entry(region, "rects"), list, "region rects")
+        for i, r in enumerate(rects):
             x0, y0, x1, y1 = _integers(r, ("x0", "y0", "x1", "y1"),
                                        f"rect {i}")
             for x in range(x0, x1 + 1):
@@ -545,13 +554,16 @@ def lattice_from_config(cfg: dict) -> tuple[HoledLattice, FieldMask]:
     where each field entry is {region: <spec>, hx, hy, hz}; width,
     height and hole corners are integers, and a field entry has a region
     and no other keys."""
+    _typed(cfg, dict, "config")
     holes = [HoleSpec(*_integers(h, ("x0", "y0", "x1", "y1"), f"hole {i}"))
-             for i, h in enumerate(cfg.get("holes", []))]
+             for i, h in enumerate(_typed(cfg.get("holes", []), list,
+                                          "config holes"))]
     lat = build_lattice(*_integers(cfg, ("width", "height"), "config"),
                         cfg.get("boundary", OPEN), holes)
     mask = FieldMask.zeros(lat)
-    for i, f in enumerate(cfg.get("fields", [])):
-        if "region" not in f:
+    for i, f in enumerate(_typed(cfg.get("fields", []), list,
+                                 "config fields")):
+        if "region" not in _typed(f, dict, f"field {i}"):
             raise LatticeError(f"field {i} lacks 'region'")
         unknown = sorted(set(f) - {"region", "hx", "hy", "hz"})
         if unknown:

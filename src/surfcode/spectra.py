@@ -72,9 +72,8 @@ w)) for H_F's energies E, which is T's for theta <= E_min - w, the
 ground columns.  Where level k cuts through a degenerate
 cluster a column can stall above the residual gate 50 tol ||H||; only
 then is the sector solved again from the failed block's k columns and
-2, then 4 seeded guard columns, the first k kept.  One ``_Sectors`` per
-call is the solve context that holds ``tol``, ``seed``, the gate and
-the solver's notes.
+2, then 4 seeded guard columns, the first k kept.  The ``_Taper`` of H
+alone holds the sectors, and one ``_SolveContext`` per call the solve.
 
 Levels stay in sector coordinates: a ``Spectrum`` keeps each level's
 sector and its column of 2^(n - r) coefficients, contiguous as in the
@@ -548,7 +547,7 @@ class Spectrum:
     residual_norms: np.ndarray
     hamiltonian: SpinHamiltonian
     sector_dims: tuple[int, ...]   # dimension of every sector solved
-    sectors: _Sectors
+    sectors: _Taper
     labels: tuple[int, ...]
     columns: np.ndarray            # (2^(n - r), k), Fortran order
 
@@ -586,6 +585,11 @@ _PHASES = np.array([1, 1j, -1, -1j])
 
 def _parity(v: int) -> int:
     return v.bit_count() & 1
+
+
+def _character(c, comb: int, t: int):
+    """c (-1)^{|comb & t|}: c times the character of sector t."""
+    return c * (1 - 2 * _parity(comb & t))
 
 
 def _deposit(w: np.ndarray, sites) -> np.ndarray:
@@ -669,9 +673,9 @@ def _conserved_generators(H: SpinHamiltonian) -> list[PauliString]:
     return [s for j, (_, s) in enumerate(kernel) if j not in dependent]
 
 
-class _Sectors:
-    """``H`` tapered to the common eigenspaces of generators ``gens``
-    (h_j), all commuting with every term of ``H``.
+class _Taper:
+    """``H`` tapered to the common eigenspaces of ``gens`` (h_j), its
+    ``_conserved_generators``; it is not changed after construction.
 
     Sector t (bit j of t set iff h_j = -1) has dimension 2^(n - r).  The
     generators are brought to reduced row echelon form on (x|z): rows g
@@ -679,30 +683,15 @@ class _Sectors:
     an orbit has every pivot bit zero; rows with x = 0 fix parities of
     the representatives, so its bits on ``sites`` label it.  The basis
     state of representative b is 2^(-a/2) prod_g (1 + chi_t(g) g) |b>
-    over the a rows with x pivots.  Each term is tapered once, in
-    ``terms``, to a string on ``sites`` and a character of t.  Sectors
-    of at most ``SECTOR_DENSE_CAP`` states are ``dense``: a ``_Table`` of
-    the tapered strings, built once, gives every sector's matrix from its
-    characters, and a second one over the diagonal strings and the
-    majorant every floor's.
+    over the a rows with x pivots."""
 
-    It is also one ``lowest_eigs`` call's solve context: ``tol``,
-    ``seed``, the residual ``gate`` that levels and above-cap floors must
-    pass, and ``notes``, one line per LOBPCG block that ended above its
-    stopping tolerance.
-    """
-
-    def __init__(self, H: SpinHamiltonian, gens: list[PauliString],
-                 tol: float, seed: int):
+    def __init__(self, H: SpinHamiltonian):
         n = H.n
         self.H = H
-        self.gens = gens
-        self.r = len(gens)
-        self.tol, self.seed = tol, seed
-        self.gate = 50 * max(tol * H.norm_bound, 1e-30)
-        self.notes: list[str] = []
+        self.gens = _conserved_generators(H)
+        self.r = len(self.gens)
         rows, _ = eliminate(
-            [[(p.x << n) | p.z, p, 1 << j] for j, p in enumerate(gens)],
+            [[(p.x << n) | p.z, p, 1 << j] for j, p in enumerate(self.gens)],
             2 * n)
         # (x pivot site, row operator g, its generator combination)
         self.orbit = [(bit - n, p, c) for bit, (_, p, c) in rows
@@ -716,30 +705,11 @@ class _Sectors:
         fixed = sum(1 << q for q, *_ in self.parities)
         self.sites = [j for j in range(n) if (free & ~fixed) >> j & 1]
         self.dim = 1 << len(self.sites)
-        # (c, comb, P'): the term c P acts on sector t as
-        # c (-1)^{|comb & t|} P', P' a string on ``sites``
-        self.terms = [(c, *self._taper(p)) for c, p in H.terms]
-        # M = sum_x (summed |c| of the x group) X^x bounds the entries of
-        # every sector's off-diagonal part; floors are cached per signature
-        weight: dict[int, float] = {}
-        for c, _, p in self.terms:
-            if p.x:
-                weight[p.x] = weight.get(p.x, 0.0) + abs(c)
-        self.majorant = tuple((-w, PauliString(len(self.sites), x, 0))
-                              for x, w in weight.items())
-        self.diagonal = [(c, comb, p) for c, comb, p in self.terms
-                         if not p.x and p.z]
-        self.rest = sum(abs(c) for c, _, p in self.terms
-                        if not p.is_identity_mask)
-        self.floors: dict[tuple, float] = {}
-        self.dense = self.dim <= SECTOR_DENSE_CAP
-        if self.dense:
-            self.table = _Table([(c, p) for c, _, p in self.terms],
-                                len(self.sites))
-            self.floor_table = _Table([(c, p) for c, _, p in self.diagonal]
-                                      + list(self.majorant), len(self.sites))
+        # (c, comb, P'): each term c P, tapered once, acts on sector t as
+        # _character(c, comb, t) P', P' a string on ``sites``
+        self.terms = [(c, *self.taper(p)) for c, p in H.terms]
 
-    def _taper(self, p: PauliString) -> tuple[int, PauliString]:
+    def taper(self, p: PauliString) -> tuple[int, PauliString]:
         """Orbit rows clear p's x bits at their pivots (P|psi_b> =
         chi_t(g) g P|psi_b>); the parity rows replace its z bits at
         theirs by the other bits of the row, a sign and a character."""
@@ -760,30 +730,80 @@ class _Sectors:
 
     def hamiltonian(self, t: int) -> SpinHamiltonian:
         """H on sector t: the tapered terms with their characters at t."""
-        return replace(
-            self.H, n=len(self.sites),
-            terms=tuple((c * (1 - 2 * _parity(comb & t)), p)
-                        for c, comb, p in self.terms))
+        return replace(self.H, n=len(self.sites), terms=tuple(
+            (_character(c, comb, t), p) for c, comb, p in self.terms))
+
+    def spread(self, t: int, coeffs: np.ndarray):
+        """Where sector t's basis states have support, the ``_orbit`` of
+        the representatives b (pure-Z rows' parities imposed), as full-
+        space indices, and each coefficient column's amplitudes there,
+        one row per column, chi_t(g) in each orbit row's phase."""
+        b = _deposit(np.arange(self.dim, dtype=np.uint64), self.sites)
+        for q, m, c, sign in self.parities:
+            par = (_count(b, m) + (_parity(c & t) ^ sign)) & 1
+            b |= par.astype(np.uint64) << np.uint64(q)
+        index, k = _orbit(b, [replace(g, k=g.k + 2 * _parity(comb & t))
+                              for _, g, comb in self.orbit])
+        ph = (_PHASES.real if self.H.dtype == np.float64 else _PHASES)[k & 3]
+        amp = (ph.reshape(1 << len(self.orbit), -1)
+               * (coeffs.T / np.sqrt(2.0 ** len(self.orbit)))[:, None])
+        return index.astype(np.intp), amp.reshape(coeffs.shape[1], -1)
+
+
+class _SolveContext:
+    """One ``lowest_eigs`` call's solve of ``taper``'s sectors: ``tol``,
+    ``seed``, the residual ``gate`` that levels and above-cap floors
+    must pass, ``notes`` on LOBPCG blocks that ended above their stopping
+    tolerance, and the floors.  A ``dense`` sector's matrix comes from a
+    ``_Table`` of the tapered strings, a floor's from one of the diagonal
+    strings and the majorant, both built once."""
+
+    def __init__(self, taper: _Taper, tol: float, seed: int):
+        n = len(taper.sites)
+        if n > DIMENSION_CAP:
+            raise SpectraError(f"sectors of 2^{n} states exceed the "
+                               f"dimension cap 2^{DIMENSION_CAP}")
+        self.taper = taper
+        self.tol, self.seed = tol, seed
+        self.gate = 50 * max(tol * taper.H.norm_bound, 1e-30)
+        self.notes: list[str] = []
+        # M = sum_x (summed |c| of the x group) X^x bounds the entries of
+        # every sector's off-diagonal part; floors are cached per signature
+        weight: dict[int, float] = {}
+        for c, _, p in taper.terms:
+            if p.x:
+                weight[p.x] = weight.get(p.x, 0.0) + abs(c)
+        self.majorant = tuple((-w, PauliString(n, x, 0))
+                              for x, w in weight.items())
+        self.diagonal = [(c, comb, p) for c, comb, p in taper.terms
+                         if not p.x and p.z]
+        self.rest = sum(abs(c) for c, _, p in taper.terms
+                        if not p.is_identity_mask)
+        self.floors: dict[tuple, float] = {}
+        self.dense = taper.dim <= SECTOR_DENSE_CAP
+        if self.dense:
+            self.table = _Table([(c, p) for c, _, p in taper.terms], n)
+            self.floor_table = _Table([(c, p) for c, _, p in self.diagonal]
+                                      + list(self.majorant), n)
 
     def matrix(self, t: int) -> np.ndarray:
         """Dense matrix of sector t from the table, the same bits as
-        ``pauli_sum_matrix`` of ``hamiltonian(t)``'s terms."""
-        return self.table(np.array([c * (1 - 2 * _parity(comb & t))
-                                    for c, comb, _ in self.terms]))
+        ``pauli_sum_matrix`` of the taper's ``hamiltonian(t)``'s terms."""
+        return self.table(np.array([_character(c, comb, t)
+                                    for c, comb, _ in self.taper.terms]))
 
     def floor(self, t: int) -> float:
         """Lower bound on the lowest level of R_t, the non-identity terms of
         sector t: lambda_min(D_s - M), D_s its diagonal terms, solved once
         per sign pattern s; -rest where an above-cap solve fails the
         gate."""
-        key = tuple(c * (1 - 2 * _parity(comb & t))
-                    for c, comb, _ in self.diagonal)
+        key = tuple(_character(c, comb, t) for c, comb, _ in self.diagonal)
         if key not in self.floors:
             if self.dense:
                 A = self.floor_table(np.array(
                     key + tuple(c for c, _ in self.majorant)))
             else:
-                A = replace(self.H, n=len(self.sites), terms=tuple(
+                A = replace(self.taper.H, n=len(self.taper.sites), terms=tuple(
                     zip(key, (p for *_, p in self.diagonal))) + self.majorant)
             (low,), _, (res,) = self.solve(A, 1)
             if not self.dense:                  # a Ritz value, if converged
@@ -840,9 +860,8 @@ class _Sectors:
         return w, U, res
 
     def _start(self, H: SpinHamiltonian, m: int, guard: int, U):
-        """The seeded (m + guard, 2^n) start rows, complex for a complex
-        H; after a failed gate the failed block's m columns U come first,
-        then the guards."""
+        """The seeded (m + guard, 2^n) start rows, complex for a complex H,
+        with the failed block's m columns U first after a failed gate."""
         rng = np.random.default_rng(self.seed)
         X = rng.standard_normal((m + guard, H.dimension))
         if H.dtype == np.complex128:
@@ -851,27 +870,11 @@ class _Sectors:
             X[:m] = U.T
         return X
 
-    def spread(self, t: int, coeffs: np.ndarray):
-        """Where sector t's basis states have support, the ``_orbit`` of
-        the representatives b (pure-Z rows' parities imposed), as full-
-        space indices, and each coefficient column's amplitudes there,
-        one row per column, chi_t(g) in each orbit row's phase."""
-        b = _deposit(np.arange(self.dim, dtype=np.uint64), self.sites)
-        for q, m, c, sign in self.parities:
-            par = (_count(b, m) + (_parity(c & t) ^ sign)) & 1
-            b |= par.astype(np.uint64) << np.uint64(q)
-        index, k = _orbit(b, [replace(g, k=g.k + 2 * _parity(comb & t))
-                              for _, g, comb in self.orbit])
-        ph = (_PHASES.real if self.H.dtype == np.float64 else _PHASES)[k & 3]
-        amp = (ph.reshape(1 << len(self.orbit), -1)
-               * (coeffs.T / np.sqrt(2.0 ** len(self.orbit)))[:, None])
-        return index.astype(np.intp), amp.reshape(coeffs.shape[1], -1)
 
-
-def _sector_eigs(sec: _Sectors, k: int) -> Spectrum:
+def _sector_eigs(ctx: _SolveContext, k: int) -> Spectrum:
     """Lowest k levels over all sectors by best-first branch-and-bound
-    on the syndrome bits, each residual within ``sec.gate``."""
-    H, const, rest = sec.H, 0.0, sec.rest
+    on the syndrome bits, each residual within ``ctx.gate``."""
+    sec, const, rest = ctx.taper, 0.0, ctx.rest
     by_bit: list[list[tuple[float, int]]] = [[] for _ in range(sec.r)]
     for coeff, comb, p in sec.terms:
         if not p.is_identity_mask:
@@ -884,7 +887,7 @@ def _sector_eigs(sec: _Sectors, k: int) -> Spectrum:
     # pool[d]: summed |c| of the group terms not yet fixed at depth d
     pool = np.cumsum([0.0] + [sum(abs(c) for c, _ in terms)
                               for terms in reversed(by_bit)])[::-1]
-    slack = 64 * np.finfo(float).eps * H.norm_bound
+    slack = 64 * np.finfo(float).eps * sec.H.norm_bound
     heap = [(const - pool[0] - rest, 0, 0, const)]   # bound, -depth, t, bare
     levels: list[tuple[float, int, int]] = []        # value, sector, column
     solved = []
@@ -895,13 +898,13 @@ def _sector_eigs(sec: _Sectors, k: int) -> Spectrum:
         if depth < sec.r:
             for bit in (0, 1):
                 tt = t | bit << depth
-                e = bare + sum(c * (1 - 2 * _parity(comb & tt))
+                e = bare + sum(_character(c, comb, tt)
                                for c, comb in by_bit[depth])
-                key = (e + sec.floor(tt)
+                key = (e + ctx.floor(tt)
                        if depth + 1 == sec.r else e - pool[depth + 1] - rest)
                 heapq.heappush(heap, (key, -depth - 1, tt, e))
             continue
-        w, U, res = sec.solve(sec.matrix(t) if sec.dense
+        w, U, res = ctx.solve(ctx.matrix(t) if ctx.dense
                               else sec.hamiltonian(t), min(k, sec.dim))
         levels.extend((w[i], len(solved), i) for i in range(len(w)))
         solved.append((t, U, res))
@@ -916,13 +919,14 @@ def _sector_eigs(sec: _Sectors, k: int) -> Spectrum:
     labels = tuple(solved[s][0] for _, s, _ in chosen)
     cols = np.stack([solved[s][1][:, i] for _, s, i in chosen]).T
     res = np.array([solved[s][2][i] for _, s, i in chosen])
-    if np.any(res > sec.gate):
+    if np.any(res > ctx.gate):
         raise SpectraError(
             "; ".join([f"eigensolver did not converge: residuals {res}"]
-                      + sec.notes))
+                      + ctx.notes))
     for arr in (vals, cols, res):
         arr.flags.writeable = False
-    return Spectrum(vals, res, H, (sec.dim,) * len(solved), sec, labels, cols)
+    return Spectrum(vals, res, sec.H, (sec.dim,) * len(solved), sec, labels,
+                    cols)
 
 
 def lowest_eigs(H: SpinHamiltonian, k_count: int, tol: float = 1e-10,
@@ -934,17 +938,13 @@ def lowest_eigs(H: SpinHamiltonian, k_count: int, tol: float = 1e-10,
     seeded random block of as many columns as levels asked of the
     sector, plus guard columns after a failed gate.  ``tol``, ``seed``,
     the gate 50 * tol * norm_bound on the full-space residuals and the
-    solver's notes make up one solve context, ``Spectrum.sectors``.
+    solver's notes last the call; ``Spectrum.sectors`` is the taper.
     """
     dim = H.dimension
     k = int(k_count)
     if k < 1 or k >= dim:
         raise SpectraError(f"k_count {k} out of range for dimension {dim}")
-    sec = _Sectors(H, _conserved_generators(H), tol, seed)
-    if len(sec.sites) > DIMENSION_CAP:
-        raise SpectraError(f"sectors of 2^{len(sec.sites)} states exceed the "
-                           f"dimension cap 2^{DIMENSION_CAP}")
-    return _sector_eigs(sec, k)
+    return _sector_eigs(_SolveContext(_Taper(H), tol, seed), k)
 
 
 def ground_splitting(spectrum: Spectrum, n_holes: int) -> dict:
@@ -978,9 +978,9 @@ def logical_expectation(spectrum: Spectrum, logical: PauliString,
     if not all(commutes(g, L) for g in sec.gens):
         raise SpectraError(f"{logical} does not commute with every conserved "
                            f"product, so it leaves the symmetry sectors")
-    comb, P = sec._taper(L)
+    comb, P = sec.taper(L)
     ts = spectrum.labels[:subspace_dim]
-    sign = np.array([[(a == b) * (1 - 2 * _parity(comb & a)) for b in ts]
+    sign = np.array([[(a == b) * _character(1, comb, a) for b in ts]
                      for a in ts])
     C = spectrum.columns[:, :subspace_dim]
     return sign * (C.conj().T @ apply_pauli(P, C))

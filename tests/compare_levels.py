@@ -6,8 +6,10 @@ Lines are paired by (test, call).  The report gives how many pairs are
 bit-identical, the largest |level difference| / norm_bound, each file's
 largest residual norm / norm_bound where its lines record residuals,
 each file's total of applied state columns and the five pairs whose
-counts moved most where both record them, every pair whose sector
-labels differ, and every pair that fails.  A
+counts moved most where both record them, each file's total of sectors
+and of floors solved and every pair whose counts differ where both
+record them, every pair whose sector labels differ, and every pair
+that fails.  A
 pair fails when its levels differ by more than T * norm_bound (or in
 number), when only one side raised, or when it has no partner in the
 other file; the exit status is 1 if any pair fails, else 0.
@@ -72,24 +74,29 @@ def compare(a: dict, b: dict, tol: float) -> tuple[list[str], bool]:
             top, key = max(res)
             head.append(f"{side} file: largest residual / norm_bound "
                         f"{top:.3g} ({key[0]} call {key[1]})")
-    return head + _applications(a, b) + report + failed, bool(failed)
+    counts = (_counts(a, b, "applications", 5) + _counts(a, b, "sectors")
+              + _counts(a, b, "floors"))
+    return head + counts + report + failed, bool(failed)
 
 
-def _applications(a: dict, b: dict) -> list[str]:
-    """Each file's total of applied state columns over all its lines,
-    then up to five pairs whose counts moved most, largest first."""
-    if not all("applications" in line for side in (a, b)
-               for line in side.values()):
+def _counts(a: dict, b: dict, field: str, most=None) -> list[str]:
+    """Where both files record ``field`` (a call that raised records no
+    sectors), each file's total of it over the lines that do, then the
+    pairs whose counts moved, up to ``most`` of them (all by default),
+    largest move first."""
+    have = [[line[field] for line in f.values() if field in line]
+            for f in (a, b)]
+    if not all(have):
         return []
-    lines = [f"{side} file: {sum(f[k]['applications'] for k in f)} "
-             f"applications in {len(f)} calls"
-             for side, f in (("first", a), ("second", b))]
-    moved = sorted(((b[k]["applications"] - a[k]["applications"], k)
-                    for k in a.keys() & b.keys()),
+    lines = [f"{side} file: {sum(counts)} {field} in {len(counts)} calls"
+             for side, counts in zip(("first", "second"), have)]
+    moved = sorted(((b[k][field] - a[k][field], k)
+                    for k in a.keys() & b.keys()
+                    if field in a[k] and field in b[k]),
                    key=lambda m: (-abs(m[0]), m[1]))
-    return lines + [f"applications moved: {k[0]} call {k[1]}: "
-                    f"{a[k]['applications']} -> {b[k]['applications']}"
-                    for d, k in moved[:5] if d]
+    return lines + [f"{field} moved: {k[0]} call {k[1]}: "
+                    f"{a[k][field]} -> {b[k][field]}"
+                    for d, k in moved[:most] if d]
 
 
 def main(argv=None) -> int:

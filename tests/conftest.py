@@ -14,16 +14,19 @@ def pytest_addoption(parser):
         "--record-levels", metavar="PATH", default=None,
         help="write one JSON line per lowest_eigs call to PATH: test id, "
              "call index, n, norm bound, eigenvalues, sector labels, "
-             "residual norms and the state columns applied")
+             "residual norms, the state columns applied and the sectors "
+             "and floors solved")
 
 
 def pytest_configure(config):
     """With --record-levels, wrap ``spectra._sector_eigs``, which every
-    ``lowest_eigs`` call passes through, so two checkouts' solver paths
-    can be compared level by level (a ``Spectrum``, or an older tuple
-    that starts with the eigenvalues and the labels and records no
-    residuals).  ``applications`` counts the state columns that
-    ``spectra._Apply`` applied during the call, a vector as one."""
+    ``lowest_eigs`` call passes through with its solve context (or an
+    older checkout's ``_Sectors``) first, so two checkouts' solver paths
+    can be compared level by level.  ``applications`` counts the state
+    columns that ``spectra._Apply`` applied during the call, a vector as
+    one; dense sectors and floors apply none, so ``sectors`` (the
+    sectors solved) and ``floors`` (the floor-cache entries added) record
+    the search's work on every path."""
     path = config.getoption("--record-levels")
     if not path:
         return
@@ -35,27 +38,26 @@ def pytest_configure(config):
         applied[0] += np.shape(v)[1] if np.ndim(v) > 1 else 1
         return apply(op, v)
 
-    def recorded(*args, **kwargs):
-        H = getattr(args[0], "H", args[0])    # the sectors, or H itself
+    def recorded(solve, *args, **kwargs):
+        H = getattr(solve, "taper", solve).H
         line = {"test": _RECORD["test"], "call": _RECORD["calls"], "n": H.n,
                 "norm_bound": H.norm_bound}
         _RECORD["calls"] += 1
-        before = applied[0]
+        before, floors = applied[0], len(solve.floors)
         try:
-            got = inner(*args, **kwargs)
+            got = inner(solve, *args, **kwargs)
         except Exception as err:
             line["error"] = type(err).__name__
             raise
         else:
-            vals, labels = ((got.eigenvalues, got.labels)
-                            if hasattr(got, "labels") else got[:2])
-            line.update(eigenvalues=[float(v) for v in vals],
-                        labels=[int(t) for t in labels])
-            if hasattr(got, "residual_norms"):
-                line["residual_norms"] = [float(r)
-                                          for r in got.residual_norms]
+            line.update(eigenvalues=[float(v) for v in got.eigenvalues],
+                        labels=[int(t) for t in got.labels],
+                        residual_norms=[float(r)
+                                        for r in got.residual_norms],
+                        sectors=len(got.sector_dims))
         finally:
-            line["applications"] = applied[0] - before
+            line.update(applications=applied[0] - before,
+                        floors=len(solve.floors) - floors)
             out.write(json.dumps(line) + "\n")
         return got
 

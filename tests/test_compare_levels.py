@@ -87,3 +87,47 @@ def test_compare_levels_reports_applications(tmp_path, capsys):
                                       for j in range(len(counts))])
     assert compare_levels.main([a, c]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == []
+
+
+def test_compare_levels_reports_sectors_and_floors(tmp_path, capsys):
+    """Dense sectors and floors apply no state column, so the sectors and
+    floors solved get totals of their own, and every pair whose count
+    moved is listed, not only the largest five.  A call that raised
+    records floors but no sectors, and is left out of the sectors."""
+    lv = {"test": "t", "n": 4, "norm_bound": 1.0, "eigenvalues": [-1.0],
+          "labels": [0], "applications": 0}
+    counts = [(3, 3, 1, 1), (2, 3, 4, 4), (1, 1, 0, 2), (5, 6, 2, 2),
+              (1, 2, 1, 1), (1, 2, 1, 1), (1, 2, 1, 1), (4, 2, 3, 0)]
+    a = _write(tmp_path / "a.jsonl", [
+        {**lv, "call": j, "sectors": s, "floors": f}
+        for j, (s, _, f, _) in enumerate(counts)])
+    b = _write(tmp_path / "b.jsonl", [
+        {**lv, "call": j, "sectors": s, "floors": f}
+        for j, (_, s, _, f) in enumerate(counts)])
+    assert compare_levels.main([a, b]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "first file: 0 applications in 8 calls",
+        "second file: 0 applications in 8 calls",
+        "first file: 18 sectors in 8 calls",
+        "second file: 21 sectors in 8 calls",
+        "sectors moved: t call 7: 4 -> 2",
+        "sectors moved: t call 1: 2 -> 3",
+        "sectors moved: t call 3: 5 -> 6",
+        "sectors moved: t call 4: 1 -> 2",
+        "sectors moved: t call 5: 1 -> 2",
+        "sectors moved: t call 6: 1 -> 2",
+        "first file: 13 floors in 8 calls",
+        "second file: 12 floors in 8 calls",
+        "floors moved: t call 7: 3 -> 0",
+        "floors moved: t call 2: 0 -> 2"]
+    c = _write(tmp_path / "c.jsonl", [
+        {**lv, "call": j, "sectors": s, "floors": f}
+        for j, (s, _, f, _) in enumerate(counts)]
+        + [{"test": "t", "call": 8, "n": 4, "norm_bound": 1.0,
+            "error": "SpectraError", "applications": 0, "floors": 5}])
+    assert compare_levels.main([c, c]) == 0
+    assert capsys.readouterr().out.splitlines()[3:] == [
+        "first file: 18 sectors in 8 calls",
+        "second file: 18 sectors in 8 calls",
+        "first file: 18 floors in 9 calls",
+        "second file: 18 floors in 9 calls"]

@@ -506,11 +506,13 @@ def _one_hole_config(**changes):
     ({"region": {"type": "all"}, "hz": "0.1"},
      "field component hz '0.1' is not a number"),
     ({"region": {"type": "all"}, "hx": None},
-     "field component hx None is not a number")])
+     "field component hx None is not a number"),
+    (3, "field 0 3 is not a dict")])
 def test_config_refuses_a_field_entry_it_cannot_read(field, message):
     """A misspelled component ("hq") applied zero field without a word,
     and a missing region escaped as a raw KeyError; true applied a field
-    of 1.0, "0.1" one of 0.1, and null escaped as a raw TypeError."""
+    of 1.0, "0.1" one of 0.1, and null and an entry that is not a dict
+    escaped as raw TypeErrors."""
     with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
         sc.lattice_from_config(_one_hole_config(fields=[field]))
 
@@ -522,10 +524,14 @@ def test_config_refuses_a_field_entry_it_cannot_read(field, message):
     ({"type": "annulus"}, "region {'type': 'annulus'} lacks 'from'"),
     ({"type": "corridor", "from": 0},
      "region {'type': 'corridor', 'from': 0} lacks 'to'"),
-    ("all", "region 'all' is not a dict")])
+    ("all", "region 'all' is not a dict"),
+    ({"type": "sites", "sites": 3}, "region sites 3 is not a list"),
+    ({"type": "complement", "rects": 3}, "region rects 3 is not a list"),
+    ({"type": "complement", "rects": [3]}, "rect 0 3 is not a dict")])
 def test_region_refuses_a_malformed_spec(two_hole_lattice, region, message):
-    """A missing key escaped as a raw KeyError, and a string as a raw
-    TypeError; each is refused by name."""
+    """A missing key escaped as a raw KeyError, and a string, a number
+    for a list and a number for a rect as raw TypeErrors; each is
+    refused by name."""
     with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
         region_sites(two_hole_lattice, region)
 
@@ -618,8 +624,21 @@ def _open(holes=()):
     (lambda: region_sites(_open([sc.HoleSpec(1, 1, 2, 1)]),
                           {"type": "annulus", "from": 0, "to": 0}),
      "a pair region needs two different holes, got from = to = 0"),
+    (lambda: sc.lattice_from_config(_one_hole_config(holes=[3])),
+     "hole 0 3 is not a dict"),
+    (lambda: sc.lattice_from_config(_one_hole_config(holes=3)),
+     "config holes 3 is not a list"),
+    (lambda: sc.lattice_from_config(_one_hole_config(fields={
+        "region": {"type": "all"}})),
+     "config fields {'region': {'type': 'all'}} is not a list"),
+    (lambda: sc.lattice_from_config(3), "config 3 is not a dict"),
 ], ids=["empty-hole", "site", "puncture-string", "boundary", "mask-shape",
-        "mask-finite", "region-type", "pair-corridor", "pair-annulus"])
+        "mask-finite", "region-type", "pair-corridor", "pair-annulus",
+        "config-hole", "config-holes", "config-fields", "config"])
 def test_each_check_refuses_with_its_reason(call, message):
+    """Each input is refused by name.  Of the config containers, "holes":
+    [3] and 3 escaped as raw TypeErrors, a config that is not a dict as
+    an AttributeError, and a dict given as "fields" read as field 0 with
+    unknown keys, one per letter of "region"."""
     with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
         call()

@@ -23,7 +23,7 @@ from surfcode import spectra
 from surfcode.spectra import (SECTOR_DENSE_CAP, DispersionParams, SpectraError,
                               SpinHamiltonian, _Apply, _FamilyInverse,
                               _conjugate_by_s,
-                              _conserved_generators, _Sectors,
+                              _conserved_generators, _SolveContext, _Taper,
                               apply_pauli, assemble, dispersion_grid,
                               fermion_dispersion, fermion_gap,
                               ground_splitting, logical_expectation,
@@ -480,17 +480,18 @@ def test_floor_bounds_every_sector(problem):
     _, lat, mask, _ = problem
     H = assemble(lat, 1.0, mask)
     slack = 64 * np.finfo(float).eps * H.norm_bound
-    sec = _Sectors(H, _conserved_generators(H), 1e-10, 0)
-    built, solve, kron = [], sec.solve, {}
-    sec.solve = lambda A, m: built.append(A) or solve(A, m)
+    sec = _Taper(H)
+    ctx = _SolveContext(sec, 1e-10, 0)
+    built, solve, kron = [], ctx.solve, {}
+    ctx.solve = lambda A, m: built.append(A) or solve(A, m)
     for t in range(1 << sec.r):
         Hs = sec.hamiltonian(t)
         R = [(c, p) for c, p in Hs.terms if not p.is_identity_mask]
         low = np.linalg.eigvalsh(pauli_sum_matrix(R, Hs.n).toarray())[0]
-        sec.floors.clear()
-        assert -sec.rest <= sec.floor(t) <= low + slack
-        if sec.dense:
-            terms = tuple((c, p) for c, p in R if not p.x) + sec.majorant
+        ctx.floors.clear()
+        assert -ctx.rest <= ctx.floor(t) <= low + slack
+        if ctx.dense:
+            terms = tuple((c, p) for c, p in R if not p.x) + ctx.majorant
             A = built.pop()
             _assert_same_bytes(A, pauli_sum_matrix(terms, Hs.n).toarray())
             for _, p in terms:      # every sector has the same strings
@@ -553,7 +554,8 @@ def test_every_sector_matrix_is_h_in_its_basis(name, fields, frame, flip):
     if flip:
         H = _phases_flipped(H)
     M = sp.csr_matrix(_kron_matrix(H))
-    sec = _Sectors(H, _conserved_generators(H), 1e-10, 0)
+    sec = _Taper(H)
+    matrix = _SolveContext(sec, 1e-10, 0).matrix
     assert (sec.r > 0) == bool(sec.orbit) == bool(sec.parities)
     assert sec.r > 0 or fields is _ALL_SITES
     assert sec.dim << sec.r == H.dimension
@@ -569,7 +571,7 @@ def test_every_sector_matrix_is_h_in_its_basis(name, fields, frame, flip):
         assert Hs.n == len(sec.sites) and Hs.dimension == sec.dim
         want = B.conj().T @ (M @ B)
         dense = pauli_sum_matrix(Hs.terms, Hs.n).toarray()
-        _assert_same_bytes(sec.matrix(t), dense)
+        _assert_same_bytes(matrix(t), dense)
         assert np.allclose(dense, want, rtol=0, atol=1e-12)
         assert np.allclose(_Apply(Hs)(np.eye(sec.dim)), want, rtol=0,
                            atol=1e-12)
@@ -704,21 +706,22 @@ def test_lobpcg_floors_above_the_cap(monkeypatch):
     _, lat, mask, _ = _example("open 3x3 puncture", fields, 1)
     H = assemble(lat, 1.0, mask)
     want = np.linalg.eigvalsh(_kron_matrix(H))[:4]
-    solve, asked, stop = spectra._Sectors.solve, [], []
+    solve, asked, stop = spectra._SolveContext.solve, [], []
 
-    def counted(sec, Hs, k):    # a floor asks for one level
+    def counted(ctx, Hs, k):    # a floor asks for one level
         asked.append(k)
         spectra.LOBPCG_MAXITER = 1 if stop and k == 1 else 2000
-        return solve(sec, Hs, k)
+        return solve(ctx, Hs, k)
 
-    monkeypatch.setattr(spectra._Sectors, "solve", counted)
+    monkeypatch.setattr(spectra._SolveContext, "solve", counted)
     spec = lowest_eigs(H, 4, tol=1e-10)
     assert set(spec.sector_dims) == {64} and len(spec.sector_dims) == 1
     assert asked.count(1) > 1 and asked.count(4) == 1
     assert np.max(np.abs(spec.eigenvalues - want)) <= 1e-10 * H.norm_bound
     stop.append(True)
     stopped = lowest_eigs(H, 4, tol=1e-10)
-    monkeypatch.setattr(spectra._Sectors, "floor", lambda sec, *_: -sec.rest)
+    monkeypatch.setattr(spectra._SolveContext, "floor",
+                        lambda ctx, *_: -ctx.rest)
     assert len(stopped.sector_dims) == len(lowest_eigs(H, 4).sector_dims) == 4
     assert np.max(np.abs(stopped.eigenvalues - want)) <= 1e-10 * H.norm_bound
 
@@ -817,7 +820,7 @@ def _assembled(name, fields):
 
 def _sector(name, fields, t):
     H = _assembled(name, fields)
-    return _Sectors(H, _conserved_generators(H), 1e-10, 0).hamiltonian(t)
+    return _Taper(H).hamiltonian(t)
 
 
 @pytest.mark.parametrize("build", [
@@ -997,9 +1000,11 @@ def test_no_floor_without_generators(monkeypatch, one_hole_lattice):
     assert spec.sector_dims == (512,)
     assert built == [512]
     lat = one_hole_lattice
+    built.clear()
     spec = lowest_eigs(assemble(lat, 1.0, sc.field_mask(
         lat, {"type": "annulus", "hole": 0}, (0.05, 0, 0))), 3)
-    assert spec.sectors.floors and max(spec.sector_dims) <= SECTOR_DENSE_CAP
+    assert len(built) > len(spec.sector_dims)     # floors' matrices too
+    assert max(spec.sector_dims) <= SECTOR_DENSE_CAP
 
 
 @pytest.mark.parametrize("case", ["corridor", "full space"])
@@ -1016,13 +1021,14 @@ def test_states_are_read_only_fortran_order_columns(case):
         _, lat, mask, _ = _example("torus 3x3", _ALL_SITES, 1)
     spec = lowest_eigs(assemble(lat, 1.0, mask), 3)
     sec = spec.sectors
+    matrix = _SolveContext(sec, 1e-10, 0).matrix
     assert len(set(spec.labels)) == (2 if case == "corridor" else 1)
     for arr in (spec.columns, spec.eigenvectors):
         assert arr.flags.f_contiguous and not arr.flags.writeable
     for j, t in enumerate(spec.labels):
         i = spec.labels[:j].count(t)
         assert np.array_equal(spec.columns[:, j],
-                              np.linalg.eigh(sec.matrix(t))[1][:, i])
+                              np.linalg.eigh(matrix(t))[1][:, i])
         index, amp = sec.spread(t, spec.columns[:, [j]])
         column = np.zeros(len(spec.eigenvectors), amp.dtype)
         column[index] = amp[0]
